@@ -15,7 +15,12 @@ Gauss-Legendre power integrals of the interpolant.  The module provides:
   embedding lower bound, plus a far endpoint e with Phi(e) < 0.
 - ``mp_level``: max-point gradient descent over a discrete path from 0 to e
   with periodic arc-length re-equidistribution; the running maximum over
-  the path is nonincreasing by construction.
+  the path is nonincreasing by construction.  The highest sample of the
+  final path is then polished down the Nehari set {<grad Phi(u), u> = 0}
+  (a local minimax step in the sense of Li & Zhou, SIAM J. Sci. Comput. 23,
+  2001) by :func:`fracvar.solver._projected_descent`, the same constrained
+  loop as the ground-state solver, with the ray rescale onto the Nehari set
+  as its retraction; that rescale is the fiber root of ``fiber_t``.
 - ``ps_diagnostics``: gradient norm and the critical-level identity split
   at a candidate field.
 """
@@ -35,10 +40,15 @@ from .constants import bubble_constants
 from .problem import ProblemParams, critical_exponent, weight_from_params
 from .quad import radial_power_integral, seminorm_radial
 from .solver import (
+    ARMIJO,
+    GROW,
+    MAX_BACKTRACKS,
+    SHRINK,
     MinimizeOptions,
     RadialField,
     StiffnessOperator,
     _min_form_on_sphere,
+    _projected_descent,
     _with_dofs,
     first_eigenvalue,
     interpolate_field,
@@ -140,10 +150,6 @@ class PathOptions:
     tol: float = 1e-6
     window: int = 80
     reequidistribute_every: int = 25
-    armijo: float = 1e-4
-    shrink: float = 0.5
-    grow: float = 1.3
-    max_backtracks: int = 60
     eps0: float = 0.2
     step_cap_frac: float = 0.5
     samples_per_segment: int = 3
@@ -165,11 +171,16 @@ def _phi_scalars(params: ProblemParams, op: StiffnessOperator, dofs: np.ndarray)
     return quad_form, sub, crit
 
 
+def _phi_ray(params: ProblemParams, P: float, Q: float, T: float, t: float = 1.0) -> float:
+    """Phi(t u) = t^2 P/2 - (lam/q) t^q Q - t^{q_s} T/q_s from the scalars
+    (P, Q, T) = (u^T A u, int |u|^q, int |u|^{q_s}) of u."""
+    qs = critical_exponent(params.n, params.s)
+    return 0.5 * t * t * P - (params.lam / params.q) * t ** params.q * Q - t ** qs * T / qs
+
+
 def phi_value(params: ProblemParams, op: StiffnessOperator, field: RadialField) -> float:
     """Phi(u) = 1/2 u^T A u - (lam/q) int |u|^q - (1/q_s) int |u|^{q_s}."""
-    qs = critical_exponent(params.n, params.s)
-    quad_form, sub, crit = _phi_scalars(params, op, field.dofs)
-    return 0.5 * quad_form - (params.lam / params.q) * sub - crit / qs
+    return _phi_ray(params, *_phi_scalars(params, op, field.dofs))
 
 
 def phi_gradient(params: ProblemParams, op: StiffnessOperator, field: RadialField) -> np.ndarray:
@@ -223,8 +234,7 @@ def _fiber_from_scalars(params: ProblemParams, eps: float, X: float,
             "no positive fiber root: the weighted form does not dominate the "
             "lam-term (X_tilde <= lam * int v^2)"
         )
-    Y = 0.5 * t * t * X - (params.lam / params.q) * t ** params.q * sub_mass \
-        - t ** qs * crit_mass / qs
+    Y = _phi_ray(params, X, sub_mass, crit_mass, t)
     limit = (params.p0 * bubble_constants(params.n, params.s).Ss) ** (1.0 / (qs - 2.0))
     return FiberResult(eps=eps, X_tilde=X, t_eps=t, Y_eps=Y, limit_gap=abs(t - limit))
 
@@ -291,9 +301,7 @@ def _alpha_q(params: ProblemParams, op: StiffnessOperator) -> float:
         truncated_bubble(0.2, params.s, params.n, eta=params.eta), op.nodes
     )
     opts = MinimizeOptions(tol=1e-8, max_iter=4000)
-    _, E, _, status = _min_form_on_sphere(
-        op.A, op.A, op.nodes, params.n, params.q, init.dofs, opts
-    )
+    _, E, _, status = _min_form_on_sphere(op.A, op, params.n, params.q, init.dofs, opts)
     if status not in ("converged", "max_iter"):  # pragma: no cover - defensive
         raise MountainPassError(f"embedding-constant descent ended with status {status!r}")
     return E
@@ -356,9 +364,7 @@ def mp_geometry(
     X0, sub0, crit0 = _phi_scalars(params, op, base[:-1])
     zeta = 1.0
     for _ in range(60):
-        val = 0.5 * zeta * zeta * X0 - (lam / q) * zeta ** q * sub0 \
-            - zeta ** qs * crit0 / qs
-        if val < 0.0 and zeta * math.sqrt(X0) > rho:
+        if _phi_ray(params, X0, sub0, crit0, zeta) < 0.0 and zeta * math.sqrt(X0) > rho:
             break
         zeta *= 2.0
     else:
@@ -401,18 +407,14 @@ def mp_level(
         raise ValueError("a path needs at least three points")
     opts = opts or PathOptions()
     _, _, e = mp_geometry(params, op, eps0=opts.eps0)
-    qs = critical_exponent(params.n, params.s)
     nodes = op.nodes
-    lam, q = params.lam, params.q
     A = op.A
-    cho = sla.cho_factor(A)
     thetas = (np.arange(opts.samples_per_segment) + 1.0) / (opts.samples_per_segment + 1.0)
 
     Z = np.outer(np.arange(m) / (m - 1.0), e.dofs)
 
     def phi_of(dofs: np.ndarray) -> float:
-        quad_form, sub, crit = _phi_scalars(params, op, dofs)
-        return 0.5 * quad_form - (lam / q) * sub - crit / qs
+        return _phi_ray(params, *_phi_scalars(params, op, dofs))
 
     def seg_max(za: np.ndarray, zb: np.ndarray) -> float:
         return max(phi_of((1.0 - th) * za + th * zb) for th in thetas)
@@ -444,10 +446,8 @@ def mp_level(
         last_j = j
 
         u = Z[j]
-        field = _with_dofs(nodes, u)
-        g = A @ u - (lam / q) * power_gradient(field, q, params.n) \
-            - power_gradient(field, qs, params.n) / qs
-        d = sla.cho_solve(cho, g)
+        g = phi_gradient(params, op, _with_dofs(nodes, u))
+        d = sla.cho_solve(op.cho, g)
         dlen = a_len(d)
         if dlen <= 0.0:  # pragma: no cover - exact critical point
             converged = True
@@ -464,18 +464,18 @@ def mp_level(
         accepted = False
         a = min(alpha, cap)
         a_start = a
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             trial = u - a * d
             val = phi_of(trial)
-            if val <= vvals[j] - opts.armijo * a * slope:
+            if val <= vvals[j] - ARMIJO * a * slope:
                 Z[j] = trial
                 vvals[j] = val
                 smax[j - 1] = seg_max(Z[j - 1], Z[j])
                 smax[j] = seg_max(Z[j], Z[j + 1])
-                alpha = a * opts.grow if a == a_start else a
+                alpha = a * GROW if a == a_start else a
                 accepted = True
                 break
-            a *= opts.shrink
+            a *= SHRINK
 
         if not accepted:
             if it - last_reeq > 1:
@@ -509,7 +509,7 @@ def mp_level(
             v_cand = phi_of(cand)
             if v_cand > best_val:
                 best, best_val = cand, v_cand
-    max_point = _with_dofs(nodes, _polish_crest(params, op, cho, best))
+    max_point = _with_dofs(nodes, _polish_crest(params, op, best))
 
     points = tuple(_with_dofs(nodes, Z[j]) for j in range(m))
     return PathState(
@@ -522,99 +522,47 @@ def mp_level(
     )
 
 
-def _ray_to_nehari(params: ProblemParams, op: StiffnessOperator,
-                   dofs: np.ndarray) -> np.ndarray | None:
-    """Rescale dofs along its ray onto the Nehari set {u : <grad Phi(u), u> = 0}.
-
-    The ray scalars satisfy  t^2 P - lam t^q Q - t^{qs} T = 0 with
-    P = u^T A u, Q = int |u|^q, T = int |u|^{qs}; dividing by t^2 leaves a
-    strictly decreasing function of t, so the positive root is unique.
-    Returns None when the q = 2 ray has no positive root (P <= lam Q).
-    """
-    qs = critical_exponent(params.n, params.s)
-    lam, q = params.lam, params.q
-    P, Q, T = _phi_scalars(params, op, dofs)
-    if P <= 0.0 or T <= 0.0:  # pragma: no cover - zero field
-        return None
-    if lam == 0.0 or Q == 0.0:
-        return (P / T) ** (1.0 / (qs - 2.0)) * dofs
-    if q == 2.0:
-        base = P - lam * Q
-        if base <= 0.0:
-            return None
-        return (base / T) ** (1.0 / (qs - 2.0)) * dofs
-
-    def h(t: float) -> float:
-        return P - lam * t ** (q - 2.0) * Q - t ** (qs - 2.0) * T
-
-    t_hi = (P / T) ** (1.0 / (qs - 2.0))
-    lo = 1e-12 * t_hi
-    if h(lo) <= 0.0 or h(t_hi) >= 0.0:  # pragma: no cover - lam < 0 only
-        return None
-    t = float(sopt.brentq(h, lo, t_hi, rtol=4.0 * np.finfo(float).eps))
-    return t * dofs
-
-
-def _polish_crest(params: ProblemParams, op: StiffnessOperator, cho,
-                  dofs0: np.ndarray, *, tol: float = 1e-6,
-                  max_iter: int = 200) -> np.ndarray:
+def _polish_crest(params: ProblemParams, op: StiffnessOperator, dofs0: np.ndarray,
+                  *, tol: float = 1e-6, max_iter: int = 200) -> np.ndarray:
     """Descend Phi along the Nehari set starting from a path crest sample.
 
-    Projected gradient in the A-metric (the same construction as the
-    sphere-constrained solver, with the Nehari constraint gradient in place
-    of the norm constraint), retracting by the ray rescale after each step.
-    Stops once the full gradient drops below ``tol`` relative to ||A u|| —
-    the near-critical certificate — or after ``max_iter`` steps (degenerate
-    regimes concentrate instead of converging and simply use the budget).
+    :func:`fracvar.solver._projected_descent` in the A-metric, with the
+    Nehari constraint gradient in place of the norm constraint, retracting
+    by the ray rescale after each step.  Stops once the full gradient drops
+    below ``tol`` relative to ||A u|| -- the near-critical certificate -- or
+    after ``max_iter`` steps (degenerate regimes concentrate instead of
+    converging and simply use the budget).
     """
     qs = critical_exponent(params.n, params.s)
-    lam, q = params.lam, params.q
+    lam, q, n = params.lam, params.q, params.n
     nodes = op.nodes
-    w = _ray_to_nehari(params, op, dofs0)
+
+    def ray_to_nehari(dofs: np.ndarray) -> np.ndarray | None:
+        # on the ray t u, <grad Phi(t u), t u> = 0 reads t^2 P = lam t^q Q + t^qs T;
+        # divided by t^2 T it is the fiber equation with X = P/T, sub_mass = Q/T
+        P, Q, T = _phi_scalars(params, op, dofs)
+        if P <= 0.0 or T <= 0.0:  # pragma: no cover - zero field
+            return None
+        t = _fiber_root(P / T, Q / T, lam, q, qs)
+        return None if t is None else t * dofs
+
+    def gradients(w: np.ndarray):
+        Aw = op.A @ w
+        field = _with_dofs(nodes, w)
+        gq = power_gradient(field, q, n)
+        gqs = power_gradient(field, qs, n)
+        return Aw - (lam / q) * gq - gqs / qs, 2.0 * Aw - lam * gq - gqs
+
+    def stop(w: np.ndarray, g: np.ndarray, g_tan: np.ndarray) -> bool:
+        return float(np.linalg.norm(g)) <= tol * float(np.linalg.norm(op.A @ w))
+
+    w = ray_to_nehari(dofs0)
     if w is None:  # pragma: no cover - crest below the lam-term
         return dofs0
-    alpha = 1.0
-
-    def phi_of(dofs: np.ndarray) -> float:
-        P, Q, T = _phi_scalars(params, op, dofs)
-        return 0.5 * P - (lam / q) * Q - T / qs
-
-    val = phi_of(w)
-    for _ in range(max_iter):
-        field = _with_dofs(nodes, w)
-        g = op.A @ w - (lam / q) * power_gradient(field, q, params.n) \
-            - power_gradient(field, qs, params.n) / qs
-        if float(np.linalg.norm(g)) <= tol * float(np.linalg.norm(op.A @ w)):
-            break
-        n_grad = 2.0 * (op.A @ w) - lam * power_gradient(field, q, params.n) \
-            - power_gradient(field, qs, params.n)
-        y = sla.cho_solve(cho, g)
-        z = sla.cho_solve(cho, n_grad)
-        zn = float(z @ n_grad)
-        if zn <= 0.0:  # pragma: no cover - constraint gradient degenerate
-            d = y
-        else:
-            d = y - (y @ n_grad) / zn * z
-        slope = float(d @ g)
-        if slope <= 0.0:
-            d = g - (g @ n_grad) / max(float(n_grad @ n_grad), np.finfo(float).tiny) * n_grad
-            slope = float(d @ g)
-            if slope <= 0.0:  # pragma: no cover - stationary on the manifold
-                break
-        accepted = False
-        a = alpha
-        for _ in range(60):
-            cand = _ray_to_nehari(params, op, w - a * d)
-            if cand is not None:
-                v_cand = phi_of(cand)
-                if v_cand <= val - 1e-4 * a * slope:
-                    w, val = cand, v_cand
-                    alpha = a * 1.3 if a == alpha else a
-                    accepted = True
-                    break
-            a *= 0.5
-        if not accepted:
-            break
+    w, _, _, _ = _projected_descent(
+        op.cho, w, lambda v: _phi_ray(params, *_phi_scalars(params, op, v)),
+        gradients, stop, ray_to_nehari, max_iter,
+    )
     return w
 
 
@@ -651,9 +599,8 @@ def ps_diagnostics(
     The relative residual of that identity is near zero exactly when the
     gradient is, which is the signature of a genuine Palais-Smale limit.
     """
-    qs = critical_exponent(params.n, params.s)
     quad_form, sub, crit = _phi_scalars(params, op, field.dofs)
-    level = 0.5 * quad_form - (params.lam / params.q) * sub - crit / qs
+    level = _phi_ray(params, quad_form, sub, crit)
     grad = phi_gradient(params, op, field)
     predicted = params.lam * (params.q - 2.0) / (2.0 * params.q) * sub \
         + (params.s / params.n) * crit

@@ -34,14 +34,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from ._panels import geometric_refine, panel_nodes
-from .bubble import Bubble, TruncatedBubble
+from .bubble import Bubble, TruncatedBubble, lq_norm
 from .constants import kernel_batch, sphere_surface
 
 
@@ -313,6 +313,15 @@ def _run_pair_form(pa, pb, wfun, wfar, n, s, r_breaks, *, r_hi, include_outer, s
     return fine, err, 2 * npanels
 
 
+def _breaks_to(spec: PanelSpec, prof, r_hi: float) -> np.ndarray:
+    """Radial panel breaks (``spec.r_breaks`` or the profile default) clipped to end at r_hi."""
+    breaks = np.asarray(spec.r_breaks, dtype=float) if spec.r_breaks is not None else default_r_breaks(prof, r_hi)
+    breaks = breaks[breaks <= r_hi * (1.0 + 1e-15)]
+    if breaks[-1] < r_hi:
+        breaks = np.append(breaks, r_hi)
+    return breaks
+
+
 def seminorm_radial(u, w, n: int, s: float, r_max: float, panels: PanelSpec | None = None) -> SeminormEstimate:
     """Deterministic weighted Gagliardo seminorm of a radial profile.
 
@@ -324,13 +333,9 @@ def seminorm_radial(u, w, n: int, s: float, r_max: float, panels: PanelSpec | No
     spec = panels or PanelSpec()
     prof = as_profile(u, r_max)
     r_hi = min(r_max, prof.support) if math.isfinite(prof.support) else r_max
-    breaks = np.asarray(spec.r_breaks, dtype=float) if spec.r_breaks is not None else default_r_breaks(prof, r_hi)
-    breaks = breaks[breaks <= r_hi * (1.0 + 1e-15)]
-    if breaks[-1] < r_hi:
-        breaks = np.append(breaks, r_hi)
     wfun, wfar = _weight_fns(w)
     value, err, npanels = _run_pair_form(
-        prof, prof, wfun, wfar, n, s, breaks, r_hi=r_hi, include_outer=True, spec=spec
+        prof, prof, wfun, wfar, n, s, _breaks_to(spec, prof, r_hi), r_hi=r_hi, include_outer=True, spec=spec
     )
     return SeminormEstimate(value=value, abs_error=err, method="RadialDeterministic", samples_or_panels=npanels)
 
@@ -356,10 +361,7 @@ def bilinear_radial(u, v, w, n: int, s: float, r_max: float, panels: PanelSpec |
     wfun, wfar = _weight_fns(w)
     value, _, _ = _run_pair_form(
         pu, pv, wfun, wfar, n, s, breaks, r_hi=r_hi, include_outer=True,
-        spec=PanelSpec(
-            n_r=spec.n_r, n_t=spec.n_t, delta=spec.delta, t_floor=spec.t_floor,
-            kernel_npts=spec.kernel_npts, estimate_error=False,
-        ),
+        spec=replace(spec, estimate_error=False),
     )
     return value
 
@@ -373,16 +375,9 @@ def ball_restricted_form(u, weight_fn, n: int, s: float, r_hi: float, panels: Pa
     """
     spec = panels or PanelSpec(estimate_error=False)
     prof = as_profile(u, math.inf)
-    breaks = np.asarray(spec.r_breaks, dtype=float) if spec.r_breaks is not None else default_r_breaks(prof, r_hi)
-    breaks = breaks[breaks <= r_hi * (1.0 + 1e-15)]
-    if breaks[-1] < r_hi:
-        breaks = np.append(breaks, r_hi)
     value, _, _ = _run_pair_form(
-        prof, prof, weight_fn, 0.0, n, s, breaks, r_hi=r_hi, include_outer=False,
-        spec=PanelSpec(
-            n_r=spec.n_r, n_t=spec.n_t, delta=spec.delta, t_floor=spec.t_floor,
-            kernel_npts=spec.kernel_npts, estimate_error=False,
-        ),
+        prof, prof, weight_fn, 0.0, n, s, _breaks_to(spec, prof, r_hi), r_hi=r_hi, include_outer=False,
+        spec=replace(spec, estimate_error=False),
     )
     return value
 
@@ -392,25 +387,26 @@ def ball_restricted_form(u, weight_fn, n: int, s: float, r_hi: float, panels: Pa
 # ---------------------------------------------------------------------------
 
 def radial_power_integral(u, expo: float, n: int, *, r_max: float | None = None, npts: int = 16) -> float:
-    """\\int |u|^expo dx for a radial profile, by graded Gauss-Legendre panels."""
+    """\\int |u|^expo dx for a radial profile, by graded Gauss-Legendre panels.
+
+    Bubbles and truncated bubbles go through :func:`fracvar.bubble.lq_norm`,
+    whose panels follow the eps-scale peak and the cutoff shoulders.
+    """
     prof = as_profile(u, r_max if r_max is not None else math.inf)
     top = prof.support if math.isfinite(prof.support) else r_max
     if top is None:
         raise ValueError("profile has unbounded support; pass r_max")
+    if isinstance(u, (Bubble, TruncatedBubble)):
+        if n != (u.n if isinstance(u, Bubble) else u.bubble.n):
+            raise ValueError("dimension n does not match the bubble's")
+        return lq_norm(u, expo, r_max=r_max, npts=npts)
     if r_max is not None:
         top = min(top, r_max)
-    if isinstance(u, (Bubble, TruncatedBubble)):
-        from .bubble import _lq_breaks
-
-        eps = u.eps if isinstance(u, Bubble) else u.bubble.eps
-        eta = None if isinstance(u, Bubble) else u.cutoff.eta
-        breaks = _lq_breaks(eps, eta, top)
-    else:
-        breaks = np.unique(
-            np.concatenate(
-                [geometric_refine(0.0, top, toward=0.0, ratio=0.5, floor=top * 1e-10), np.linspace(0.0, top, 33)]
-            )
+    breaks = np.unique(
+        np.concatenate(
+            [geometric_refine(0.0, top, toward=0.0, ratio=0.5, floor=top * 1e-10), np.linspace(0.0, top, 33)]
         )
+    )
     r, wq = panel_nodes(breaks, npts)
     vals = np.abs(prof.radial_value(r)) ** expo
     return sphere_surface(n) * float(np.sum(wq * vals * r ** (n - 1)))

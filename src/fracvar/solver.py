@@ -8,18 +8,23 @@ of that reduction touches at most four hat coefficients, so the stiffness
 matrix assembles as X^T X for a tall sparse factor X whose rows are the
 square-rooted, nonnegative node contributions.  This keeps A symmetric
 positive semidefinite by construction and exactly linear in the weight.
+The assembled operator carries the Cholesky factor of A, computed once by
+:func:`assemble`; every solve against A in the package reuses it.
 
 The constrained infimum
 
     S = inf { u^T A u - lam * u^T Mq u : ||I u||_{q_s} = 1 }
 
 (I u the interpolant, its q_s-norm by per-interval Gauss-Legendre panels)
-is computed by projected gradient descent with an A-preconditioned descent
-direction, tangential projection against the constraint gradient, and
-monotone Armijo backtracking; iterates are renormalized after every step,
-so the constraint holds to rounding throughout.  An energy dipping below
--10 * p0 * Ss is reported as an indefinite regime (lam at or above the
-first eigenvalue) rather than ground round further.
+is computed by :func:`_projected_descent`, the one constrained-descent loop
+of the package: an A-preconditioned descent direction, tangential
+projection against the constraint gradient, and monotone Armijo
+backtracking with a retraction back onto the constraint set after every
+step.  Here the retraction renormalizes onto the sphere, so the constraint
+holds to rounding throughout; :mod:`fracvar.mountainpass` runs the same
+loop on the Nehari set with a ray rescale as the retraction.  An energy
+dipping below -10 * p0 * Ss is reported as an indefinite regime (lam at or
+above the first eigenvalue) rather than ground round further.
 """
 
 from __future__ import annotations
@@ -143,11 +148,14 @@ class StiffnessOperator:
 
     Both matrices carry the full n-dimensional normalization (the sphere
     measure and the ordered-pair doubling), so u^T A u approximates the
-    seminorm of the interpolant and u^T Mq u its squared L^2 norm.
+    seminorm of the interpolant and u^T Mq u its squared L^2 norm.  ``cho``
+    is the Cholesky factor of A in :func:`scipy.linalg.cho_factor` form,
+    for :func:`scipy.linalg.cho_solve`.
     """
 
     A: np.ndarray
     Mq: np.ndarray
+    cho: tuple[np.ndarray, bool]
     nodes: np.ndarray
     meta: Mapping[str, float]
 
@@ -156,6 +164,7 @@ class StiffnessOperator:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        self.cho[0].setflags(write=False)
         object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
 
     @property
@@ -259,11 +268,13 @@ def assemble(
     mrows = np.arange(len(rm))
     Mq = _sparse_gram([mrows, mrows], [im0, im1], [wm0 * sq_m, wm1 * sq_m], len(rm), M)
 
+    factors = []
     for name, mat in (("stiffness", A), ("mass", Mq)):
         try:
-            sla.cho_factor(mat)
+            factors.append(sla.cho_factor(mat))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise SolverError(f"{name} matrix is not positive definite: quadrature under-resolved") from exc
+    # the mass factor only certifies positive definiteness; A's is kept
 
     meta = {
         "intervals": float(M),
@@ -273,8 +284,6 @@ def assemble(
         "quadrature_rows": float(base),
         "probe_rel_err": math.nan,
     }
-    op = StiffnessOperator(A=A, Mq=Mq, nodes=nodes, meta=meta)
-
     if tol is not None:
         fine = assemble(
             params, nodes, n_r=n_r + 2, n_t=n_t + 4, delta=delta, t_floor=t_floor,
@@ -285,12 +294,11 @@ def assemble(
         qf = float(probe @ fine.A @ probe)
         rel = abs(qa - qf) / abs(qf)
         meta["probe_rel_err"] = rel
-        op = StiffnessOperator(A=A, Mq=Mq, nodes=nodes, meta=meta)
         if rel > tol:
             raise SolverError(
                 f"assembly probe moved by {rel:.3e} under quadrature refinement, above tolerance {tol:.3e}"
             )
-    return op
+    return StiffnessOperator(A=A, Mq=Mq, cho=factors[0], nodes=nodes, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +341,23 @@ def _with_dofs(nodes: np.ndarray, dofs: np.ndarray) -> RadialField:
 # Constrained minimization
 # ---------------------------------------------------------------------------
 
+# Armijo backtracking, shared by every descent in the package: accept a step
+# once it gains ARMIJO times the predicted decrease, shrink a rejected step by
+# SHRINK for at most MAX_BACKTRACKS trials, and grow the next trial step by
+# GROW after a first-trial acceptance.
+ARMIJO = 1e-4
+SHRINK = 0.5
+GROW = 1.3
+MAX_BACKTRACKS = 60
+
+# An energy this fraction below p0 * Ss counts as below the threshold.
+MARGIN_FRAC = 0.02
+
+
 @dataclass(frozen=True)
 class MinimizeOptions:
     tol: float = 1e-6
     max_iter: int = 2000
-    armijo: float = 1e-4
-    shrink: float = 0.5
-    grow: float = 1.3
-    max_backtracks: int = 60
-    margin_frac: float = 0.02
-    precondition: bool = True
 
 
 @dataclass(frozen=True)
@@ -356,10 +371,65 @@ class MinimizeResult:
     status: str
 
 
+def _projected_descent(cho, u, energy, gradients, stop, retract, max_iter: int,
+                       floor_energy: float = -math.inf):
+    """Minimize ``energy`` on a constraint set by projected gradient descent.
+
+    ``u`` starts on the set.  ``gradients(u)`` returns the energy gradient g
+    and the constraint gradient c.  The descent direction is the Riemannian
+    gradient in the metric of the SPD matrix whose Cholesky factor is
+    ``cho``: g and c are both preconditioned before the tangential
+    projection, so stiff high-frequency components do not leak back in
+    through the projector.  If that is not a descent direction, the
+    Euclidean tangential gradient g_tan takes its place.  c never vanishes
+    on the sets in use (<c, u> is nonzero on the sphere and on the Nehari
+    set), so the projections need no guard.
+
+    ``stop(u, g, g_tan)`` declares convergence.  Each trial step is mapped
+    back onto the set by ``retract`` (None when it cannot be) and accepted
+    under monotone Armijo backtracking.  Returns (u, energy, iterations,
+    status) with status ``converged``, ``stalled`` (no step accepted),
+    ``indefinite_regime`` (energy below ``floor_energy``) or ``max_iter``.
+    """
+    E = energy(u)
+    alpha = 1.0
+    status = "max_iter"
+    it = 0
+    for it in range(1, max_iter + 1):
+        g, c = gradients(u)
+        g_tan = g - (g @ c) / (c @ c) * c
+        if stop(u, g, g_tan):
+            status = "converged"
+            break
+        y = sla.cho_solve(cho, g)
+        z = sla.cho_solve(cho, c)
+        d = y - (y @ c) / (z @ c) * z
+        slope = float(d @ g)
+        if slope <= 0.0:
+            d, slope = g_tan, float(g_tan @ g_tan)
+
+        a = alpha
+        for _ in range(MAX_BACKTRACKS):
+            trial = retract(u - a * d)
+            if trial is not None:
+                E_t = energy(trial)
+                if E_t <= E - ARMIJO * a * slope:
+                    u, E = trial, E_t
+                    alpha = a * GROW if a == alpha else a
+                    break
+            a *= SHRINK
+        else:
+            status = "stalled"
+            break
+        if E < floor_energy:
+            status = "indefinite_regime"
+            break
+    return u, E, it, status
+
+
 def _min_form_on_sphere(
     Q: np.ndarray,
-    stiff: np.ndarray,
-    nodes: np.ndarray,
+    op: StiffnessOperator,
     n: int,
     expo: float,
     u0: np.ndarray,
@@ -368,66 +438,28 @@ def _min_form_on_sphere(
 ):
     """Minimize v^T Q v over the sphere (integral of |I v|^expo) = 1.
 
-    Projected gradient with a descent direction taken as the Riemannian
-    gradient in the metric of ``stiff`` (the SPD stiffness matrix): both
-    the gradient and the constraint gradient are preconditioned before the
-    tangential projection, so stiff high-frequency components do not leak
-    back in through the projector.  Monotone Armijo backtracking on the
-    renormalized iterate.  Returns (v, energy, iterations, status).
+    :func:`_projected_descent` in the metric of the stiffness matrix A of
+    ``op``, retracting by renormalization.  Converged once the tangential
+    gradient drops below ``opts.tol`` relative to ||2 A v||.  Returns
+    (v, energy, iterations, status).
     """
-    cho = sla.cho_factor(stiff) if opts.precondition else None
-    u = np.asarray(u0, dtype=float).copy()
-    nrm = power_integral(_with_dofs(nodes, u), expo, n) ** (1.0 / expo)
-    if not (nrm > 0.0) or not math.isfinite(nrm):
+    nodes = op.nodes
+
+    def gradients(v: np.ndarray):
+        return 2.0 * (Q @ v), power_gradient(_with_dofs(nodes, v), expo, n)
+
+    def stop(v: np.ndarray, g: np.ndarray, g_tan: np.ndarray) -> bool:
+        return float(np.linalg.norm(g_tan)) <= opts.tol * (2.0 * float(np.linalg.norm(op.A @ v)))
+
+    def retract(v: np.ndarray) -> np.ndarray | None:
+        nrm = power_integral(_with_dofs(nodes, v), expo, n) ** (1.0 / expo)
+        return v / nrm if nrm > 0.0 and math.isfinite(nrm) else None
+
+    u = retract(np.asarray(u0, dtype=float))
+    if u is None:
         raise ValueError("initial field must be nonzero with a finite constraint norm")
-    u /= nrm
-
-    def energy(v: np.ndarray) -> float:
-        return float(v @ Q @ v)
-
-    E = energy(u)
-    alpha = 1.0
-    status = "max_iter"
-    it = 0
-    for it in range(1, opts.max_iter + 1):
-        g = 2.0 * (Q @ u)
-        d_c = power_gradient(_with_dofs(nodes, u), expo, n)
-        g_tan = g - (g @ d_c) / (d_c @ d_c) * d_c
-        gscale = 2.0 * float(np.linalg.norm(stiff @ u))
-        if float(np.linalg.norm(g_tan)) <= opts.tol * gscale:
-            status = "converged"
-            break
-        if cho is not None:
-            y = sla.cho_solve(cho, g)
-            z = sla.cho_solve(cho, d_c)
-            d = y - (y @ d_c) / (z @ d_c) * z
-            slope = float(d @ g)
-            if slope <= 0.0:
-                d, slope = g_tan, float(g_tan @ g_tan)
-        else:
-            d, slope = g_tan, float(g_tan @ g_tan)
-
-        accepted = False
-        a = alpha
-        for _ in range(opts.max_backtracks):
-            trial = u - a * d
-            t_nrm = power_integral(_with_dofs(nodes, trial), expo, n) ** (1.0 / expo)
-            if t_nrm > 0.0 and math.isfinite(t_nrm):
-                trial /= t_nrm
-                E_t = energy(trial)
-                if E_t <= E - opts.armijo * a * slope:
-                    u, E = trial, E_t
-                    alpha = a * opts.grow if a == alpha else a
-                    accepted = True
-                    break
-            a *= opts.shrink
-        if not accepted:
-            status = "stalled"
-            break
-        if E < floor_energy:
-            status = "indefinite_regime"
-            break
-    return u, E, it, status
+    return _projected_descent(op.cho, u, lambda v: float(v @ Q @ v), gradients, stop, retract,
+                              opts.max_iter, floor_energy)
 
 
 def minimize_S(
@@ -456,7 +488,7 @@ def minimize_S(
     if init is None:
         init = interpolate_field(truncated_bubble(0.2, params.s, params.n, eta=params.eta), nodes)
     u, E, it, status = _min_form_on_sphere(
-        op.A - params.lam * op.Mq, op.A, nodes, params.n, qs, init.dofs,
+        op.A - params.lam * op.Mq, op, params.n, qs, init.dofs,
         opts, floor_energy=-10.0 * level,
     )
 
@@ -468,7 +500,7 @@ def minimize_S(
         constraint_residual=resid,
         iterations=it,
         converged=status == "converged",
-        below_threshold=E < level - opts.margin_frac * level,
+        below_threshold=E < level - MARGIN_FRAC * level,
         status=status,
     )
 
@@ -495,38 +527,23 @@ def refinement_check(
 def first_eigenvalue(op: StiffnessOperator, *, tol: float = 1e-8, max_iter: int = 200) -> tuple[float, RadialField]:
     """Smallest lam with A u = lam Mq u by inverse power iteration.
 
-    The stiffness factorization is computed once and reused across
-    iterations; a Rayleigh-quotient shift polishes the last digits if plain
-    inverse iteration stalls.  The eigenfield is Mq-normalized with its
-    largest coefficient positive.
+    Each iteration solves against the operator's stiffness factor.  Raises
+    :class:`SolverError` if the eigen-residual is still above ``tol``
+    (relative to ||A u||) after ``max_iter`` iterations.  The eigenfield is
+    Mq-normalized with its largest coefficient positive.
     """
     A, Mq = op.A, op.Mq
-    try:
-        cho = sla.cho_factor(A)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("stiffness factorization failed") from exc
     v = np.ones(op.size)
     v /= math.sqrt(v @ Mq @ v)
-    lam = float(v @ A @ v)
     for _ in range(max_iter):
-        v = sla.cho_solve(cho, Mq @ v)
+        v = sla.cho_solve(op.cho, Mq @ v)
         v /= math.sqrt(v @ Mq @ v)
         Av = A @ v
         lam = float(v @ Av)
         if np.linalg.norm(Av - lam * Mq @ v) <= tol * np.linalg.norm(Av):
             break
-    else:  # pragma: no cover - tiny pencils converge long before this
-        for _ in range(5):
-            try:
-                lu = sla.lu_factor(A - lam * Mq)
-                v = sla.lu_solve(lu, Mq @ v)
-            except np.linalg.LinAlgError:
-                break
-            v /= math.sqrt(v @ Mq @ v)
-            Av = A @ v
-            lam = float(v @ Av)
-            if np.linalg.norm(Av - lam * Mq @ v) <= tol * np.linalg.norm(Av):
-                break
+    else:
+        raise SolverError(f"inverse iteration missed tolerance {tol:.1e} after {max_iter} iterations")
     if v[np.argmax(np.abs(v))] < 0.0:
         v = -v
     return lam, _with_dofs(op.nodes, v)

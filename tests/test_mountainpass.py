@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from fracvar.bubble import truncated_bubble
 from fracvar.constants import bubble_constants
@@ -260,7 +261,7 @@ def test_alpha_q_dual_route_at_two(op_gs):
     init = interpolate_field(ub, op_gs.nodes)
     d0 = init.dofs / power_integral(init, 2.0, 6) ** 0.5
     _, val, _, status = _min_form_on_sphere(
-        op_gs.A, op_gs.A, op_gs.nodes, 6, 2.0, d0.copy(),
+        op_gs.A, op_gs, 6, 2.0, d0.copy(),
         MinimizeOptions(tol=1e-8, max_iter=4000),
     )
     lam1, _ = first_eigenvalue(op_gs)
@@ -335,6 +336,31 @@ def test_path_descent_without_subcritical_term(op_free):
 def test_path_descent_needs_three_points(op_gs):
     with pytest.raises(ValueError):
         mp_level(P_GS, op_gs, m=2)
+
+
+def test_one_stiffness_factorization_per_operator(monkeypatch):
+    # assembly factors A (kept on the operator) and Mq (a definiteness
+    # check); the eigen-solve, both constrained descents and the path
+    # descent reuse the operator's factor
+    factored = []
+    real = sla.cho_factor
+
+    def counting(a, *args, **kwargs):
+        factored.append(np.array(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "cho_factor", counting)
+    op = assemble(P_GS, 64)
+    first_eigenvalue(op)
+    minimize_S(P_GS, op)
+    assert len(factored) == 2
+    assert sum(np.array_equal(a, op.A) for a in factored) == 1
+
+    factored.clear()
+    op = assemble(P_MP, 64)
+    mp_level(P_MP, op, opts=PathOptions(max_iter=30))
+    assert len(factored) == 2
+    assert sum(np.array_equal(a, op.A) for a in factored) == 1
 
 
 def test_path_options_defaults():

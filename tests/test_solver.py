@@ -255,6 +255,11 @@ def test_indefinite_regime_detected(op128):
     assert not res.converged
 
 
+def test_eigen_solve_raises_when_it_misses_its_tolerance(op128):
+    with pytest.raises(SolverError):
+        first_eigenvalue(op128, max_iter=1)
+
+
 def test_minimize_requires_q2(op128):
     sub = ProblemParams(n=6, s=0.5, k=2, kappa=0.05, lam=1.0, q=2.2, p0=1.0, eta=1.0, R=5.0)
     with pytest.raises(ValueError):
