@@ -118,7 +118,10 @@ class TruncatedBubble:
 
     def radial_value(self, r):
         r = np.asarray(r, dtype=float)
-        return self.bubble.radial_value(r) * self.cutoff.radial_value(r)
+        out = np.zeros(r.shape)
+        inside = ~(r >= self.support)
+        out[inside] = self.bubble.radial_value(r[inside]) * self.cutoff.radial_value(r[inside])
+        return out
 
     def radial_deriv(self, r):
         r = np.asarray(r, dtype=float)

@@ -8,9 +8,12 @@ the manifest by name but never checksummed, so reruns with the same config
 and seed reproduce the manifest exactly.
 
 Exit codes: 0 on success, 2 when a validation or numeric assertion fails,
-1 on usage or I/O errors.  ``--threads`` caps BLAS/OpenMP parallelism and is
-applied before the numeric modules are imported, which is why all heavy
-imports below live inside the command handlers.
+1 on usage or I/O errors.  ``--threads N`` only exports N as
+``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` and
+``NUMEXPR_NUM_THREADS``.  Importing this module already loads numpy
+(through the package ``__init__``), so the flag cannot cap the BLAS
+threads of the running process; set those variables in the environment
+before launch for that.
 """
 
 from __future__ import annotations

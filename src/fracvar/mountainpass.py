@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.optimize as sopt
 
 from .asymptotics import EPS_FLOOR
@@ -52,7 +51,6 @@ from .solver import (
     _with_dofs,
     first_eigenvalue,
     interpolate_field,
-    power_gradient,
     power_integral,
 )
 
@@ -164,11 +162,19 @@ def level_bound(params: ProblemParams) -> float:
 def _phi_scalars(params: ProblemParams, op: StiffnessOperator, dofs: np.ndarray):
     """(u^T A u, int |u|^q, int |u|^{q_s}) for the interpolant with these dofs."""
     qs = critical_exponent(params.n, params.s)
-    field = _with_dofs(op.nodes, dofs)
+    u = op.rule.interpolate(dofs)
     quad_form = float(dofs @ op.A @ dofs)
-    sub = power_integral(field, params.q, params.n)
-    crit = power_integral(field, qs, params.n)
-    return quad_form, sub, crit
+    return quad_form, op.rule.integral(u, params.q), op.rule.integral(u, qs)
+
+
+def _phi_grad(params: ProblemParams, op: StiffnessOperator, dofs: np.ndarray):
+    """Gradients of Phi and of the Nehari functional <grad Phi(u), u> at these dofs."""
+    qs = critical_exponent(params.n, params.s)
+    u = op.rule.interpolate(dofs)
+    Au = op.A @ dofs
+    gq = op.rule.gradient(u, params.q)
+    gqs = op.rule.gradient(u, qs)
+    return Au - (params.lam / params.q) * gq - gqs / qs, 2.0 * Au - params.lam * gq - gqs
 
 
 def _phi_ray(params: ProblemParams, P: float, Q: float, T: float, t: float = 1.0) -> float:
@@ -185,12 +191,7 @@ def phi_value(params: ProblemParams, op: StiffnessOperator, field: RadialField) 
 
 def phi_gradient(params: ProblemParams, op: StiffnessOperator, field: RadialField) -> np.ndarray:
     """Gradient of Phi with respect to the interior dof vector."""
-    qs = critical_exponent(params.n, params.s)
-    u = field.dofs
-    g = op.A @ u
-    g = g - (params.lam / params.q) * power_gradient(field, params.q, params.n)
-    g = g - power_gradient(field, qs, params.n) / qs
-    return g
+    return _phi_grad(params, op, field.dofs)[0]
 
 
 def _fiber_root(X: float, sub_mass: float, lam: float, q: float, qs: float,
@@ -301,7 +302,7 @@ def _alpha_q(params: ProblemParams, op: StiffnessOperator) -> float:
         truncated_bubble(0.2, params.s, params.n, eta=params.eta), op.nodes
     )
     opts = MinimizeOptions(tol=1e-8, max_iter=4000)
-    _, E, _, status = _min_form_on_sphere(op.A, op, params.n, params.q, init.dofs, opts)
+    _, E, _, status = _min_form_on_sphere(op.A, op, params.q, init.dofs, opts)
     if status not in ("converged", "max_iter"):  # pragma: no cover - defensive
         raise MountainPassError(f"embedding-constant descent ended with status {status!r}")
     return E
@@ -446,8 +447,8 @@ def mp_level(
         last_j = j
 
         u = Z[j]
-        g = phi_gradient(params, op, _with_dofs(nodes, u))
-        d = sla.cho_solve(op.cho, g)
+        g, _ = _phi_grad(params, op, u)
+        d = op.solve(g)
         dlen = a_len(d)
         if dlen <= 0.0:  # pragma: no cover - exact critical point
             converged = True
@@ -534,8 +535,7 @@ def _polish_crest(params: ProblemParams, op: StiffnessOperator, dofs0: np.ndarra
     converging and simply use the budget).
     """
     qs = critical_exponent(params.n, params.s)
-    lam, q, n = params.lam, params.q, params.n
-    nodes = op.nodes
+    lam, q = params.lam, params.q
 
     def ray_to_nehari(dofs: np.ndarray) -> np.ndarray | None:
         # on the ray t u, <grad Phi(t u), t u> = 0 reads t^2 P = lam t^q Q + t^qs T;
@@ -546,13 +546,6 @@ def _polish_crest(params: ProblemParams, op: StiffnessOperator, dofs0: np.ndarra
         t = _fiber_root(P / T, Q / T, lam, q, qs)
         return None if t is None else t * dofs
 
-    def gradients(w: np.ndarray):
-        Aw = op.A @ w
-        field = _with_dofs(nodes, w)
-        gq = power_gradient(field, q, n)
-        gqs = power_gradient(field, qs, n)
-        return Aw - (lam / q) * gq - gqs / qs, 2.0 * Aw - lam * gq - gqs
-
     def stop(w: np.ndarray, g: np.ndarray, g_tan: np.ndarray) -> bool:
         return float(np.linalg.norm(g)) <= tol * float(np.linalg.norm(op.A @ w))
 
@@ -560,8 +553,8 @@ def _polish_crest(params: ProblemParams, op: StiffnessOperator, dofs0: np.ndarra
     if w is None:  # pragma: no cover - crest below the lam-term
         return dofs0
     w, _, _, _ = _projected_descent(
-        op.cho, w, lambda v: _phi_ray(params, *_phi_scalars(params, op, v)),
-        gradients, stop, ray_to_nehari, max_iter,
+        op.solve, w, lambda v: _phi_ray(params, *_phi_scalars(params, op, v)),
+        lambda v: _phi_grad(params, op, v), stop, ray_to_nehari, max_iter,
     )
     return w
 

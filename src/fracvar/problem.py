@@ -251,11 +251,11 @@ class WeightModel:
             return np.full_like(r, self.p0)
         if self.variant == "TruncatedPower":
             r4 = 4.0 * self.eta
-            inner = self.p0 + self.kappa * np.minimum(r, r4) ** self.k
+            out = np.asarray(self.p0 + self.kappa * np.minimum(r, r4) ** self.k)
             # beyond 4*eta the bump decays like r^-(n+1); continuous at the junction
-            with np.errstate(divide="ignore"):
-                tail = self.p0 + self.kappa * r4**self.k * np.where(r > r4, (r4 / np.maximum(r, r4)) ** (self.n + 1), 1.0)
-            return np.where(r <= r4, inner, tail)
+            far = r > r4
+            out[far] = self.p0 + self.kappa * r4**self.k * (r4 / r[far]) ** (self.n + 1)
+            return out
         rs = np.array([t[0] for t in self.table])
         ps = np.array([t[1] for t in self.table])
         return np.maximum(np.interp(r, rs, ps), self.p0)

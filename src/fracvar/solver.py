@@ -9,7 +9,12 @@ matrix assembles as X^T X for a tall sparse factor X whose rows are the
 square-rooted, nonnegative node contributions.  This keeps A symmetric
 positive semidefinite by construction and exactly linear in the weight.
 The assembled operator carries the Cholesky factor of A, computed once by
-:func:`assemble`; every solve against A in the package reuses it.
+:func:`assemble`; every solve against A in the package reuses it.  It also
+owns the grid's power-integral rule (:class:`GridRule`: per-interval
+Gauss-Legendre weights, the Jacobian r^(n-1) and the hat values at the
+panel nodes), built once beside the factor, so the descents below
+interpolate a dof vector and integrate its powers without rebuilding the
+rule or a validated field at every step.
 
 The constrained infimum
 
@@ -150,12 +155,14 @@ class StiffnessOperator:
     measure and the ordered-pair doubling), so u^T A u approximates the
     seminorm of the interpolant and u^T Mq u its squared L^2 norm.  ``cho``
     is the Cholesky factor of A in :func:`scipy.linalg.cho_factor` form,
-    for :func:`scipy.linalg.cho_solve`.
+    checked finite once here so that :meth:`solve` checks only its
+    right-hand side.  ``rule`` is the grid's power-integral rule.
     """
 
     A: np.ndarray
     Mq: np.ndarray
     cho: tuple[np.ndarray, bool]
+    rule: GridRule
     nodes: np.ndarray
     meta: Mapping[str, float]
 
@@ -164,12 +171,18 @@ class StiffnessOperator:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if not np.all(np.isfinite(self.cho[0])):  # pragma: no cover - cho_factor checked A
+            raise SolverError("stiffness factor has non-finite entries")
         self.cho[0].setflags(write=False)
         object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
 
     @property
     def size(self) -> int:
         return self.A.shape[0]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^{-1} b by the stored factor; b must be finite."""
+        return sla.cho_solve(self.cho, np.asarray_chkfinite(b), check_finite=False)
 
 
 def _mass_factor(nodes: np.ndarray, n: int, npts: int):
@@ -298,39 +311,75 @@ def assemble(
             raise SolverError(
                 f"assembly probe moved by {rel:.3e} under quadrature refinement, above tolerance {tol:.3e}"
             )
-    return StiffnessOperator(A=A, Mq=Mq, cho=factors[0], nodes=nodes, meta=meta)
+    return StiffnessOperator(A=A, Mq=Mq, cho=factors[0], rule=grid_rule(nodes, n), nodes=nodes, meta=meta)
 
 
 # ---------------------------------------------------------------------------
 # Interpolant norms on the grid
 # ---------------------------------------------------------------------------
 
-def _interval_quad(nodes: np.ndarray, values: np.ndarray, npts: int = 12):
+@dataclass(frozen=True)
+class GridRule:
+    """Per-interval Gauss-Legendre rule for power integrals of grid interpolants.
+
+    On interval i of width h_i the panel nodes are r_i + h_i x_k with
+    weights ``wq`` = h_i w_k, where (x_k, w_k) is the rule mapped to [0, 1];
+    ``rn1`` is r^(n-1) at those nodes and ``x01`` / ``omx`` are the hat
+    values x_k and 1 - x_k, shaped (1, npts).  ``sig`` is the measure of
+    S^{n-1}.  Built by :func:`grid_rule`.
+    """
+
+    sig: float
+    wq: np.ndarray
+    rn1: np.ndarray
+    x01: np.ndarray
+    omx: np.ndarray
+
+    def __post_init__(self) -> None:
+        for arr in (self.wq, self.rn1, self.x01, self.omx):
+            arr.setflags(write=False)
+
+    def interpolate(self, dofs: np.ndarray) -> np.ndarray:
+        """Interpolant at the panel nodes, the outer node pinned to zero."""
+        values = np.append(dofs, 0.0)
+        if not np.isfinite(values).all():
+            raise ValueError("field values must be finite")
+        return values[:-1][:, None] * self.omx + values[1:][:, None] * self.x01
+
+    def integral(self, u: np.ndarray, expo: float) -> float:
+        """\\int |u|^expo dx from the interpolant ``u`` at the panel nodes."""
+        return self.sig * float((self.wq * np.abs(u) ** expo * self.rn1).sum())
+
+    def gradient(self, u: np.ndarray, expo: float) -> np.ndarray:
+        """Gradient of :meth:`integral` with respect to the hat coefficients."""
+        dens = self.wq * np.abs(u) ** (expo - 2.0) * u * self.rn1
+        g = np.zeros(len(u) + 1)
+        g[:-1] += (dens * self.omx).sum(axis=1)
+        g[1:] += (dens * self.x01).sum(axis=1)
+        return expo * self.sig * g[:-1]
+
+
+def grid_rule(nodes: np.ndarray, n: int, npts: int = 12) -> GridRule:
+    """The npts-point :class:`GridRule` of a node array in dimension n."""
     h = np.diff(nodes)
     xg, wg = gl_rule(npts)
     x01 = 0.5 * (xg + 1.0)
     w01 = 0.5 * wg
     r = nodes[:-1][:, None] + h[:, None] * x01[None, :]
-    u = values[:-1][:, None] * (1.0 - x01[None, :]) + values[1:][:, None] * x01[None, :]
-    wq = h[:, None] * w01[None, :]
-    return r, u, wq, x01
+    return GridRule(sig=sphere_surface(n), wq=h[:, None] * w01[None, :], rn1=r ** (n - 1),
+                    x01=x01[None, :], omx=1.0 - x01[None, :])
 
 
 def power_integral(field: RadialField, expo: float, n: int, *, npts: int = 12) -> float:
     """\\int |u|^expo dx of the interpolant, exact per-interval panels."""
-    r, u, wq, _ = _interval_quad(field.nodes, field.values, npts)
-    return sphere_surface(n) * float(np.sum(wq * np.abs(u) ** expo * r ** (n - 1)))
+    rule = grid_rule(field.nodes, n, npts)
+    return rule.integral(rule.interpolate(field.dofs), expo)
 
 
 def power_gradient(field: RadialField, expo: float, n: int, *, npts: int = 12) -> np.ndarray:
     """Gradient of \\int |u|^expo dx with respect to the hat coefficients."""
-    nodes, values = field.nodes, field.values
-    r, u, wq, x01 = _interval_quad(nodes, values, npts)
-    dens = wq * np.abs(u) ** (expo - 2.0) * u * r ** (n - 1)
-    g = np.zeros(len(nodes))
-    g[:-1] += np.sum(dens * (1.0 - x01[None, :]), axis=1)
-    g[1:] += np.sum(dens * x01[None, :], axis=1)
-    return expo * sphere_surface(n) * g[:-1]
+    rule = grid_rule(field.nodes, n, npts)
+    return rule.gradient(rule.interpolate(field.dofs), expo)
 
 
 def _with_dofs(nodes: np.ndarray, dofs: np.ndarray) -> RadialField:
@@ -371,14 +420,14 @@ class MinimizeResult:
     status: str
 
 
-def _projected_descent(cho, u, energy, gradients, stop, retract, max_iter: int,
+def _projected_descent(solve, u, energy, gradients, stop, retract, max_iter: int,
                        floor_energy: float = -math.inf):
     """Minimize ``energy`` on a constraint set by projected gradient descent.
 
     ``u`` starts on the set.  ``gradients(u)`` returns the energy gradient g
     and the constraint gradient c.  The descent direction is the Riemannian
-    gradient in the metric of the SPD matrix whose Cholesky factor is
-    ``cho``: g and c are both preconditioned before the tangential
+    gradient in the metric of the SPD matrix whose inverse ``solve``
+    applies: g and c are both preconditioned before the tangential
     projection, so stiff high-frequency components do not leak back in
     through the projector.  If that is not a descent direction, the
     Euclidean tangential gradient g_tan takes its place.  c never vanishes
@@ -401,8 +450,8 @@ def _projected_descent(cho, u, energy, gradients, stop, retract, max_iter: int,
         if stop(u, g, g_tan):
             status = "converged"
             break
-        y = sla.cho_solve(cho, g)
-        z = sla.cho_solve(cho, c)
+        y = solve(g)
+        z = solve(c)
         d = y - (y @ c) / (z @ c) * z
         slope = float(d @ g)
         if slope <= 0.0:
@@ -430,7 +479,6 @@ def _projected_descent(cho, u, energy, gradients, stop, retract, max_iter: int,
 def _min_form_on_sphere(
     Q: np.ndarray,
     op: StiffnessOperator,
-    n: int,
     expo: float,
     u0: np.ndarray,
     opts: MinimizeOptions,
@@ -440,25 +488,26 @@ def _min_form_on_sphere(
 
     :func:`_projected_descent` in the metric of the stiffness matrix A of
     ``op``, retracting by renormalization.  Converged once the tangential
-    gradient drops below ``opts.tol`` relative to ||2 A v||.  Returns
+    gradient drops below ``opts.tol`` relative to ||2 A v||.  The
+    constraint is integrated by the operator's grid rule.  Returns
     (v, energy, iterations, status).
     """
-    nodes = op.nodes
+    rule = op.rule
 
     def gradients(v: np.ndarray):
-        return 2.0 * (Q @ v), power_gradient(_with_dofs(nodes, v), expo, n)
+        return 2.0 * (Q @ v), rule.gradient(rule.interpolate(v), expo)
 
     def stop(v: np.ndarray, g: np.ndarray, g_tan: np.ndarray) -> bool:
         return float(np.linalg.norm(g_tan)) <= opts.tol * (2.0 * float(np.linalg.norm(op.A @ v)))
 
     def retract(v: np.ndarray) -> np.ndarray | None:
-        nrm = power_integral(_with_dofs(nodes, v), expo, n) ** (1.0 / expo)
+        nrm = rule.integral(rule.interpolate(v), expo) ** (1.0 / expo)
         return v / nrm if nrm > 0.0 and math.isfinite(nrm) else None
 
     u = retract(np.asarray(u0, dtype=float))
     if u is None:
         raise ValueError("initial field must be nonzero with a finite constraint norm")
-    return _projected_descent(op.cho, u, lambda v: float(v @ Q @ v), gradients, stop, retract,
+    return _projected_descent(op.solve, u, lambda v: float(v @ Q @ v), gradients, stop, retract,
                               opts.max_iter, floor_energy)
 
 
@@ -488,7 +537,7 @@ def minimize_S(
     if init is None:
         init = interpolate_field(truncated_bubble(0.2, params.s, params.n, eta=params.eta), nodes)
     u, E, it, status = _min_form_on_sphere(
-        op.A - params.lam * op.Mq, op, params.n, qs, init.dofs,
+        op.A - params.lam * op.Mq, op, qs, init.dofs,
         opts, floor_energy=-10.0 * level,
     )
 
@@ -536,7 +585,7 @@ def first_eigenvalue(op: StiffnessOperator, *, tol: float = 1e-8, max_iter: int 
     v = np.ones(op.size)
     v /= math.sqrt(v @ Mq @ v)
     for _ in range(max_iter):
-        v = sla.cho_solve(op.cho, Mq @ v)
+        v = op.solve(Mq @ v)
         v /= math.sqrt(v @ Mq @ v)
         Av = A @ v
         lam = float(v @ Av)

@@ -76,6 +76,18 @@ def test_truncated_bubble_support_and_product_rule():
     assert eval_u(tb, x) == pytest.approx(tb.radial_value(0.8))
 
 
+def test_truncated_bubble_evaluated_only_inside_support():
+    tb = truncated_bubble(0.3, 0.5, 6, 0.7)
+    r = np.concatenate([np.linspace(0.0, 3.0, 301),
+                        [np.nextafter(0.7, 0.0), 0.7, np.nextafter(1.4, 0.0), 1.4, np.nextafter(1.4, 2.0), np.inf]])
+    # reference: the product of bubble and cutoff at every radius
+    want = tb.bubble.radial_value(r) * tb.cutoff.radial_value(r)
+    assert np.array_equal(tb.radial_value(r), want)
+    for x in (0.0, 0.7, 1.0, 1.4, 2.0):
+        assert np.ndim(tb.radial_value(x)) == 0
+        assert tb.radial_value(x) == tb.bubble.radial_value(x) * tb.cutoff.radial_value(x)
+
+
 def test_critical_norm_is_scale_invariant():
     # int U_eps^{q_s} = Kqs independent of eps
     n, s = 6, 0.5

@@ -1,9 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import fracvar
 from fracvar.bubble import truncated_bubble
 from fracvar.constants import bubble_constants
 from fracvar.mountainpass import (
@@ -261,7 +266,7 @@ def test_alpha_q_dual_route_at_two(op_gs):
     init = interpolate_field(ub, op_gs.nodes)
     d0 = init.dofs / power_integral(init, 2.0, 6) ** 0.5
     _, val, _, status = _min_form_on_sphere(
-        op_gs.A, op_gs, 6, 2.0, d0.copy(),
+        op_gs.A, op_gs, 2.0, d0.copy(),
         MinimizeOptions(tol=1e-8, max_iter=4000),
     )
     lam1, _ = first_eigenvalue(op_gs)
@@ -389,3 +394,33 @@ def test_ps_diagnostics_far_from_critical(op_gs):
     rep = ps_diagnostics(P_GS, op_gs, _with_dofs(op_gs.nodes, dofs))
     assert rep.identity_residual > 0.1
     assert rep.grad_norm > 0.0
+
+
+# ---------------------------------------------------------------- exact values
+
+_EXACT_VALUES_CHILD = """
+import json
+from fracvar.mountainpass import mp_level
+from fracvar.problem import ProblemParams
+from fracvar.solver import assemble, minimize_S
+P_GS = ProblemParams(n=6, s=0.5, k=2, kappa=0.05, lam=21.0, q=2.0)
+P_MP = ProblemParams(n=6, s=0.5, k=2, kappa=0.004, lam=1.0, q=2.2)
+g = minimize_S(P_GS, assemble(P_GS, 128))
+st = mp_level(P_MP, assemble(P_MP, 128))
+print(json.dumps([g.energy.hex(), g.iterations, st.level.hex(), st.iterations]))
+"""
+
+
+def test_grid_descents_exact_values():
+    # BLAS reductions depend on the thread count, so the descents run in a
+    # fresh interpreter with one BLAS thread.  Recorded with numpy 2.4.6,
+    # scipy 1.17.1 and OpenBLAS 0.3.31; any change to the order of the
+    # float operations in minimize_S or mp_level moves the last bits.
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracvar.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _EXACT_VALUES_CHILD], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    energy, iterations, level, mp_iterations = json.loads(out.stdout)
+    assert (energy, iterations) == ("0x1.b511b0871eb6ap+6", 52)
+    assert (level, mp_iterations) == ("0x1.c20271b3575ccp+38", 751)

@@ -130,6 +130,31 @@ def test_weight_sup_is_attained_at_junction():
     assert w.sup() == pytest.approx(float(np.max(w.radial(r))), rel=1e-12)
 
 
+def _truncated_power_both_branches(w, r):
+    # reference: both branches over every radius, then a select
+    r = np.asarray(r, dtype=float)
+    r4 = 4.0 * w.eta
+    inner = w.p0 + w.kappa * np.minimum(r, r4) ** w.k
+    with np.errstate(divide="ignore"):
+        tail = w.p0 + w.kappa * r4**w.k * np.where(r > r4, (r4 / np.maximum(r, r4)) ** (w.n + 1), 1.0)
+    return np.where(r <= r4, inner, tail)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.3])
+def test_weight_tail_evaluated_only_beyond_junction(kappa):
+    w = WeightModel.truncated_power(n=6, p0=1.2, kappa=kappa, k=2.5, eta=0.5)
+    r = np.concatenate([np.linspace(0.0, 6.0, 600),
+                        [np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0), np.inf]]).reshape(2, -1)
+    got = w.radial(r)
+    assert got.shape == r.shape
+    assert np.array_equal(got, _truncated_power_both_branches(w, r))
+    for x in (0.0, 1.3, 2.0, 4.7):
+        assert np.ndim(w.radial(x)) == 0
+        assert w.radial(x) == _truncated_power_both_branches(w, x)
+    if kappa == 0.0:
+        assert np.all(got == 1.2)
+
+
 def test_config_roundtrip_and_defaults():
     text = """
     # sample run

@@ -110,6 +110,54 @@ def test_mc_variance_warning():
         seminorm_mc(tb, None, N6, S6, N=30_000, seed=2)
 
 
+_MC_TB = truncated_bubble(0.8, S6, N6, 1.0)
+_MC_CASES = {
+    # kappa = 1 weight: the sampled y points cross the 4*eta junction
+    "weighted": (_MC_TB, WeightModel.truncated_power(n=N6, p0=1.0, kappa=1.0, k=2, eta=1.0), None),
+    "unweighted": (_MC_TB, None, None),
+    "callable_box": (lambda pts: _MC_TB.radial_value(np.linalg.norm(pts, axis=1)), None, 3.0),
+}
+
+
+@pytest.mark.parametrize(
+    "case, N, value, abs_error",
+    [
+        ("weighted", 100_000, "0x1.dd2c649d26065p+7", "0x1.25e431f6e38e0p+4"),
+        ("unweighted", 100_000, "0x1.387a79e02362ap+6", "0x1.cfcbaf0b9658fp+2"),
+        ("callable_box", 100_000, "0x1.33e5d012970a8p+6", "0x1.ccc9265747215p+2"),
+        ("weighted", 1024, "0x1.e87a96b462426p+6", "0x1.24d7bcbec7728p+5"),
+        ("unweighted", 1024, "0x1.441e197160272p+5", "0x1.f1849b1f0568bp+3"),
+        ("callable_box", 1024, "0x1.32d31aa791e33p+6", "0x1.b5cc10a171425p+5"),
+    ],
+)
+def test_mc_exact_values(case, N, value, abs_error):
+    # Recorded with numpy 2.4.6.  Any change to the sampling stream moves the
+    # last bits.  So does most any change to the order of the float
+    # operations, though a batch mean can absorb a one-ulp change of a few
+    # pairs; at N = 1024 (16 pairs per batch) far fewer are absorbed.
+    u, w, box = _MC_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        est = seminorm_mc(u, w, N6, S6, box=box, N=N, seed=5)
+    assert (est.value.hex(), est.abs_error.hex()) == (value, abs_error)
+
+
+@pytest.mark.parametrize(
+    "u, w",
+    [
+        (truncated_bubble(0.8, S6, N6, 1.0),
+         WeightModel(variant="TruncatedPower", n=N6, p0=1.0, kappa=1.0, a=(0.7,) + (0.0,) * 5)),
+        (truncated_bubble(0.8, S6, N6, 1.0, a=(0.7,) + (0.0,) * 5), None),
+        (Bubble(eps=0.8, s=S6, n=N6, a=(0.7,) + (0.0,) * 5), None),
+    ],
+    ids=["weight_center", "truncated_bubble_center", "bubble_center"],
+)
+def test_mc_rejects_centered_inputs(u, w):
+    # the weight and a radial profile share the radii |x| about the origin
+    with pytest.raises(ValueError, match="origin"):
+        seminorm_mc(u, w, N6, S6, box=3.0, N=10_000, seed=3)
+
+
 def test_bilinear_symmetry_and_cauchy_schwarz():
     u = truncated_bubble(0.5, S6, N6, 1.0)
     v = truncated_bubble(0.9, S6, N6, 1.0)

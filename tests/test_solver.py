@@ -137,6 +137,21 @@ def test_power_gradient_matches_finite_differences():
         assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-12)
 
 
+def test_power_integral_and_gradient_exact_values():
+    # recorded with numpy 2.4.6; a change in the order of the float
+    # operations of the grid rule moves the last bits
+    f = interpolate_field(truncated_bubble(0.3, 0.5, 6, 1.0), make_grid(5.0, 128))
+    assert power_integral(f, QS, 6).hex() == "0x1.0945e82402efap-1"
+    assert power_integral(f, 2.2, 6).hex() == "0x1.b9e4b7454930cp-2"
+    picks = (0, 30, 60, 90, 105)
+    assert [float(power_gradient(f, QS, 6)[i]).hex() for i in picks] == [
+        "0x1.25132ae054c88p-33", "0x1.50de9c8cee462p-20", "0x1.80cf7c04ca627p-9",
+        "0x1.5dd9194a31a57p-5", "0x1.2988e228573d5p-8"]
+    assert [float(power_gradient(f, 2.2, 6)[i]).hex() for i in picks] == [
+        "0x1.266baa5177465p-34", "0x1.5593b2fa74cb8p-21", "0x1.c3a68894e9474p-10",
+        "0x1.eab172f10d46ap-5", "0x1.0a0cd01c5476bp-6"]
+
+
 def test_assembly_probe_tolerance():
     with pytest.raises(SolverError):
         assemble(P, 32, tol=1e-16)
