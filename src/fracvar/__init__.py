@@ -30,7 +30,6 @@ from .constants import (
 from .mountainpass import (
     FiberResult,
     MountainPassError,
-    PathOptions,
     PathState,
     PSReport,
     fiber_sweep,
@@ -115,7 +114,7 @@ __all__ = [
     "interpolate_field", "make_grid", "minimize_S", "power_gradient",
     "power_integral", "refinement_check",
     # mountainpass
-    "FiberResult", "MountainPassError", "PathOptions", "PathState", "PSReport",
+    "FiberResult", "MountainPassError", "PathState", "PSReport",
     "fiber_sweep", "fiber_t", "level_bound", "mp_geometry", "mp_level",
     "phi_gradient", "phi_value", "ps_diagnostics",
     # verify

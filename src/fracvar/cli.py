@@ -376,7 +376,7 @@ def _cmd_mountain_pass(args) -> int:
     _emit(payload)
     out = _out_dir(args)
     _write_json(out, "mountain_pass.json", payload)
-    # path profile: cumulative stiffness-metric arc fraction and energy
+    # ray path profile: cumulative stiffness-metric arc fraction and energy
     from .mountainpass import phi_value
 
     dofs = [pt.dofs for pt in st.points]

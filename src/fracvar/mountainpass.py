@@ -1,4 +1,4 @@
-"""Fiber maps, mountain-pass geometry, and path descent on the discrete energy.
+"""Fiber maps, mountain-pass geometry, and the Nehari level of the discrete energy.
 
 The full (unconstrained) functional on the hat-function space is
 
@@ -13,14 +13,16 @@ Gauss-Legendre power integrals of the interpolant.  The module provides:
   of  t X - t^{q_s - 1} - lam t^{q - 1} int |v|^q = 0.
 - ``mp_geometry``: the radius/level pair (rho, beta) from the explicit
   embedding lower bound, plus a far endpoint e with Phi(e) < 0.
-- ``mp_level``: max-point gradient descent over a discrete path from 0 to e
-  with periodic arc-length re-equidistribution; the running maximum over
-  the path is nonincreasing by construction.  The highest sample of the
-  final path is then polished down the Nehari set {<grad Phi(u), u> = 0}
-  (a local minimax step in the sense of Li & Zhou, SIAM J. Sci. Comput. 23,
-  2001) by :func:`fracvar.solver._projected_descent`, the same constrained
-  loop as the ground-state solver, with the ray rescale onto the Nehari set
-  as its retraction; that rescale is the fiber root of ``fiber_t``.
+- ``mp_level``: the mountain-pass level as the minimum of Phi on the Nehari
+  set {<grad Phi(u), u> = 0}.  Every fiber t -> Phi(t u) has exactly one
+  interior maximum, which lies on that set, so every path from 0 to the
+  negative region crosses it and the min-max level equals the Nehari
+  minimum; the ray through the minimizer attains it (Nehari, Trans. AMS
+  95, 1960; Szulkin & Weth, "The method of Nehari manifold", 2010).  The
+  minimum is computed from several starts by
+  :func:`fracvar.solver._projected_descent`, the same constrained loop as
+  the ground-state solver, with the ray rescale onto the Nehari set (the
+  fiber root of ``fiber_t``) as its retraction.
 - ``ps_diagnostics``: gradient norm and the critical-level identity split
   at a candidate field.
 """
@@ -39,10 +41,6 @@ from .constants import bubble_constants
 from .problem import ProblemParams, critical_exponent, weight_from_params
 from .quad import radial_power_integral, seminorm_radial
 from .solver import (
-    ARMIJO,
-    GROW,
-    MAX_BACKTRACKS,
-    SHRINK,
     MinimizeOptions,
     RadialField,
     StiffnessOperator,
@@ -57,7 +55,6 @@ from .solver import (
 __all__ = [
     "FiberResult",
     "MountainPassError",
-    "PathOptions",
     "PathState",
     "PSReport",
     "fiber_t",
@@ -95,14 +92,15 @@ class FiberResult:
 
 @dataclass(frozen=True)
 class PathState:
-    """Discrete path z_0 ... z_{m-1} with fixed endpoints z_0 = 0, z_{m-1} = e.
+    """The Nehari level and the ray path through its minimizer.
 
-    ``max_point`` is the near-critical witness: the highest sample of the
-    converged path pushed down the Nehari manifold until the gradient is
-    small (or the step budget runs out).  The path's own maximum vertex
-    keeps a gradient floor proportional to the segment spacing, so the
-    polished point — not a raw vertex — is what Palais-Smale diagnostics
-    should look at.
+    ``max_point`` is the Nehari minimizer w_N of the best start, and
+    ``level`` = Phi(w_N) the minimum over the starts, whose own minima are
+    ``start_levels``.  ``points`` are m equally spaced samples t w_N of the
+    ray from t = 0 to the first doubling of t with Phi(t w_N) < 0; Phi on
+    that path peaks at t = 1, at the level.  ``iterations`` is the total over
+    the starts, ``converged`` is true when every start met the gradient
+    stop, and ``trace`` holds the accepted energies of the best start.
     """
 
     points: tuple[RadialField, ...]
@@ -111,6 +109,7 @@ class PathState:
     converged: bool
     trace: tuple[float, ...]
     max_point: RadialField
+    start_levels: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -131,26 +130,12 @@ class PSReport:
     identity_residual: float
 
 
-@dataclass(frozen=True)
-class PathOptions:
-    """Controls for the path descent.
-
-    ``step_cap_frac`` caps each vertex move (in the A-metric) by that
-    fraction of the shorter adjacent segment, so the maximum vertex slides
-    down the ridge instead of tunneling across it in one step; the
-    periodic re-equidistribution keeps vertices spread along the path, so
-    the ridge crossing always carries vertices.  ``samples_per_segment``
-    interior checkpoints per segment enter the reported level, so a ridge
-    crossing between vertices still counts.
-    """
-
-    max_iter: int = 3000
-    tol: float = 1e-6
-    window: int = 80
-    reequidistribute_every: int = 25
-    eps0: float = 0.2
-    step_cap_frac: float = 0.5
-    samples_per_segment: int = 3
+# Nehari descent: starts are truncated bubbles of these widths (the first is
+# also the profile of mp_geometry's endpoint); a start stops once
+# ||grad Phi|| is at most NEHARI_TOL ||A u|| or after NEHARI_MAX_ITER steps.
+START_EPS = (0.2, 0.4, 1.6)
+NEHARI_TOL = 1e-6
+NEHARI_MAX_ITER = 300
 
 
 def level_bound(params: ProblemParams) -> float:
@@ -308,9 +293,7 @@ def _alpha_q(params: ProblemParams, op: StiffnessOperator) -> float:
     return E
 
 
-def mp_geometry(
-    params: ProblemParams, op: StiffnessOperator, *, eps0: float = 0.2
-) -> tuple[float, float, RadialField]:
+def mp_geometry(params: ProblemParams, op: StiffnessOperator) -> tuple[float, float, RadialField]:
     """Radius/level pair (rho, beta) and a far endpoint e with Phi(e) < 0.
 
     The lower bound in the N_p norm t = (u^T A u)^{1/2} is
@@ -319,9 +302,9 @@ def mp_geometry(
 
     with S_p = p0 Ss and alpha_q the discrete minimum of the weighted form
     over the unit q-sphere.  rho is the root of g'(t)/t (the maximizer of
-    g), beta = g(rho) > 0.  The endpoint is zeta u0 for a normalized
-    truncated bubble u0, doubling zeta until the functional is negative and
-    the norm passes rho.
+    g), beta = g(rho) > 0.  The endpoint is zeta u0 for the normalized
+    truncated bubble u0 of width ``START_EPS[0]``, doubling zeta until the
+    functional is negative and the norm passes rho.
 
     Requires lam < lambda_1 (discrete) when q = 2, and lam >= 0 when q > 2.
     """
@@ -359,7 +342,7 @@ def mp_geometry(
     if not beta > 0.0:  # pragma: no cover - excluded by the pre-checks above
         raise MountainPassError(f"lower-bound level is not positive (beta = {beta:.6g})")
 
-    u0 = interpolate_field(truncated_bubble(eps0, s, n, eta=params.eta), op.nodes)
+    u0 = interpolate_field(truncated_bubble(START_EPS[0], s, n, eta=params.eta), op.nodes)
     nrm = power_integral(u0, qs, n) ** (1.0 / qs)
     base = u0.values / nrm
     X0, sub0, crit0 = _phi_scalars(params, op, base[:-1])
@@ -374,166 +357,22 @@ def mp_geometry(
     return rho, beta, e
 
 
-def mp_level(
-    params: ProblemParams,
-    op: StiffnessOperator,
-    m: int = 21,
-    opts: PathOptions | None = None,
-) -> PathState:
-    """Minimize the path maximum of Phi over discrete paths from 0 to e.
+def mp_level(params: ProblemParams, op: StiffnessOperator, m: int = 21) -> PathState:
+    """Mountain-pass level: the minimum of Phi on the Nehari set, from several starts.
 
-    Starts from the segment z_j = j/(m-1) e through the geometry endpoint.
-    Each iteration moves the interior maximum vertex one damped step along
-    the stiffness-preconditioned negative gradient, capped in the A-metric
-    by half the shorter adjacent segment (so the vertex slides down the
-    ridge instead of jumping across it).  Every
-    ``reequidistribute_every`` iterations the points are redistributed to
-    uniform arc length in the A-metric, which keeps vertices on the ridge
-    crossing.  The level is measured on the vertices together with fixed
-    interior checkpoints on every segment — a crossing between vertices
-    still counts, so the level cannot dip below the min-max value by more
-    than the checkpoint sampling bias — and the reported level (and trace)
-    is its running minimum, nonincreasing by construction.  Stops when the
-    level has decreased by less than ``tol`` (relative) over ``window``
-    iterations, or when the maximum vertex stalls right after a
-    re-equidistribution.
-
-    A fixed-m path cannot drive the crest gradient to zero (the maximum
-    vertex keeps a gradient floor proportional to the segment spacing), so
-    the returned ``max_point`` is the highest refined sample pushed further
-    down the Nehari set by ``_polish_crest`` — that field, not a raw vertex,
-    carries the near-critical certificate.
+    Each start (a truncated bubble of width in ``START_EPS``) is rescaled
+    onto the Nehari set along its ray and descended by
+    :func:`fracvar.solver._projected_descent` in the A-metric, with the
+    Nehari constraint gradient in place of the norm constraint and the ray
+    rescale as the retraction.  A start converges once the full gradient
+    drops below ``NEHARI_TOL`` relative to ||A u||, the near-critical
+    certificate; where no critical point exists (the level reaches the
+    compactness bound and minimizing sequences concentrate) it runs out of
+    its ``NEHARI_MAX_ITER`` steps instead.  The level is the lowest start;
+    ``points`` samples the ray through its minimizer with m points.
     """
     if m < 3:
         raise ValueError("a path needs at least three points")
-    opts = opts or PathOptions()
-    _, _, e = mp_geometry(params, op, eps0=opts.eps0)
-    nodes = op.nodes
-    A = op.A
-    thetas = (np.arange(opts.samples_per_segment) + 1.0) / (opts.samples_per_segment + 1.0)
-
-    Z = np.outer(np.arange(m) / (m - 1.0), e.dofs)
-
-    def phi_of(dofs: np.ndarray) -> float:
-        return _phi_ray(params, *_phi_scalars(params, op, dofs))
-
-    def seg_max(za: np.ndarray, zb: np.ndarray) -> float:
-        return max(phi_of((1.0 - th) * za + th * zb) for th in thetas)
-
-    def a_len(delta: np.ndarray) -> float:
-        return math.sqrt(max(float(delta @ A @ delta), 0.0))
-
-    vvals = np.array([phi_of(Z[j]) for j in range(m)])
-    smax = np.array([seg_max(Z[i], Z[i + 1]) for i in range(m - 1)])
-    level = float(max(vvals.max(), smax.max()))
-    trace = [level]
-    alpha = math.inf
-    converged = False
-    it = 0
-    last_reeq = 0
-    last_j = -1
-
-    def reequidistribute():
-        nonlocal Z, vvals, smax, last_reeq
-        Z = _equidistribute(Z, A)
-        vvals = np.array([phi_of(Z[j2]) for j2 in range(m)])
-        smax = np.array([seg_max(Z[i], Z[i + 1]) for i in range(m - 1)])
-        last_reeq = it
-
-    for it in range(1, opts.max_iter + 1):
-        j = 1 + int(np.argmax(vvals[1:-1]))
-        if j != last_j:
-            alpha = math.inf
-        last_j = j
-
-        u = Z[j]
-        g, _ = _phi_grad(params, op, u)
-        d = op.solve(g)
-        dlen = a_len(d)
-        if dlen <= 0.0:  # pragma: no cover - exact critical point
-            converged = True
-            break
-        d /= dlen
-        slope = float(d @ g)
-        if slope <= 0.0:  # pragma: no cover - A is SPD, d is A^{-1}g scaled
-            d = g / a_len(g)
-            slope = float(d @ g)
-
-        cap = opts.step_cap_frac * min(a_len(u - Z[j - 1]), a_len(Z[j + 1] - u))
-        if cap <= 0.0:  # pragma: no cover - coincident neighbors
-            cap = opts.step_cap_frac * a_len(e.dofs) / (m - 1.0)
-        accepted = False
-        a = min(alpha, cap)
-        a_start = a
-        for _ in range(MAX_BACKTRACKS):
-            trial = u - a * d
-            val = phi_of(trial)
-            if val <= vvals[j] - ARMIJO * a * slope:
-                Z[j] = trial
-                vvals[j] = val
-                smax[j - 1] = seg_max(Z[j - 1], Z[j])
-                smax[j] = seg_max(Z[j], Z[j + 1])
-                alpha = a * GROW if a == a_start else a
-                accepted = True
-                break
-            a *= SHRINK
-
-        if not accepted:
-            if it - last_reeq > 1:
-                # Re-space the path before giving up: after many moves of
-                # one vertex its neighborhood degenerates and caps the step.
-                reequidistribute()
-            else:
-                # A freshly re-equidistributed path still cannot be lowered:
-                # the maximum vertex sits at a discrete critical level.
-                converged = True
-                trace.append(level)
-                break
-        elif it % opts.reequidistribute_every == 0:
-            reequidistribute()
-
-        level = min(level, float(max(vvals.max(), smax.max())))
-        trace.append(level)
-        if it >= opts.window:
-            drop = trace[-opts.window - 1] - trace[-1]
-            if drop <= opts.tol * max(abs(trace[-1]), 1.0):
-                converged = True
-                break
-
-    # Locate the highest refined sample (vertex or segment checkpoint) of the
-    # final path and polish it toward a critical point along the Nehari set.
-    best = Z[1 + int(np.argmax(vvals[1:-1]))].copy()
-    best_val = phi_of(best)
-    for i in range(m - 1):
-        for th in thetas:
-            cand = (1.0 - th) * Z[i] + th * Z[i + 1]
-            v_cand = phi_of(cand)
-            if v_cand > best_val:
-                best, best_val = cand, v_cand
-    max_point = _with_dofs(nodes, _polish_crest(params, op, best))
-
-    points = tuple(_with_dofs(nodes, Z[j]) for j in range(m))
-    return PathState(
-        points=points,
-        level=level,
-        iterations=it,
-        converged=converged,
-        trace=tuple(trace),
-        max_point=max_point,
-    )
-
-
-def _polish_crest(params: ProblemParams, op: StiffnessOperator, dofs0: np.ndarray,
-                  *, tol: float = 1e-6, max_iter: int = 200) -> np.ndarray:
-    """Descend Phi along the Nehari set starting from a path crest sample.
-
-    :func:`fracvar.solver._projected_descent` in the A-metric, with the
-    Nehari constraint gradient in place of the norm constraint, retracting
-    by the ray rescale after each step.  Stops once the full gradient drops
-    below ``tol`` relative to ||A u|| -- the near-critical certificate -- or
-    after ``max_iter`` steps (degenerate regimes concentrate instead of
-    converging and simply use the budget).
-    """
     qs = critical_exponent(params.n, params.s)
     lam, q = params.lam, params.q
 
@@ -547,36 +386,38 @@ def _polish_crest(params: ProblemParams, op: StiffnessOperator, dofs0: np.ndarra
         return None if t is None else t * dofs
 
     def stop(w: np.ndarray, g: np.ndarray, g_tan: np.ndarray) -> bool:
-        return float(np.linalg.norm(g)) <= tol * float(np.linalg.norm(op.A @ w))
+        return float(np.linalg.norm(g)) <= NEHARI_TOL * float(np.linalg.norm(op.A @ w))
 
-    w = ray_to_nehari(dofs0)
-    if w is None:  # pragma: no cover - crest below the lam-term
-        return dofs0
-    w, _, _, _ = _projected_descent(
-        op.solve, w, lambda v: _phi_ray(params, *_phi_scalars(params, op, v)),
-        lambda v: _phi_grad(params, op, v), stop, ray_to_nehari, max_iter,
+    runs = []
+    for eps in START_EPS:
+        start = interpolate_field(truncated_bubble(eps, params.s, params.n, eta=params.eta),
+                                  op.nodes)
+        w = ray_to_nehari(start.dofs)
+        if w is None:
+            raise MountainPassError(f"the ray through the eps = {eps} start has no interior maximum")
+        runs.append(_projected_descent(
+            op.solve, w, lambda v: _phi_ray(params, *_phi_scalars(params, op, v)),
+            lambda v: _phi_grad(params, op, v), stop, ray_to_nehari, NEHARI_MAX_ITER,
+        ))
+    w, level, _, _, history = min(runs, key=lambda run: run[1])
+
+    scalars = _phi_scalars(params, op, w)
+    t_end = 2.0
+    for _ in range(60):
+        if _phi_ray(params, *scalars, t_end) < 0.0:
+            break
+        t_end *= 2.0
+    else:  # pragma: no cover - Phi(t w) -> -inf as t grows
+        raise MountainPassError("no negative-energy point on the ray within 60 doublings")
+    return PathState(
+        points=tuple(_with_dofs(op.nodes, t * w) for t in np.linspace(0.0, t_end, m)),
+        level=level,
+        iterations=sum(run[2] for run in runs),
+        converged=all(run[3] == "converged" for run in runs),
+        trace=tuple(history),
+        max_point=_with_dofs(op.nodes, w),
+        start_levels=tuple(run[1] for run in runs),
     )
-    return w
-
-
-def _equidistribute(Z: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Resample the polyline to uniform arc length in the A-metric."""
-    m = Z.shape[0]
-    diffs = Z[1:] - Z[:-1]
-    seg = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", diffs, A, diffs), 0.0))
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cum[-1]
-    if total <= 0.0:  # pragma: no cover - degenerate flat path
-        return Z.copy()
-    targets = np.linspace(0.0, total, m)
-    out = np.empty_like(Z)
-    out[0], out[-1] = Z[0], Z[-1]
-    for i in range(1, m - 1):
-        k = int(np.searchsorted(cum, targets[i], side="right") - 1)
-        k = min(k, m - 2)
-        theta = (targets[i] - cum[k]) / seg[k] if seg[k] > 0.0 else 0.0
-        out[i] = Z[k] + theta * diffs[k]
-    return out
 
 
 def ps_diagnostics(

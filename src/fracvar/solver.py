@@ -437,10 +437,13 @@ def _projected_descent(solve, u, energy, gradients, stop, retract, max_iter: int
     ``stop(u, g, g_tan)`` declares convergence.  Each trial step is mapped
     back onto the set by ``retract`` (None when it cannot be) and accepted
     under monotone Armijo backtracking.  Returns (u, energy, iterations,
-    status) with status ``converged``, ``stalled`` (no step accepted),
-    ``indefinite_regime`` (energy below ``floor_energy``) or ``max_iter``.
+    status, history) with status ``converged``, ``stalled`` (no step
+    accepted), ``indefinite_regime`` (energy below ``floor_energy``) or
+    ``max_iter``, and ``history`` the energies of the start and of every
+    accepted step.
     """
     E = energy(u)
+    history = [E]
     alpha = 1.0
     status = "max_iter"
     it = 0
@@ -464,6 +467,7 @@ def _projected_descent(solve, u, energy, gradients, stop, retract, max_iter: int
                 E_t = energy(trial)
                 if E_t <= E - ARMIJO * a * slope:
                     u, E = trial, E_t
+                    history.append(E)
                     alpha = a * GROW if a == alpha else a
                     break
             a *= SHRINK
@@ -473,7 +477,7 @@ def _projected_descent(solve, u, energy, gradients, stop, retract, max_iter: int
         if E < floor_energy:
             status = "indefinite_regime"
             break
-    return u, E, it, status
+    return u, E, it, status, history
 
 
 def _min_form_on_sphere(
@@ -508,7 +512,7 @@ def _min_form_on_sphere(
     if u is None:
         raise ValueError("initial field must be nonzero with a finite constraint norm")
     return _projected_descent(op.solve, u, lambda v: float(v @ Q @ v), gradients, stop, retract,
-                              opts.max_iter, floor_energy)
+                              opts.max_iter, floor_energy)[:4]
 
 
 def minimize_S(

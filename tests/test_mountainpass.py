@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from fracvar.bubble import truncated_bubble
 from fracvar.constants import bubble_constants
 from fracvar.mountainpass import (
     FiberResult,
-    PathOptions,
     _alpha_q,
     _fiber_root,
     fiber_sweep,
@@ -283,7 +283,7 @@ def test_alpha_q_supercritical_exponent(op_mp):
 
 def test_path_descent_q22(path_mp, op_mp):
     B = level_bound(P_MP)
-    _, beta, e = mp_geometry(P_MP, op_mp)
+    rho, beta, _ = mp_geometry(P_MP, op_mp)
     assert path_mp.converged
     assert path_mp.level < B
     assert 0.53 * B < path_mp.level < 0.57 * B
@@ -291,9 +291,37 @@ def test_path_descent_q22(path_mp, op_mp):
     assert len(path_mp.points) == 21
     diffs = np.diff(path_mp.trace)
     assert np.all(diffs <= 1e-9)
-    # endpoints are pinned: 0 on the left, the geometry endpoint on the right
+    # the ray path runs from 0 into the negative region beyond rho
     assert not np.any(path_mp.points[0].dofs)
-    assert np.array_equal(path_mp.points[-1].dofs, e.dofs)
+    end = path_mp.points[-1].dofs
+    assert phi_value(P_MP, op_mp, path_mp.points[-1]) < 0.0
+    assert math.sqrt(end @ op_mp.A @ end) > rho
+
+
+def test_level_is_the_maximum_of_its_own_path(path_mp, op_mp):
+    theta = np.arange(400) / 400.0
+    pts = [pt.dofs for pt in path_mp.points]
+    phis = [phi_value(P_MP, op_mp, _with_dofs(op_mp.nodes, (1.0 - th) * a + th * b))
+            for a, b in zip(pts, pts[1:]) for th in theta]
+    assert max(phis) <= path_mp.level * (1.0 + 1e-9)
+    # the minimizer sits at the maximum of its own fiber
+    rep = ps_diagnostics(P_MP, op_mp, path_mp.max_point)
+    X, sub = rep.seminorm_part / rep.critical_mass, rep.subcritical_mass / rep.critical_mass
+    assert _fiber_root(X, sub, P_MP.lam, P_MP.q, QS) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_starts_reach_the_same_level(path_mp):
+    levels = path_mp.start_levels
+    assert len(levels) >= 2 and min(levels) == path_mp.level
+    assert (max(levels) - min(levels)) / min(levels) <= 1e-6
+
+
+def test_level_lies_above_beta_at_lam10():
+    p = replace(P_MP, lam=10.0)
+    op = assemble(p, 128)
+    _, beta, _ = mp_geometry(p, op)
+    st = mp_level(p, op)
+    assert beta <= st.level < level_bound(p)
 
 
 def test_path_max_point_is_near_critical(path_mp, op_mp):
@@ -322,7 +350,7 @@ def test_path_descent_q2_finds_the_ground_state_level(ground, op_gs):
     c_true = (P_GS.s / P_GS.n) * ground.energy ** 6.0
     st = mp_level(P_GS, op_gs)
     assert st.converged
-    assert 0.93 * c_true < st.level < 1.01 * c_true
+    assert st.level == pytest.approx(c_true, rel=1e-6)
     # the polished crest lands on the critical point itself
     assert phi_value(P_GS, op_gs, st.max_point) == pytest.approx(c_true, rel=1e-4)
     g = np.linalg.norm(phi_gradient(P_GS, op_gs, st.max_point))
@@ -330,11 +358,12 @@ def test_path_descent_q2_finds_the_ground_state_level(ground, op_gs):
 
 
 def test_path_descent_without_subcritical_term(op_free):
-    # no minimizer exists; the discrete level approaches the bound from below
+    # no critical point exists: the Nehari descent concentrates at the bound
+    # instead of converging
     B = level_bound(P_FREE)
     st = mp_level(P_FREE, op_free)
-    assert st.converged
-    assert 0.99 * B < st.level < B
+    assert not st.converged
+    assert 0.999 * B < st.level < 1.001 * B
     assert np.all(np.isfinite(st.max_point.dofs))
 
 
@@ -345,7 +374,7 @@ def test_path_descent_needs_three_points(op_gs):
 
 def test_one_stiffness_factorization_per_operator(monkeypatch):
     # assembly factors A (kept on the operator) and Mq (a definiteness
-    # check); the eigen-solve, both constrained descents and the path
+    # check); the eigen-solve, the constrained descents and the Nehari
     # descent reuse the operator's factor
     factored = []
     real = sla.cho_factor
@@ -363,15 +392,10 @@ def test_one_stiffness_factorization_per_operator(monkeypatch):
 
     factored.clear()
     op = assemble(P_MP, 64)
-    mp_level(P_MP, op, opts=PathOptions(max_iter=30))
+    mp_geometry(P_MP, op)
+    mp_level(P_MP, op)
     assert len(factored) == 2
     assert sum(np.array_equal(a, op.A) for a in factored) == 1
-
-
-def test_path_options_defaults():
-    o = PathOptions()
-    assert o.max_iter == 3000 and o.window == 80
-    assert o.samples_per_segment == 3
 
 
 # ---------------------------------------------------------------- diagnostics
@@ -423,4 +447,4 @@ def test_grid_descents_exact_values():
                          capture_output=True, text=True, timeout=300, check=True)
     energy, iterations, level, mp_iterations = json.loads(out.stdout)
     assert (energy, iterations) == ("0x1.b511b0871eb6ap+6", 52)
-    assert (level, mp_iterations) == ("0x1.c20271b3575ccp+38", 751)
+    assert (level, mp_iterations) == ("0x1.c47be5391ff40p+38", 424)
