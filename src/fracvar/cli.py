@@ -2,18 +2,24 @@
 
 Every subcommand prints a JSON object to stdout and writes its tabular
 artifacts (CSV, 12-significant-digit scientific) under the output directory.
-``verify`` runs the full check battery and writes a byte-deterministic
-manifest: wall times live in a separate ``timings.json`` sidecar, listed in
-the manifest by name but never checksummed, so reruns with the same config
-and seed reproduce the manifest exactly.
+``verify`` runs the full check battery on at most two worker processes,
+each started with one BLAS thread, so its results do not depend on the
+caller's BLAS thread count.  It writes a byte-deterministic manifest: wall
+times (per check, plus the battery's ``wall_s`` and ``workers``) live in a
+separate ``timings.json`` sidecar, listed in the manifest by name but never
+checksummed, so reruns with the same config and seed reproduce the manifest
+exactly.
 
-Exit codes: 0 on success, 2 when a validation or numeric assertion fails,
-1 on usage or I/O errors.  ``--threads N`` only exports N as
+Exit codes: 0 on success; 2 when a check fails, when validation rejects the
+input (a ``ValueError`` other than ``ConfigError``), or on a known numeric
+failure (``QuadratureError``, ``SolverError``, ``MountainPassError``); 1 on
+usage, configuration or I/O errors.  Any other exception is a programming
+error and escapes with its traceback.  ``--threads N`` only exports N as
 ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` and
 ``NUMEXPR_NUM_THREADS``.  Importing this module already loads numpy
 (through the package ``__init__``), so the flag cannot cap the BLAS
 threads of the running process; set those variables in the environment
-before launch for that.
+before launch for that.  ``verify``'s workers always run with one.
 """
 
 from __future__ import annotations
@@ -24,6 +30,11 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+
+from .mountainpass import MountainPassError
+from .problem import ConfigError
+from .quad import QuadratureError
+from .solver import SolverError
 
 _SYNOPSIS = (
     "usage: fracvar COMMAND [--config PATH] [--out DIR] [--seed U64] "
@@ -412,6 +423,8 @@ def _cmd_verify(args) -> int:
     timings_path = _write_json(out, "timings.json", {
         "seconds": {str(r.index): r.seconds for r in report.results},
         "budgets": {str(r.index): r.budget for r in report.results},
+        "wall_s": report.wall_s,
+        "workers": report.workers,
     })
 
     manifest = RunManifest(
@@ -540,9 +553,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except Exception as exc:  # numeric/validation failures from the modules
-        from .problem import ConfigError
-
+    except (ValueError, QuadratureError, SolverError, MountainPassError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1 if isinstance(exc, ConfigError) else 2
 

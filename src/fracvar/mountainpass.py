@@ -30,7 +30,8 @@ Gauss-Legendre power integrals of the interpolant.  The module provides:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.optimize as sopt
@@ -243,6 +244,20 @@ def fiber_t(params: ProblemParams, v: RadialField, op: StiffnessOperator) -> Fib
     return _fiber_from_scalars(params, math.nan, X, sub_mass, crit_mass)
 
 
+@lru_cache(maxsize=32)
+def _bubble_form_and_mass(key: ProblemParams, eps: float) -> tuple[float, float]:
+    """Weighted form and critical mass of the truncated bubble of width eps.
+
+    Neither depends on the lam-term, so ``key`` is the params with lam = 0
+    and q = 2 (the way the battery keys operators), and regimes that share a
+    weight share the quadrature.
+    """
+    n, s = key.n, key.s
+    ub = truncated_bubble(eps, s, n, key.eta)
+    form = seminorm_radial(ub, weight_from_params(key), n, s, ub.support).value
+    return form, radial_power_integral(ub, critical_exponent(n, s), n)
+
+
 def fiber_sweep(params: ProblemParams, eps_grid) -> tuple[FiberResult, ...]:
     """Fiber results along the normalized truncated-bubble family.
 
@@ -250,7 +265,9 @@ def fiber_sweep(params: ProblemParams, eps_grid) -> tuple[FiberResult, ...]:
     computed by the radial quadrature of the truncated bubble itself, then
     scaled to the critical-norm-normalized profile (so crit_mass is exactly
     one by construction).  As eps -> 0, t_eps tends to
-    (p0 Ss)^{1/(q_s-2)} and limit_gap shrinks.
+    (p0 Ss)^{1/(q_s-2)} and limit_gap shrinks.  The weighted form and the
+    critical mass do not depend on lam or q, so they are computed once per
+    weight and eps (``_bubble_form_and_mass``).
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if eps_grid.ndim != 1 or eps_grid.size == 0:
@@ -259,12 +276,11 @@ def fiber_sweep(params: ProblemParams, eps_grid) -> tuple[FiberResult, ...]:
         raise ValueError(f"eps below {EPS_FLOOR} needs hand-tuned panels; refusing")
     n, s, eta = params.n, params.s, params.eta
     qs = critical_exponent(n, s)
-    w = weight_from_params(params)
+    key = replace(params, lam=0.0, q=2.0)
     out = []
     for eps in eps_grid:
+        form, crit_raw = _bubble_form_and_mass(key, float(eps))
         ub = truncated_bubble(float(eps), s, n, eta)
-        form = seminorm_radial(ub, w, n, s, ub.support).value
-        crit_raw = radial_power_integral(ub, qs, n)
         sub_raw = radial_power_integral(ub, params.q, n)
         nrm = crit_raw ** (1.0 / qs)
         X = form / (nrm * nrm)

@@ -1,10 +1,14 @@
 """Twelve-point verification battery exercising every module at desk scale.
 
-Each ``check_*`` function realizes one numbered acceptance check and returns a
-:class:`CheckResult` whose ``passed`` flag conjoins the mathematical assertion
-with the check's wall-clock budget.  ``run_all`` executes the battery in
-order, sharing assembled operators between checks, and is the engine behind
-the ``verify`` command.
+Each ``check_*`` function realizes one numbered acceptance check and returns
+its mathematical verdict with its headline scalars, ``(ok, details)``.
+``run_all`` is the engine behind the ``verify`` command.  It hands checks
+1-10 and 12, and check 11's Monte Carlo pieces, to a pool of at most two
+``spawn`` worker processes that start with one BLAS thread, so every number
+is independent of the caller's BLAS thread count.  It gathers the results in
+a fixed order and builds each :class:`CheckResult` in the calling process;
+``passed`` conjoins the verdict with the check's wall-clock budget, charged
+with the check's compute seconds in the workers (queue wait excluded).
 
 The battery is pinned at the regime n = 6, s = 0.5, k = 2 where all oracle
 values were established; the remaining knobs (p0, eta, R, kappa, seed) come
@@ -16,8 +20,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
+from concurrent.futures import as_completed
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -74,7 +82,12 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """The twelve results in index order, the battery's wall seconds and the
+    number of worker processes that ran it."""
+
     results: tuple[CheckResult, ...]
+    wall_s: float
+    workers: int
 
     @property
     def passed(self) -> bool:
@@ -106,9 +119,8 @@ def _require_pinned_regime(params: ProblemParams) -> None:
 # Checks 1-6: constants, bubble family, sampled pointwise bound
 # ---------------------------------------------------------------------------
 
-def check_closed_form_integrals(base: ProblemParams, seed: int) -> CheckResult:
+def check_closed_form_integrals(base: ProblemParams, seed: int) -> tuple[bool, dict]:
     """1: closed-form power integrals against radial quadrature, 20 draws."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(20):
@@ -117,83 +129,74 @@ def check_closed_form_integrals(base: ProblemParams, seed: int) -> CheckResult:
         exact = lebesgue_power_integral(n, alpha)
         quad = lebesgue_power_quadrature(n, alpha)
         worst = max(worst, abs(quad - exact) / exact)
-    return _finish(1, "closed-form integrals vs quadrature", t0, 5.0,
-                   worst <= 1e-10, {"max_rel_error": worst, "draws": 20})
+    return worst <= 1e-10, {"max_rel_error": worst, "draws": 20}
 
 
-def check_scale_invariance(base: ProblemParams) -> CheckResult:
+def check_scale_invariance(base: ProblemParams) -> tuple[bool, dict]:
     """2: the critical mass of the full bubble is independent of eps."""
-    t0 = time.perf_counter()
     n, s = base.n, base.s
     qs = critical_exponent(n, s)
     eps_set = (0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0)
     vals = [lq_norm(Bubble(eps=e, s=s, n=n), qs, r_max=1e4 * e) for e in eps_set]
     spread = (max(vals) - min(vals)) / np.median(vals)
-    return _finish(2, "critical-norm scale invariance", t0, 10.0,
-                   spread < 1e-6, {"relative_spread": float(spread),
-                                   "mass": float(np.median(vals))})
+    return spread < 1e-6, {"relative_spread": float(spread), "mass": float(np.median(vals))}
 
 
-def check_norm_rates(base: ProblemParams) -> CheckResult:
+def check_norm_rates(base: ProblemParams) -> tuple[bool, dict]:
     """3: truncated-bubble norm rates (L2, critical deficit, L^q at q=2.2)."""
-    t0 = time.perf_counter()
     p = ProblemParams(n=base.n, s=base.s, k=base.k, q=2.2, p0=base.p0,
                       eta=base.eta, R=base.R)
     rep2, repd, repq = sweep_bubble_norms(p)
     ok = rep2.passed and repd.passed and repq.passed
-    return _finish(3, "bubble norm rates", t0, 120.0, ok, {
+    return ok, {
         "l2_slope": rep2.fit_slope, "l2_r2": rep2.fit_r2,
         "deficit_slope": repd.fit_slope, "deficit_r2": repd.fit_r2,
         "lq_slope": repq.fit_slope, "lq_r2": repq.fit_r2,
-    })
+    }
 
 
-def check_weight_bump(base: ProblemParams) -> CheckResult:
+def check_weight_bump(base: ProblemParams) -> tuple[bool, dict]:
     """4: the ball-restricted weighted form scales like eps^{2s}."""
-    t0 = time.perf_counter()
     rep = sweep_A(base)
-    return _finish(4, "weight bump scaling", t0, 120.0, rep.passed, {
+    return rep.passed, {
         "slope": rep.fit_slope, "r2": rep.fit_r2,
         **{k: float(v) for k, v in rep.extras.items()},
-    })
+    }
 
 
-def check_residual_rates(base: ProblemParams) -> CheckResult:
+def check_residual_rates(base: ProblemParams) -> tuple[bool, dict]:
     """5: weighted seminorm residual rates for bump and constant weight."""
-    t0 = time.perf_counter()
     p_bump = replace(base, kappa=1.0, lam=0.0, q=2.0)
     rep_bump = sweep_weighted_seminorm(p_bump)
     p_flat = replace(base, kappa=0.0, lam=0.0, q=2.0)
     rep_flat = sweep_weighted_seminorm(p_flat, eps_grid=(0.1, 0.07, 0.05, 0.035, 0.025))
     ok = rep_bump.passed and rep_flat.passed
-    return _finish(5, "seminorm residual rates", t0, 300.0, ok, {
+    return ok, {
         "bump_slope": rep_bump.fit_slope, "bump_r2": rep_bump.fit_r2,
         "bump_min_residual": float(rep_bump.extras["min_residual"]),
         "flat_slope": rep_flat.fit_slope, "flat_r2": rep_flat.fit_r2,
         "flat_min_residual": float(rep_flat.extras["min_residual"]),
-    })
+    }
 
 
-def check_power_gap(base: ProblemParams, seed: int) -> CheckResult:
+def check_power_gap(base: ProblemParams, seed: int) -> tuple[bool, dict]:
     """6: sampled |x|^{k/2} Lipschitz-type bound over six (k, R) cells."""
-    t0 = time.perf_counter()
     worst = 0.0
     ok = True
     for i, (k, R) in enumerate((k, R) for k in (2, 3, 4) for R in (1.0, 2.0)):
         res = check_delta_lemma(k, R, trials=100_000, seed=seed + 17 * (i + 1))
         ok = ok and res.passed
         worst = max(worst, res.worst_ratio)
-    return _finish(6, "pointwise power gap bound", t0, 10.0, ok,
-                   {"worst_ratio": worst, "cells": 6, "trials_per_cell": 100_000})
+    return ok, {"worst_ratio": worst, "cells": 6, "trials_per_cell": 100_000}
 
 
 # ---------------------------------------------------------------------------
 # Checks 7-10: discrete solver, eigenvalue, fiber, pass level
 # ---------------------------------------------------------------------------
 
-def check_energy_dip(base: ProblemParams, op) -> CheckResult:
+def check_energy_dip(base: ProblemParams) -> tuple[bool, dict]:
     """7: energy dips under p0*Ss below the kappa-threshold, not at lam=0."""
-    t0 = time.perf_counter()
+    op = _get_op(base)
     level = base.p0 * bubble_constants(base.n, base.s).Ss
     lam1, _ = first_eigenvalue(op)
     p_dip = replace(base, lam=0.5 * lam1, q=2.0)
@@ -206,41 +209,39 @@ def check_energy_dip(base: ProblemParams, op) -> CheckResult:
     p_flat = replace(base, lam=0.0, q=2.0)
     rep0 = sweep_energy(p_flat)
     nodip_ok = rep0.extras["min_energy"] >= level - 1e-3
-    return _finish(7, "energy dip signature", t0, 600.0,
-                   dip_ok and min_ok and nodip_ok and base.kappa > 0.0, {
-                       "lam": p_dip.lam,
-                       "grid_min_energy": float(rep.extras["min_energy"]),
-                       "level": level,
-                       "kappa_threshold": float(rep.extras["kappa_threshold"]),
-                       "minimized_energy": res.energy,
-                       "constraint_residual": res.constraint_residual,
-                       "lam0_min_energy": float(rep0.extras["min_energy"]),
-                   })
+    return dip_ok and min_ok and nodip_ok and base.kappa > 0.0, {
+        "lam": p_dip.lam,
+        "grid_min_energy": float(rep.extras["min_energy"]),
+        "level": level,
+        "kappa_threshold": float(rep.extras["kappa_threshold"]),
+        "minimized_energy": res.energy,
+        "constraint_residual": res.constraint_residual,
+        "lam0_min_energy": float(rep0.extras["min_energy"]),
+    }
 
 
-def check_eigenvalue(base: ProblemParams, op, ops: dict) -> CheckResult:
+def check_eigenvalue(base: ProblemParams) -> tuple[bool, dict]:
     """8: eigenpair residual, linear scaling in the weight, weighted >= p0*flat."""
-    t0 = time.perf_counter()
+    op = _get_op(base)
     lam1, v = first_eigenvalue(op)
     resid = float(np.linalg.norm(op.A @ v.dofs - lam1 * op.Mq @ v.dofs)
                   / np.linalg.norm(op.A @ v.dofs))
     p_double = replace(base, kappa=2.0 * base.kappa, p0=2.0 * base.p0)
-    lam1_d, _ = first_eigenvalue(_get_op(ops, p_double))
+    lam1_d, _ = first_eigenvalue(_get_op(p_double))
     doubling_err = abs(lam1_d / lam1 - 2.0)
     p_unit = ProblemParams(n=base.n, s=base.s, k=base.k, kappa=0.0, p0=1.0,
                            eta=base.eta, R=base.R)
-    lam1_u, _ = first_eigenvalue(_get_op(ops, p_unit))
+    lam1_u, _ = first_eigenvalue(_get_op(p_unit))
     dominates = lam1 >= base.p0 * lam1_u * (1.0 - 1e-12)
     ok = resid <= 1e-8 and doubling_err <= 1e-8 and dominates
-    return _finish(8, "first eigenvalue", t0, 60.0, ok, {
+    return ok, {
         "lambda1": lam1, "residual": resid, "doubling_error": doubling_err,
         "lambda1_unit_weight": lam1_u,
-    })
+    }
 
 
-def check_fiber_limits(base: ProblemParams) -> CheckResult:
+def check_fiber_limits(base: ProblemParams) -> tuple[bool, dict]:
     """9: t_eps gap shrinks monotonically; Y_eps stays under the bound."""
-    t0 = time.perf_counter()
     qs = critical_exponent(base.n, base.s)
     t_limit = (base.p0 * bubble_constants(base.n, base.s).Ss) ** (1.0 / (qs - 2.0))
     grid = np.array([0.2, 0.14, 0.1, 0.07, 0.05])
@@ -264,10 +265,10 @@ def check_fiber_limits(base: ProblemParams) -> CheckResult:
                 t_bis = _fiber_root(f.X_tilde, sub, p.lam, 2.0, qs, bisect=True)
                 root_err = max(root_err, abs(t_bis - f.t_eps) / f.t_eps)
             ok = ok and root_err <= 1e-10
-    return _finish(9, "fiber limits", t0, 300.0, ok, {
+    return ok, {
         "final_gap_rel": final_gap, "closed_vs_bisect": root_err,
         "regimes": len(regimes),
-    })
+    }
 
 
 def _initial_crest_gradient(params: ProblemParams, op, e, m: int = 21,
@@ -296,13 +297,12 @@ def _path_max(params: ProblemParams, op, points) -> float:
     return best
 
 
-def check_pass_level(base: ProblemParams, ops: dict, tol: float) -> CheckResult:
+def check_pass_level(base: ProblemParams, tol: float) -> tuple[bool, dict]:
     """10: the Nehari level sits in [beta - tol, bound), every start reaches
     it (spread <= 1e-6), its ray path peaks at it (to 1e-9), and the crest
     gradient drops >= 10x from the straight path's highest sample."""
-    t0 = time.perf_counter()
     p = replace(base, kappa=0.004, lam=1.0, q=2.2)
-    op = _get_op(ops, p)
+    op = _get_op(p)
     _, beta, e = mp_geometry(p, op)
     st = mp_level(p, op)
     B = level_bound(p)
@@ -314,12 +314,12 @@ def check_pass_level(base: ProblemParams, ops: dict, tol: float) -> CheckResult:
     path_max_rel = _path_max(p, op, st.points) / st.level - 1.0
     ok = (beta - tol <= st.level < B and st.converged and drop >= 10.0
           and spread <= 1e-6 and path_max_rel <= 1e-9)
-    return _finish(10, "mountain pass level", t0, 900.0, ok, {
+    return ok, {
         "level": st.level, "beta": beta, "bound": B,
         "monotone": monotone, "iterations": st.iterations,
         "crest_grad_initial": g0, "crest_grad_final": g1, "grad_drop": drop,
         "start_spread": spread, "path_max_rel": path_max_rel,
-    })
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -328,38 +328,57 @@ def check_pass_level(base: ProblemParams, ops: dict, tol: float) -> CheckResult:
 
 _MC_CONFIGS = ((1.0, 0.0, 600_000), (0.8, 0.0, 500_000), (0.8, 1.0, 400_000),
                (0.6, 0.5, 400_000), (1.2, 0.0, 400_000))
+# the unbiasedness test: bubble width, samples per seed, seeds
+_UNBIASED_EPS, _UNBIASED_N, _UNBIASED_SEEDS = 1.2, 400_000, 50
 
 
-def check_cross_method(base: ProblemParams, seed: int) -> CheckResult:
-    """11: radial vs Monte Carlo seminorms within 3 sigma; MC unbiasedness."""
-    t0 = time.perf_counter()
-    n, s = base.n, base.s
+def _mc_bubble(base: ProblemParams, eps: float, kappa: float):
+    w = weight_from_params(replace(base, kappa=kappa, lam=0.0, q=2.0))
+    return truncated_bubble(eps, base.s, base.n, base.eta), w
+
+
+def _mc_config_z(base: ProblemParams, seed: int, i: int) -> float:
+    """|MC - radial| / MC error for the i-th entry of ``_MC_CONFIGS``."""
+    eps, kappa, N = _MC_CONFIGS[i]
+    ub, w = _mc_bubble(base, eps, kappa)
+    ref = seminorm_radial(ub, w, base.n, base.s, ub.support).value
+    est = seminorm_mc(ub, w, base.n, base.s, N=N, seed=seed + 31 * (i + 1))
+    return abs(est.value - ref) / est.abs_error
+
+
+def _unbiased_reference(base: ProblemParams) -> float:
+    ub, w = _mc_bubble(base, _UNBIASED_EPS, 0.0)
+    return seminorm_radial(ub, w, base.n, base.s, ub.support).value
+
+
+def _unbiased_values(base: ProblemParams, seed: int, offsets: range) -> list[float]:
+    """Monte Carlo seminorms of the unbiasedness bubble at seed + 1000 + j."""
+    ub, w = _mc_bubble(base, _UNBIASED_EPS, 0.0)
+    return [seminorm_mc(ub, w, base.n, base.s, N=_UNBIASED_N, seed=seed + 1000 + j).value
+            for j in offsets]
+
+
+def check_cross_method(config_z: list[float], reference: float,
+                       values: list[float]) -> tuple[bool, dict]:
+    """11: radial vs Monte Carlo seminorms within 3 sigma; MC unbiasedness.
+
+    Judges the pieces that ``run_all`` gathers from the workers: one z-score
+    per entry of ``_MC_CONFIGS``, the radial value of the unbiasedness bubble
+    and its Monte Carlo values in seed order.
+    """
     ok = True
     worst_z = 0.0
-    for i, (eps, kappa, N) in enumerate(_MC_CONFIGS):
-        p = replace(base, kappa=kappa, lam=0.0, q=2.0)
-        w = weight_from_params(p)
-        ub = truncated_bubble(eps, s, n, base.eta)
-        ref = seminorm_radial(ub, w, n, s, ub.support).value
-        est = seminorm_mc(ub, w, n, s, N=N, seed=seed + 31 * (i + 1))
-        z = abs(est.value - ref) / est.abs_error
+    for z in config_z:
         worst_z = max(worst_z, z)
         ok = ok and z <= 3.0
-    # unbiasedness: the mean over 50 seeds must match the radial value
-    p = replace(base, kappa=0.0, lam=0.0, q=2.0)
-    w = weight_from_params(p)
-    ub = truncated_bubble(1.2, s, n, base.eta)
-    ref = seminorm_radial(ub, w, n, s, ub.support).value
-    vals = np.array([
-        seminorm_mc(ub, w, n, s, N=400_000, seed=seed + 1000 + j).value
-        for j in range(50)
-    ])
-    z_mean = abs(vals.mean() - ref) / (vals.std(ddof=1) / math.sqrt(len(vals)))
+    # unbiasedness: the mean over the seeds must match the radial value
+    vals = np.array(values)
+    z_mean = abs(vals.mean() - reference) / (vals.std(ddof=1) / math.sqrt(len(vals)))
     ok = ok and z_mean <= 3.0
-    return _finish(11, "cross-method seminorm", t0, 600.0, ok, {
+    return ok, {
         "worst_config_z": worst_z, "mean_z_50_seeds": float(z_mean),
-        "mc_mean": float(vals.mean()), "radial_value": ref,
-    })
+        "mc_mean": float(vals.mean()), "radial_value": reference,
+    }
 
 
 def _determinism_probe(base: ProblemParams, seed: int) -> bytes:
@@ -379,50 +398,151 @@ def _determinism_probe(base: ProblemParams, seed: int) -> bytes:
     return json.dumps(payload, sort_keys=True).encode()
 
 
-def check_determinism(base: ProblemParams, seed: int) -> CheckResult:
+def check_determinism(base: ProblemParams, seed: int) -> tuple[bool, dict]:
     """12: the seeded computations reproduce byte-identical serializations.
 
     The battery-level probe; the end-to-end statement (two ``verify`` runs
     write byte-identical manifests) rides on it because everything else in
     the manifest is seed-free arithmetic.
     """
-    t0 = time.perf_counter()
     first = _determinism_probe(base, seed)
     second = _determinism_probe(base, seed)
-    return _finish(12, "determinism", t0, 60.0, first == second,
-                   {"probe_bytes": len(first), "identical": first == second})
+    return first == second, {"probe_bytes": len(first), "identical": first == second}
 
 
 # ---------------------------------------------------------------------------
 # Orchestration
 # ---------------------------------------------------------------------------
 
-def _get_op(ops: dict, params: ProblemParams):
-    # the operator depends on every parameter except the lam-term
-    key = replace(params, lam=0.0, q=2.0)
-    if key not in ops:
-        ops[key] = assemble(key, GRID_M)
-    return ops[key]
+# index -> (name, wall-clock budget in seconds)
+_CHECKS = {
+    1: ("closed-form integrals vs quadrature", 5.0),
+    2: ("critical-norm scale invariance", 10.0),
+    3: ("bubble norm rates", 120.0),
+    4: ("weight bump scaling", 120.0),
+    5: ("seminorm residual rates", 300.0),
+    6: ("pointwise power gap bound", 10.0),
+    7: ("energy dip signature", 600.0),
+    8: ("first eigenvalue", 60.0),
+    9: ("fiber limits", 300.0),
+    10: ("mountain pass level", 900.0),
+    11: ("cross-method seminorm", 600.0),
+    12: ("determinism", 60.0),
+}
+_SEEDS_PER_TASK = 5
+_BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@lru_cache(maxsize=4)
+def _assembled(key: ProblemParams):
+    return assemble(key, GRID_M)
+
+
+def _get_op(params: ProblemParams):
+    # the operator depends on every parameter except the lam-term; each
+    # worker keeps what it assembles, so checks 7 and 8 share the base
+    # operator when they run in the same worker
+    return _assembled(replace(params, lam=0.0, q=2.0))
+
+
+def _tasks(cfg: RunConfig, tol: float) -> dict:
+    """The battery's independent work items, ``{key: [(fn, *args), ...]}``.
+
+    Keys are check indices, and three labels for check 11's pieces.  The
+    order is the submission order, longest first by one-thread compute
+    seconds: checks 9 and 5 (over 1 s), the ten unbiasedness seed chunks
+    and check 7 (0.6-0.9 s each), the five configurations (0.25-0.4 s),
+    then the rest, so that the short items fill the tail.
+    """
+    base, seed = cfg.params, cfg.seed
+    chunks = [range(j, j + _SEEDS_PER_TASK) for j in range(0, _UNBIASED_SEEDS, _SEEDS_PER_TASK)]
+    return {
+        9: [(check_fiber_limits, base)],
+        5: [(check_residual_rates, base)],
+        "mc_values": [(_unbiased_values, base, seed, c) for c in chunks],
+        7: [(check_energy_dip, base)],
+        "mc_configs": [(_mc_config_z, base, seed, i) for i in range(len(_MC_CONFIGS))],
+        6: [(check_power_gap, base, seed)],
+        10: [(check_pass_level, base, tol)],
+        12: [(check_determinism, base, seed)],
+        8: [(check_eigenvalue, base)],
+        "mc_reference": [(_unbiased_reference, base)],
+        4: [(check_weight_bump, base)],
+        3: [(check_norm_rates, base)],
+        1: [(check_closed_form_integrals, base, seed)],
+        2: [(check_scale_invariance, base)],
+    }
+
+
+def _timed(fn, *args):
+    """Run one work item; return its compute seconds and its output."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return time.perf_counter() - t0, out
+
+
+@contextmanager
+def _one_blas_thread():
+    """Set the BLAS thread variables to 1 in this process's environment and
+    restore them on exit.  A spawned worker inherits the environment at its
+    start, before it imports numpy."""
+    saved = {k: os.environ.get(k) for k in _BLAS_THREADS}
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                del os.environ[k]
+            else:
+                os.environ[k] = v
 
 
 def run_all(cfg: RunConfig, *, tol: float = 1e-6) -> VerifyReport:
-    """Run the full battery, sharing assembled operators where regimes agree."""
-    base = cfg.params
-    _require_pinned_regime(base)
-    ops: dict = {}
-    op = _get_op(ops, base)
-    results = (
-        check_closed_form_integrals(base, cfg.seed),
-        check_scale_invariance(base),
-        check_norm_rates(base),
-        check_weight_bump(base),
-        check_residual_rates(base),
-        check_power_gap(base, cfg.seed),
-        check_energy_dip(base, op),
-        check_eigenvalue(base, op, ops),
-        check_fiber_limits(base),
-        check_pass_level(base, ops, tol),
-        check_cross_method(base, cfg.seed),
-        check_determinism(base, cfg.seed),
-    )
-    return VerifyReport(results=results)
+    """Run the full battery on ``min(2, available CPUs)`` spawn workers.
+
+    The work items of :func:`_tasks` are submitted longest first.  The
+    workers start during submission, with one BLAS thread each, so the
+    results do not depend on the caller's BLAS setting.  If an item raises,
+    the pool cancels what has not started and the first failure is
+    re-raised here with its own type and message.  Otherwise every
+    :class:`CheckResult` is built here, in index order, by ``_finish``
+    (looked up at call time) from the item's compute seconds; check 11 is
+    judged by :func:`check_cross_method` on its pieces gathered in seed
+    order, and is charged the sum of their seconds.  The pool is shut down
+    before this returns.
+
+    Spawned workers import the caller's main module, so a script that calls
+    this must guard its entry point with ``if __name__ == "__main__":``.
+    """
+    # imported here so that importing the package loads no process machinery
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    _require_pinned_regime(cfg.params)
+    t0 = time.perf_counter()
+    workers = min(2, len(os.sched_getaffinity(0)))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        with _one_blas_thread():  # workers are spawned inside submit
+            futures = {key: [pool.submit(_timed, *item) for item in items]
+                       for key, items in _tasks(cfg, tol).items()}
+        for f in as_completed([f for fs in futures.values() for f in fs]):
+            f.result()  # raises the first failure as soon as it happens
+        done = {key: [f.result() for f in fs] for key, fs in futures.items()}
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+    results = []
+    for index, (name, budget) in _CHECKS.items():
+        if index == 11:
+            parts = done["mc_configs"] + done["mc_reference"] + done["mc_values"]
+            seconds = sum(sec for sec, _ in parts)
+            ok, details = check_cross_method(
+                [z for _, z in done["mc_configs"]], done["mc_reference"][0][1],
+                [v for _, chunk in done["mc_values"] for v in chunk])
+        else:
+            [(seconds, (ok, details))] = done[index]
+        results.append(_finish(index, name, time.perf_counter() - seconds, budget, ok, details))
+    return VerifyReport(results=tuple(results), wall_s=time.perf_counter() - t0,
+                        workers=workers)

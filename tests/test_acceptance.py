@@ -5,22 +5,62 @@ quantity with its pinned tolerance, so a regression shows up as a named
 red line here even if the in-battery guard drifts.
 """
 
+import json
+import os
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fracvar import verifysuite
 from fracvar.cli import main
 from fracvar.problem import load_config
 from fracvar.verifysuite import run_all
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CFG = str(ROOT / "default.cfg")
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+# float.hex of battery values at default.cfg, recorded by the in-process
+# battery with one BLAS thread.  The grid values (checks 7, 8, 10) moved with
+# the BLAS thread count there; the workers always run with one thread, so
+# they must hold whatever the thread setting of this test process.
+PINNED_HEX = {
+    (7, "constraint_residual"): "0x0.0p+0",
+    (8, "residual"): "0x1.0601b7191469bp-27",
+    (10, "level"): "0x1.c47be5391ff40p+38",
+    (10, "crest_grad_final"): "0x1.254a9eb27e7edp+7",
+    (10, "grad_drop"): "0x1.f458b343979d2p+13",
+    (11, "mc_mean"): "0x1.fa9b607fcdf56p+5",
+    (11, "mean_z_50_seeds"): "0x1.0bdd4a83bdcdfp-2",
+}
 
 
 @pytest.fixture(scope="module")
-def battery():
-    report = run_all(load_config(DEFAULT_CFG))
-    return {r.index: r for r in report.results}
+def battery_run():
+    """One battery run, with the indices ``_finish`` saw in this process and
+    the BLAS thread variables before and after."""
+    finish = verifysuite._finish
+    indices = []
+
+    def recording_finish(index, *args):
+        indices.append(index)
+        return finish(index, *args)
+
+    env_before = {k: os.environ.get(k) for k in BLAS_THREADS}
+    verifysuite._finish = recording_finish
+    try:
+        report = run_all(load_config(DEFAULT_CFG))
+    finally:
+        verifysuite._finish = finish
+    env_after = {k: os.environ.get(k) for k in BLAS_THREADS}
+    return report, indices, (env_before, env_after)
+
+
+@pytest.fixture(scope="module")
+def battery(battery_run):
+    return {r.index: r for r in battery_run[0].results}
 
 
 def _get(battery, idx):
@@ -136,3 +176,32 @@ def test_12_repeated_verify_runs_are_byte_identical(battery, tmp_path,
         dirs.append(out)
     for fname in ("manifest.json", "verify_results.json"):
         assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
+    timings = json.loads((dirs[0] / "timings.json").read_text())
+    assert set(timings["seconds"]) == set(timings["budgets"]) == {str(i) for i in range(1, 13)}
+    assert timings["workers"] == min(2, len(os.sched_getaffinity(0)))
+    assert timings["wall_s"] > 0.0
+
+
+def test_values_do_not_depend_on_the_callers_blas_threads(battery):
+    got = {(i, key): float(dict(battery[i].details)[key]).hex() for i, key in PINNED_HEX}
+    assert got == PINNED_HEX
+
+
+def test_results_are_built_in_the_calling_process(battery_run):
+    report, indices, (env_before, env_after) = battery_run
+    assert sorted(indices) == list(range(1, 13))
+    assert [r.index for r in report.results] == list(range(1, 13))
+    assert report.workers == min(2, len(os.sched_getaffinity(0)))
+    assert env_after == env_before
+
+
+def test_worker_exception_reaches_the_caller():
+    # seed + 1000 + j is -1 in the first unbiasedness chunk, an early work item
+    cfg = replace(load_config(DEFAULT_CFG), seed=-1001)
+    with pytest.raises(ValueError) as local:
+        np.random.SeedSequence(-1)
+    with pytest.raises(ValueError) as remote:
+        run_all(cfg)
+    assert type(remote.value) is type(local.value)
+    assert str(remote.value) == str(local.value)
+    assert type(remote.value.__cause__).__name__ == "_RemoteTraceback"

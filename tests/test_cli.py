@@ -1,15 +1,20 @@
+import importlib
 import json
 import math
 import os
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracvar.constants
 from fracvar.cli import main
 from fracvar.constants import bubble_constants
-from fracvar.solver import assemble, first_eigenvalue
-from fracvar.problem import load_config
+from fracvar.mountainpass import MountainPassError
+from fracvar.problem import ConfigError, load_config
+from fracvar.quad import QuadratureError
+from fracvar.solver import SolverError, assemble, first_eigenvalue
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CFG = str(ROOT / "default.cfg")
@@ -202,3 +207,35 @@ def test_threads_flag(capsys, monkeypatch):
     assert os.environ["OMP_NUM_THREADS"] == "2"
     assert run(capsys, "constants", "--n", "6", "--s", "0.5",
                "--threads", "0")[0] == 1
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    ("fracvar.constants", "bubble_constants", ("constants", "--n", "6", "--s", "0.5")),
+    ("fracvar.verifysuite", "run_all", ("verify", "--config", DEFAULT_CFG)),
+])
+@pytest.mark.parametrize("exc", [TypeError("injected"), BrokenProcessPool("injected")])
+def test_programming_errors_escape_with_their_traceback(capsys, monkeypatch, module,
+                                                        name, argv, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(importlib.import_module(module), name, broken)
+    with pytest.raises(type(exc), match="injected"):
+        main(list(argv))
+
+
+@pytest.mark.parametrize("exc, code", [
+    (ValueError("bad input"), 2),
+    (QuadratureError("no convergence"), 2),
+    (SolverError("no convergence"), 2),
+    (MountainPassError("no convergence"), 2),
+    (ConfigError("bad key"), 1),
+])
+def test_known_failures_map_to_exit_codes(capsys, monkeypatch, exc, code):
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(fracvar.constants, "bubble_constants", failing)
+    rc, _, err = run(capsys, "constants", "--n", "6", "--s", "0.5")
+    assert rc == code
+    assert f"{type(exc).__name__}: {exc}" in err

@@ -179,6 +179,28 @@ def test_fiber_sweep_q22_other_lams_stay_below_bound(lam):
     assert all(f.Y_eps < level_bound(p) for f in sw)
 
 
+def test_fiber_sweep_computes_each_bubble_form_once(monkeypatch):
+    # check 9's four regimes: the three q = 2.2 ones share the kappa = 0.004 weight
+    import fracvar.mountainpass as mp
+
+    calls = []
+    radial = mp.seminorm_radial
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return radial(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "seminorm_radial", counted)
+    mp._bubble_form_and_mass.cache_clear()
+    regimes = [P_SW] + [replace(P_MP, lam=lam) for lam in (0.1, 1.0, 10.0)]
+    sweeps = [fiber_sweep(p, EPS_GRID) for p in regimes]
+    assert len(calls) == 10
+    # the lam = 10 sweep came wholly from the cache; a cold one is bit-identical
+    mp._bubble_form_and_mass.cache_clear()
+    assert fiber_sweep(regimes[-1], EPS_GRID[:2]) == sweeps[-1][:2]
+    assert len(calls) == 12
+
+
 def test_fiber_sweep_records_eps_and_normalization():
     sw = fiber_sweep(P_SW, np.array([0.2, 0.1]))
     assert [f.eps for f in sw] == [0.2, 0.1]
