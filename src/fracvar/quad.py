@@ -28,12 +28,22 @@ x ~ uniform(box), y = x + z with |z| drawn from the density proportional to
 difference), combined with a balance-heuristic weight over the two symmetric
 generation routes, plus a zero-variance-in-|z| far piece for |z| beyond the
 box diameter.
+
+Neither kernel table of the pair form depends on the weight or the profile,
+so each is built once.  The core's tau row (nodes, ``tw * tau^(n-1) * K``
+and the sliver's K(1 - delta)) is cached per quadrature rule.  The outer
+fold's table K(t) on its (inner radius, t) grid is cached per geometry in
+one slot tied to the profile last passed in, by weak reference: the
+seminorms of one profile under several weights, and its bilinear form,
+share it, and a call with another profile, or the profile's collection,
+drops it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -131,11 +141,24 @@ def default_r_breaks(profile, r_hi: float) -> np.ndarray:
 # Kernel helpers
 # ---------------------------------------------------------------------------
 
-def _tau_breaks(delta: float, t_floor: float) -> np.ndarray:
-    """Master tau-panels on (0, 1 - delta): graded toward both endpoints."""
+@lru_cache(maxsize=8)
+def _kernel_row(n: int, s: float, delta: float, t_floor: float, n_t: int, kernel_npts: int):
+    """The core's tau rule and the sliver's edge kernel, read-only.
+
+    The tau-panels on (0, 1 - delta) are graded toward both endpoints.
+    Returns their nodes ``tn``, ``tau_fac = tw * tn**(n-1) * K(tn)`` and
+    ``k_edge = K(1 - delta)``.  None depends on the weight, the profile or
+    the radial panels, so every pair form and every assembly on the same
+    rule shares one row.
+    """
     lo = geometric_refine(0.0, 0.5, toward=0.0, ratio=0.5, floor=t_floor)
     hi = geometric_refine(0.5, 1.0 - delta, toward=1.0 - delta, ratio=0.5, floor=delta)
-    return np.unique(np.concatenate([lo, hi]))
+    tn, tw = panel_nodes(np.unique(np.concatenate([lo, hi])), n_t)
+    tau_fac = tw * tn ** (n - 1) * kernel_batch(n, s, tn, npts=kernel_npts)
+    k_edge = float(kernel_batch(n, s, np.array([1.0 - delta]), npts=kernel_npts)[0])
+    tn.flags.writeable = False
+    tau_fac.flags.writeable = False
+    return tn, tau_fac, k_edge
 
 
 @lru_cache(maxsize=8)
@@ -144,8 +167,9 @@ def _kernel_interp(n: int, s: float):
 
     Two charts: K vs log(tau) below 0.5 (K is flat toward 0), log(K) vs
     log(1 - tau) above (where K ~ (1-tau)^(-1-2s), so the chart is nearly
-    linear).  The outer fold makes O(10^5) kernel queries per call, which
-    would dominate the runtime if evaluated directly.
+    linear).  It fills the outer fold's kernel table, about 10^6 queries on
+    a fine pass, once per profile geometry (see :func:`_fold_kernel`); a
+    direct evaluation would dominate the runtime.
     """
     xl = np.linspace(math.log(1e-13), math.log(0.62), 1600)
     kl = kernel_batch(n, s, np.exp(xl))
@@ -185,11 +209,67 @@ def _weight_fns(w):
     return w.radial, far
 
 
-def _rel_outer_breaks(t_floor: float) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _rel_outer_rule(t_floor: float, n_t: int):
+    """(first break, nodes, weights) of the outer fold's relative t-panels, read-only."""
     lo = geometric_refine(0.0, 0.5, toward=0.0, ratio=0.5, floor=t_floor)
     hi = geometric_refine(0.5, 1.0, toward=1.0, ratio=0.5, floor=1e-7)
-    breaks = np.unique(np.concatenate([lo, hi]))
-    return breaks[breaks > 0.0] if breaks[0] == 0.0 else breaks
+    rel = np.unique(np.concatenate([lo, hi]))
+    rel = rel[rel > 0.0] if rel[0] == 0.0 else rel
+    reln, relw = panel_nodes(rel, n_t)
+    reln.flags.writeable = False
+    relw.flags.writeable = False
+    return float(rel[0]), reln, relw
+
+
+def _fold_kernel(n: int, s: float, rn: np.ndarray, *, r_hi: float, n_t: int, delta: float,
+                 t_floor: float) -> np.ndarray:
+    """The outer fold's kernel table K(t) at t = min(rn/r_hi, 1-delta) * rel node, read-only.
+
+    It depends on the geometry only, not on the weight or the profile.
+    """
+    _, reln, _ = _rel_outer_rule(t_floor, n_t)
+    kvT = _kernel_interp(n, float(s))(np.minimum(rn / r_hi, 1.0 - delta)[:, None] * reln[None, :])
+    kvT.flags.writeable = False
+    return kvT
+
+
+# The fold tables of the profile last passed to a pair form, by geometry, at
+# most _FOLD_TABLES of them (a coarse and a fine pass).  The slot holds that
+# profile by weak reference, so the tables live no longer than it does: a call
+# with another profile empties the slot, and so does the profile's
+# collection, through the callback below.
+_FOLD_TABLES = 2
+_fold_slot: list = [None, {}]
+
+
+def _drop_fold_tables(ref) -> None:
+    if _fold_slot[0] is ref:
+        _fold_slot[:] = [None, {}]
+
+
+def _profile_fold_kernel(profile, n: int, s: float, rn: np.ndarray, *, r_hi: float, n_t: int,
+                         delta: float, t_floor: float) -> np.ndarray:
+    """:func:`_fold_kernel`, kept in the slot of ``profile`` for its lifetime.
+
+    A profile that takes no weak reference gets a table for the call only.
+    """
+    geom = dict(r_hi=r_hi, n_t=n_t, delta=delta, t_floor=t_floor)
+    ref, tables = _fold_slot
+    if ref is None or ref() is not profile:
+        try:
+            ref = weakref.ref(profile, _drop_fold_tables)
+        except TypeError:
+            return _fold_kernel(n, s, rn, **geom)
+        tables = {}
+        _fold_slot[:] = [ref, tables]
+    key = (n, float(s), r_hi, rn.tobytes(), n_t, delta, t_floor)
+    kvT = tables.get(key)
+    if kvT is None:
+        if len(tables) == _FOLD_TABLES:
+            del tables[next(iter(tables))]
+        kvT = tables[key] = _fold_kernel(n, s, rn, **geom)
+    return kvT
 
 
 def _outer_fold(
@@ -198,6 +278,7 @@ def _outer_fold(
     wfar: float,
     n: int,
     s: float,
+    kvT: np.ndarray,
     *,
     r_hi: float,
     n_t: int,
@@ -211,22 +292,32 @@ def _outer_fold(
     analytic remainder below the relative floor where the far radius sits at
     the weight's far-field limit.  Contract against
     ``rw * u(rn) * v(rn) * rn**(n-1-2s)`` to recover the outer contribution.
+
+    ``kvT`` is the kernel table of :func:`_fold_kernel` on the same
+    geometry.  The caller owns its lifetime: the profile quadrature keeps it
+    as long as the profile lives (:func:`_profile_fold_kernel`), and an
+    assembly builds it for its one call.
     """
     two_s = 2.0 * s
     sig = sphere_surface(n)
-    kv = _kernel_interp(n, float(s))
-    rel = _rel_outer_breaks(t_floor)
-    reln, relw = panel_nodes(rel, n_t)
+    rel0, reln, relw = _rel_outer_rule(t_floor, n_t)
     t_hi = np.minimum(rn / r_hi, 1.0 - delta)
     T = t_hi[:, None] * reln[None, :]
-    TW = t_hi[:, None] * relw[None, :]
+    wr = wfun(rn)
     with np.errstate(divide="ignore", over="ignore"):
-        wbo = 0.5 * (wfun(rn[:, None] / np.maximum(T, 1e-300)) + wfun(rn)[:, None])
-    fold = np.sum(wbo * kv(T) * T ** (two_s - 1.0) * TW, axis=1)
+        wbo = wfun(rn[:, None] / np.maximum(T, 1e-300)) + wr[:, None]
+    # wbo * K(T) * T^(2s-1) * t_hi * relw, in that order, in place
+    wbo *= 0.5
+    wbo *= kvT
+    T **= two_s - 1.0
+    wbo *= T
+    np.multiply(t_hi[:, None], relw[None, :], out=T)
+    wbo *= T
+    fold = np.sum(wbo, axis=1)
     # analytic remainder of the fold below the relative floor, where the
     # far radius rho/t is effectively at the weight's far-field limit
-    t_lo = t_hi * rel[0]
-    fold += 0.5 * (wfar + wfun(rn)) * sig * t_lo**two_s / two_s
+    t_lo = t_hi * rel0
+    fold += 0.5 * (wfar + wr) * sig * t_lo**two_s / two_s
     return fold
 
 
@@ -255,19 +346,22 @@ def _pair_form(
     rn, rw = rn[keep], rw[keep]
 
     # --- core ---------------------------------------------------------
-    tb = _tau_breaks(delta, t_floor)
-    tn, tw = panel_nodes(tb, n_t)
-    Kv = kernel_batch(n, s, tn, npts=kernel_npts)
+    tn, tau_fac, k_edge = _kernel_row(n, s, delta, t_floor, n_t, kernel_npts)
     inner_r = rn[:, None] * tn[None, :]
-    da = pa.radial_value(rn)[:, None] - pa.radial_value(inner_r)
-    db = da if pb is pa else pb.radial_value(rn)[:, None] - pb.radial_value(inner_r)
-    wb = 0.5 * (wfun(rn)[:, None] + wfun(inner_r))
-    tau_fac = tw * tn ** (n - 1) * Kv
+    ua = pa.radial_value(rn)
+    ub = ua if pb is pa else pb.radial_value(rn)
+    da = ua[:, None] - pa.radial_value(inner_r)
+    db = da if pb is pa else ub[:, None] - pb.radial_value(inner_r)
+    # wb * da * db * tau_fac, in that order, in place
+    wb = wfun(rn)[:, None] + wfun(inner_r)
+    wb *= 0.5
+    wb *= da
+    wb *= db
+    wb *= tau_fac
     r_fac = rw * rn ** (n - 1.0 - two_s)
-    core = float(np.einsum("i,ij->", r_fac, wb * da * db * tau_fac[None, :]))
+    core = float(np.einsum("i,ij->", r_fac, wb))
 
     # --- sliver -------------------------------------------------------
-    k_edge = float(kernel_batch(n, s, np.array([1.0 - delta]), npts=kernel_npts)[0])
     band = k_edge * delta ** (1.0 + two_s) * delta ** (2.0 - two_s) / (2.0 - two_s)
     sliver = band * float(
         np.sum(rw * wfun(rn) * pa.radial_deriv(rn) * pb.radial_deriv(rn) * rn ** (n + 1.0 - two_s))
@@ -277,9 +371,8 @@ def _pair_form(
 
     # --- outer --------------------------------------------------------
     if include_outer:
-        fold = _outer_fold(rn, wfun, wfar, n, s, r_hi=r_hi, n_t=n_t, delta=delta, t_floor=t_floor)
-        ua = pa.radial_value(rn)
-        ub = ua if pb is pa else pb.radial_value(rn)
+        geom = dict(r_hi=r_hi, n_t=n_t, delta=delta, t_floor=t_floor)
+        fold = _outer_fold(rn, wfun, wfar, n, s, _profile_fold_kernel(pa, n, s, rn, **geom), **geom)
         total += float(np.sum(rw * ua * ub * rn ** (n - 1.0 - two_s) * fold))
 
     return 2.0 * sig * total

@@ -45,9 +45,9 @@ from scipy.sparse import csr_matrix
 
 from ._panels import gl_rule, panel_nodes
 from .bubble import truncated_bubble
-from .constants import bubble_constants, kernel_batch, sphere_surface
+from .constants import bubble_constants, sphere_surface
 from .problem import ProblemParams, critical_exponent, weight_from_params
-from .quad import _outer_fold, _tau_breaks, _weight_fns
+from .quad import _fold_kernel, _kernel_row, _outer_fold, _weight_fns
 
 
 class SolverError(RuntimeError):
@@ -235,10 +235,7 @@ def assemble(
     nr = len(rn)
 
     # core rows: one per (r-node, tau-node) ordered pair
-    tb = _tau_breaks(delta, t_floor)
-    tn, tw = panel_nodes(tb, n_t)
-    Kv = kernel_batch(n, s, tn, npts=kernel_npts)
-    tau_fac = tw * tn ** (n - 1) * Kv
+    tn, tau_fac, k_edge = _kernel_row(n, s, delta, t_floor, n_t, kernel_npts)
     inner = (rn[:, None] * tn[None, :]).ravel()
     wb = 0.5 * (wfun(rn)[:, None] + wfun(inner).reshape(nr, -1))
     sq = np.sqrt((rw * rn ** (n - 1.0 - two_s))[:, None] * tau_fac[None, :] * wb).ravel()
@@ -251,7 +248,6 @@ def assemble(
     base = nr * nt
 
     # sliver rows: the |tau - 1| < delta band through the Lipschitz model
-    k_edge = float(kernel_batch(n, s, np.array([1.0 - delta]), npts=kernel_npts)[0])
     band = k_edge * delta ** (1.0 + two_s) * delta ** (2.0 - two_s) / (2.0 - two_s)
     sq_sl = np.sqrt(band * rw * wfun(rn) * rn ** (n + 1.0 - two_s))
     j = np.clip(np.searchsorted(nodes, rn, side="right") - 1, 0, M - 1)
@@ -264,7 +260,8 @@ def assemble(
     base += nr
 
     # outer rows: pairs whose far radius exceeds R, where the field vanishes
-    fold = _outer_fold(rn, wfun, wfar, n, s, r_hi=nodes[-1], n_t=n_t, delta=delta, t_floor=t_floor)
+    geom = dict(r_hi=nodes[-1], n_t=n_t, delta=delta, t_floor=t_floor)
+    fold = _outer_fold(rn, wfun, wfar, n, s, _fold_kernel(n, s, rn, **geom), **geom)
     sq_out = np.sqrt(rw * rn ** (n - 1.0 - two_s) * fold)
     out_rows = base + np.arange(nr)
     rows += [out_rows, out_rows]
@@ -293,7 +290,7 @@ def assemble(
         "intervals": float(M),
         "n_r": float(n_r),
         "n_t": float(n_t),
-        "tau_panels": float(len(tb) - 1),
+        "tau_panels": float(len(tn) // n_t),
         "quadrature_rows": float(base),
         "probe_rel_err": math.nan,
     }

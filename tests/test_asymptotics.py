@@ -63,6 +63,12 @@ def test_ball_form_bounded_multiple_of_rate():
     assert rep.fit_r2 >= 0.98
 
 
+def test_ball_form_exact_value():
+    # one sweep_A point, recorded with numpy 2.4.6 before the kernel row was
+    # cached: any change to the order of the float operations moves the last bits
+    assert ball_weighted_form(P, 0.05).hex() == "0x1.24003a8738ca9p+1"
+
+
 def test_ball_form_ignores_kappa():
     a = sweep_A(P, eps_grid=(0.4, 0.2, 0.1, 0.05))
     b = sweep_A(

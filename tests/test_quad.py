@@ -1,16 +1,21 @@
+import gc
 import math
 import warnings
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fracvar.bubble import Bubble, truncated_bubble
 from fracvar.constants import bubble_constants, sphere_surface
-from fracvar.problem import WeightModel
+from fracvar import quad
+from fracvar.problem import ProblemParams, WeightModel, weight_from_params
 from fracvar.quad import (
     PanelSpec,
     QuadratureError,
     bilinear_radial,
+    default_r_breaks,
     mc_reference_ks,
     radial_power_integral,
     seminorm_mc,
@@ -224,3 +229,124 @@ def test_deterministic_estimate_reports_panels():
     est = seminorm_radial(tb, None, N6, S6, tb.support)
     assert est.samples_or_panels > 10
     assert est.seed is None
+
+
+# ---------------------------------------------------------------------------
+# Pair-form kernel tables: exact values and table lifetime
+# ---------------------------------------------------------------------------
+
+_P = ProblemParams(n=6, s=0.5, k=2, kappa=0.05, lam=21.0, q=2.0, p0=1.0, eta=1.0, R=5.0)
+_CONTINUUM_WEIGHTS = [weight_from_params(replace(_P, kappa=k)) for k in (0.0, 0.05, 1.0)]
+
+
+def _bubble_pass(ub):
+    ests = [seminorm_radial(ub, w, N6, S6, ub.support) for w in _CONTINUUM_WEIGHTS]
+    return ests, bilinear_radial(ub, ub, _CONTINUUM_WEIGHTS[-1], N6, S6, ub.support)
+
+
+def test_truncated_bubble_exact_values():
+    # Recorded with numpy 2.4.6 before the kernel tables were cached: any
+    # change to the order of the float operations moves the last bits.
+    ests, bil = _bubble_pass(truncated_bubble(0.05, S6, N6, 1.0))
+    assert [(e.value.hex(), e.abs_error.hex()) for e in ests] == [
+        ("0x1.55d3cd23e8a6bp+6", "0x1.c000000000000p-44"),
+        ("0x1.57b15e9e5199ap+6", "0x1.0000000000000p-46"),
+        ("0x1.7b232ab41baa6p+6", "0x1.2000000000000p-42"),
+    ]
+    assert bil.hex() == "0x1.7b232ab41bab8p+6"
+
+
+def test_getoor_profile_exact_value():
+    # s = 0.25: the outer fold's t^(2s-1) is a true power, not a constant
+    est = seminorm_radial(lambda r: np.maximum(1.0 - r * r, 0.0) ** 0.25, None, 6, 0.25, 1.0)
+    assert (est.value.hex(), est.abs_error.hex()) == ("0x1.d3438f8383fe7p+8", "0x1.a09ce98d6c000p-6")
+
+
+def test_spline_surrogate_runs_once_per_geometry(monkeypatch):
+    # three weights x (coarse + fine) and the bilinear form share the
+    # coarse and the fine fold tables of one profile
+    queries = []
+    real = quad._kernel_interp
+
+    def counting(n, s):
+        ev = real(n, s)
+
+        def counted(t):
+            queries.append(np.size(t))
+            return ev(t)
+
+        return counted
+
+    monkeypatch.setattr(quad, "_kernel_interp", counting)
+    _bubble_pass(truncated_bubble(0.3, S6, N6, 1.0))
+    assert len(queries) == 2
+
+
+def test_fold_table_dies_with_its_profile():
+    ub = truncated_bubble(0.3, S6, N6, 1.0)
+    seminorm_radial(ub, None, N6, S6, ub.support)
+    tables = quad._fold_slot[1]
+    assert len(tables) == 2
+    table = weakref.ref(next(iter(tables.values())))
+    del ub, tables
+    gc.collect()
+    assert table() is None
+    assert quad._fold_slot[0] is None
+
+
+def test_stale_profile_collection_keeps_current_tables():
+    ub1, ub2 = truncated_bubble(0.3, S6, N6, 1.0), truncated_bubble(0.2, S6, N6, 1.0)
+    seminorm_radial(ub1, None, N6, S6, ub1.support)
+    stale = quad._fold_slot[0]  # keeps ub1's callback armed
+    seminorm_radial(ub2, None, N6, S6, ub2.support)
+    current = quad._fold_slot[:]
+    del ub1
+    gc.collect()
+    assert stale() is None
+    assert quad._fold_slot[0] is current[0] and quad._fold_slot[1] is current[1]
+    assert len(current[1]) == 2
+
+
+def test_profile_switch_matches_fresh_calls():
+    # equal breaks, so both profiles map to the same fold geometry
+    spec = PanelSpec(r_breaks=tuple(default_r_breaks(truncated_bubble(0.2, S6, N6, 1.0), 2.0)))
+    w = _CONTINUUM_WEIGHTS[-1]
+    ub1, ub2 = truncated_bubble(0.3, S6, N6, 1.0), truncated_bubble(0.2, S6, N6, 1.0)
+    seq = [seminorm_radial(u, w, N6, S6, 2.0, panels=spec) for u in (ub1, ub2, ub1)]
+    fresh = [seminorm_radial(truncated_bubble(e, S6, N6, 1.0), w, N6, S6, 2.0, panels=spec)
+             for e in (0.3, 0.2, 0.3)]
+    assert [(e.value.hex(), e.abs_error.hex()) for e in seq] == [
+        (e.value.hex(), e.abs_error.hex()) for e in fresh
+    ]
+    assert seq[0].value != seq[1].value
+
+
+def test_fold_tables_stay_bounded_for_one_profile():
+    # one long-lived profile over many radial geometries keeps a coarse and
+    # a fine table, not one per geometry
+    ub = truncated_bubble(0.3, S6, N6, 1.0)
+    for r_max in (1.5, 1.75, 2.0):
+        seminorm_radial(ub, None, N6, S6, r_max)
+    assert quad._fold_slot[0]() is ub
+    assert len(quad._fold_slot[1]) == 2
+
+
+class _SlottedProfile:
+    __slots__ = ("inner", "support")
+
+    def __init__(self, inner):
+        self.inner, self.support = inner, inner.support
+
+    def radial_value(self, r):
+        return self.inner.radial_value(r)
+
+    def radial_deriv(self, r):
+        return self.inner.radial_deriv(r)
+
+
+def test_profile_without_weak_reference_is_accepted():
+    ub = truncated_bubble(0.3, S6, N6, 1.0)
+    spec = PanelSpec(r_breaks=tuple(default_r_breaks(ub, ub.support)))
+    plain = seminorm_radial(ub, None, N6, S6, ub.support, panels=spec)
+    slotted = seminorm_radial(_SlottedProfile(ub), None, N6, S6, ub.support, panels=spec)
+    assert (slotted.value.hex(), slotted.abs_error.hex()) == (plain.value.hex(), plain.abs_error.hex())

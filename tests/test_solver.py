@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -77,6 +78,28 @@ def test_field_interpolates_and_vanishes_outside():
 def test_stiffness_symmetric(op128):
     assert np.max(np.abs(op128.A - op128.A.T)) == 0.0
     assert np.max(np.abs(op128.Mq - op128.Mq.T)) == 0.0
+
+
+def test_assembly_exact_matrices(op128):
+    # Recorded with numpy 2.4.6 and scipy 1.17.1 before the kernel row was
+    # shared with the profile quadrature: the operator must not move a bit.
+    assert hashlib.sha256(op128.A.tobytes()).hexdigest() == (
+        "c6191a8a28aa9019178694203d1c620012e925a0f12b68391cefebf876c7ce47")
+    assert hashlib.sha256(op128.Mq.tobytes()).hexdigest() == (
+        "5ce22eea43a6fcbe0c09ea70f14efba3f21d638fff3faea2c9be705e305ca756")
+
+
+def test_assemblies_share_one_kernel_row(monkeypatch):
+    from fracvar import quad, solver
+
+    assemble(P_FREE, 32)
+    calls = []
+    real = quad.kernel_batch
+    for module in (quad, solver):
+        monkeypatch.setattr(module, "kernel_batch", lambda *a, **k: calls.append(a) or real(*a, **k),
+                            raising=False)
+    assemble(P, 48)
+    assert calls == []
 
 
 def test_weight_doubling_doubles_stiffness():
