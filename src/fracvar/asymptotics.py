@@ -26,7 +26,7 @@ from ._panels import geometric_refine, panel_nodes
 from .bubble import Bubble, lq_norm, truncated_bubble
 from .constants import bubble_constants, sphere_surface
 from .problem import ProblemParams, weight_from_params
-from .quad import PanelSpec, ball_restricted_form, seminorm_radial
+from .quad import PanelSpec, ball_restricted_form, default_r_breaks, seminorm_radial
 
 DEFAULT_EPS_GRID = (0.4, 0.28, 0.2, 0.14, 0.1, 0.07, 0.05)
 SLOPE_TOL = 0.3
@@ -153,24 +153,22 @@ def sweep_A(params: ProblemParams, eps_grid=DEFAULT_EPS_GRID, *, tol: float = SL
 # Weighted seminorm of the truncated bubble: W(eps) - p0*Ks residual
 # ---------------------------------------------------------------------------
 
-def _shared_breaks(eps: float, eta: float, r_big: float) -> np.ndarray:
-    inner = geometric_refine(0.0, eta, toward=0.0, ratio=0.5, floor=max(eps * 1e-8, 1e-14))
-    shoulder = np.linspace(eta, 2.0 * eta, 9)
-    outer = geometric_refine(2.0 * eta, r_big, toward=2.0 * eta, ratio=0.5, floor=0.25)
-    return np.unique(np.concatenate([inner, shoulder, outer]))
-
-
 def _matched_seminorms(params: ProblemParams, eps: float, panels: PanelSpec | None):
-    """(W(eps), same-panel unweighted seminorm of the free bubble)."""
+    """(W(eps), same-panel unweighted seminorm of the free bubble).
+
+    By default W takes the truncated bubble's own panels, and the free
+    bubble the same panels continued past 2 eta toward r_big.
+    """
     n, s, eta = params.n, params.s, params.eta
     r_big = max(120.0, 10.0 ** (8.0 / (n - 2.0 * s)))
-    breaks = _shared_breaks(eps, eta, r_big)
     w = weight_from_params(params)
     ub = truncated_bubble(eps, s, n, eta)
     bub = Bubble(eps=eps, s=s, n=n)
     if panels is None:
-        inner_spec = PanelSpec(r_breaks=tuple(breaks[breaks <= 2.0 * eta]), estimate_error=False)
-        full_spec = PanelSpec(r_breaks=tuple(breaks), estimate_error=False)
+        inner_spec = PanelSpec(estimate_error=False)
+        tail = geometric_refine(2.0 * eta, r_big, toward=2.0 * eta, ratio=0.5, floor=0.25)
+        full = np.union1d(default_r_breaks(ub, 2.0 * eta), tail)
+        full_spec = PanelSpec(r_breaks=tuple(full), estimate_error=False)
     else:
         inner_spec = full_spec = panels
     wval = seminorm_radial(ub, w, n, s, 2.0 * eta, panels=inner_spec).value
@@ -334,12 +332,12 @@ class DeltaLemmaResult:
     trials: int
 
 
-def check_delta_lemma(k: float, R: float, trials: int = 100_000, seed: int = 0, *, gamma: float | None = None, dim: int = 3) -> DeltaLemmaResult:
+def check_delta_lemma(k: float, R: float, trials: int = 100_000, seed: int = 0, *, gamma: float | None = None) -> DeltaLemmaResult:
     """Sampled check of ||x|^{k/2} - |y|^{k/2}|^2 <= delta |x-y|^2.
 
-    Pairs are drawn with |x|, |y| <= R and |x - y| < gamma (default R/2);
-    delta = 2^{k-4} k^2 R^{k-2}.  Returns the worst observed ratio against
-    the bound (1.0 means the bound is attained).
+    Pairs of points in R^3 are drawn with |x|, |y| <= R and |x - y| < gamma
+    (default R/2); delta = 2^{k-4} k^2 R^{k-2}.  Returns the worst observed
+    ratio against the bound (1.0 means the bound is attained).
     """
     if k < 2.0 or R <= 0.0:
         raise ValueError("need k >= 2 and R > 0")
@@ -352,10 +350,10 @@ def check_delta_lemma(k: float, R: float, trials: int = 100_000, seed: int = 0, 
     remaining = trials
     while remaining > 0:
         m = min(remaining * 2, 200_000)
-        x = rng.standard_normal((m, dim))
-        x *= (R * rng.random(m) ** (1.0 / dim) / np.linalg.norm(x, axis=1))[:, None]
-        v = rng.standard_normal((m, dim))
-        v *= (gam * rng.random(m) ** (1.0 / dim) / np.linalg.norm(v, axis=1))[:, None]
+        x = rng.standard_normal((m, 3))
+        x *= (R * rng.random(m) ** (1.0 / 3) / np.linalg.norm(x, axis=1))[:, None]
+        v = rng.standard_normal((m, 3))
+        v *= (gam * rng.random(m) ** (1.0 / 3) / np.linalg.norm(v, axis=1))[:, None]
         y = x + v
         keep = np.linalg.norm(y, axis=1) <= R
         x, y = x[keep], y[keep]

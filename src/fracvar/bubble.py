@@ -161,12 +161,12 @@ def _lq_breaks(eps: float, eta: float | None, r_max: float) -> np.ndarray:
     return np.unique(np.concatenate(pieces))
 
 
-def lq_norm(profile, q: float, *, r_max: float | None = None, npts: int = 16) -> float:
+def lq_norm(profile, q: float, *, r_max: float | None = None) -> float:
     """\\int_{R^n} |profile|^q dx for a radial profile (relative accuracy ~1e-8).
 
     Works for both the truncated family (compact support, integrated exactly
     over it) and the free bubble (pass ``r_max``; default 1e3 bubble widths).
-    Gauss-Legendre panels are graded toward the origin at the eps scale and
+    16-point Gauss-Legendre panels are graded toward the origin at the eps scale and
     split at the cutoff shoulders where the integrand loses analyticity.
     """
     if q < 1.0:
@@ -186,6 +186,6 @@ def lq_norm(profile, q: float, *, r_max: float | None = None, npts: int = 16) ->
     if r_max is not None:
         top = min(top, r_max) if math.isfinite(top) else r_max
     breaks = _lq_breaks(eps, eta, top)
-    r, w = panel_nodes(breaks, npts)
+    r, w = panel_nodes(breaks, 16)
     vals = profile.radial_value(r) ** q
     return sphere_surface(n) * float(np.sum(w * vals * r ** (n - 1)))

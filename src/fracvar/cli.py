@@ -140,6 +140,10 @@ def _load_config(args):
     if not args.config:
         raise _UsageError("this command needs --config PATH")
     cfg = load_config(args.config)
+    if cfg.weight.variant != "TruncatedPower":
+        # every command rebuilds the weight from the parameters alone
+        raise ConfigError(f"weight.variant {cfg.weight.variant!r} is not supported by the commands; "
+                          "use TruncatedPower")
     if args.seed is not None:
         from dataclasses import replace
 

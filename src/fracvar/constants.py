@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._panels import geometric_refine, panel_nodes
+from ._panels import geometric_refine, gl_rule, panel_nodes
 
 #: smallest |tau - 1| accepted by the angular kernel (graded panels must stop here)
 TAU_FLOOR = 1e-6
@@ -78,7 +78,7 @@ def lebesgue_power_quadrature(n: int, alpha: float, npts: int = 16) -> float:
 # Angular kernel K(tau)
 # ---------------------------------------------------------------------------
 
-def kernel_batch(n: int, s: float, taus: np.ndarray, npts: int = 20) -> np.ndarray:
+def kernel_batch(n: int, s: float, taus: np.ndarray) -> np.ndarray:
     """Vectorized angular kernel on an array of ratios tau >= 0, tau != 1.
 
     K(tau) = sigma(S^{n-2}) * int_0^pi sin^{n-2}(t) *
@@ -87,7 +87,7 @@ def kernel_batch(n: int, s: float, taus: np.ndarray, npts: int = 20) -> np.ndarr
     The integrand peaks at t = 0 with width ~ |1 - tau|, so each tau gets
     theta-panels [0, w], [w, 2w], ... doubling up to pi with w = max(|1-tau|,
     1e-8).  The taus are bucketed by panel count so each bucket evaluates as
-    one broadcasted Gauss-Legendre sum.
+    one broadcasted 20-point Gauss-Legendre sum.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if np.any(taus < 0.0):
@@ -100,9 +100,7 @@ def kernel_batch(n: int, s: float, taus: np.ndarray, npts: int = 20) -> np.ndarr
     counts = np.ceil(np.log2(math.pi / widths)).astype(int)
     counts = np.maximum(counts, 1)
 
-    from ._panels import gl_rule
-
-    x01, w01 = gl_rule(npts)
+    x01, w01 = gl_rule(20)
     x01 = 0.5 * (x01 + 1.0)  # nodes on [0, 1]
     w01 = 0.5 * w01
 
@@ -122,20 +120,20 @@ def kernel_batch(n: int, s: float, taus: np.ndarray, npts: int = 20) -> np.ndarr
     return sig * out
 
 
-def angular_kernel_K(n: int, s: float, tau: float, *, floor: float = TAU_FLOOR, npts: int = 20) -> float:
-    """Angular kernel K(tau) for a single ratio.
+def angular_kernel_K(n: int, s: float, tau: float) -> float:
+    """Angular kernel K(tau) for a single ratio, by :func:`kernel_batch`.
 
     Satisfies K(0) = sigma(S^{n-1}), the inversion identity
     K(1/xi) = xi^(n+2s) K(xi), and K(tau) ~ sigma(S^{n-1}) tau^-(n+2s) at
     infinity.  Divergent at tau = 1; a :class:`SingularityError` is raised
-    for |tau - 1| below ``floor`` (integrate in tau with graded panels
+    for |tau - 1| below ``TAU_FLOOR`` (integrate in tau with graded panels
     instead of evaluating there).
     """
     if tau < 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    if abs(tau - 1.0) < floor:
-        raise SingularityError(f"kernel singular at tau = 1: |tau - 1| = {abs(tau - 1.0):.3e} < floor {floor:.1e}")
-    return float(kernel_batch(n, s, np.array([tau]), npts=npts)[0])
+    if abs(tau - 1.0) < TAU_FLOOR:
+        raise SingularityError(f"kernel singular at tau = 1: |tau - 1| = {abs(tau - 1.0):.3e} < {TAU_FLOOR:.1e}")
+    return float(kernel_batch(n, s, np.array([tau]))[0])
 
 
 def kernel_H(n: int, s: float, tau: float) -> float:
@@ -185,16 +183,8 @@ def _ks_numeric(n: int, s: float) -> float:
     from . import quad
     from .bubble import Bubble
 
-    U = Bubble(eps=1.0, s=s, n=n)
     r_max = max(120.0, 10.0 ** (8.0 / (n - 2.0 * s)))
-    breaks = np.concatenate(
-        [
-            geometric_refine(0.0, 1.0, toward=0.0, ratio=0.5, floor=1e-8),
-            geometric_refine(1.0, r_max, toward=1.0, ratio=0.5, floor=0.1),
-        ]
-    )
-    est = quad.seminorm_radial(U, None, n, s, r_max, panels=quad.PanelSpec(r_breaks=tuple(np.unique(breaks))))
-    return est.value
+    return quad.seminorm_radial(Bubble(eps=1.0, s=s, n=n), None, n, s, r_max).value
 
 
 @lru_cache(maxsize=None)

@@ -21,6 +21,8 @@ where wbar is the symmetrized weight (p(r) + p(rho))/2, the sliver models the
 band contributes delta^(2-2s)), and the outer fold accounts exactly for the
 pairs whose larger radius exceeds r_hi, where u vanishes.  The prefactor
 2 sigma(S^{n-1}) collects the ordered-pair doubling and the x'-sphere measure.
+The band width delta = ``DELTA`` and the floor ``T_FLOOR`` of the tau-panels
+at the origin are module constants.
 
 The Monte Carlo path is an independent oracle: pairs are sampled as
 x ~ uniform(box), y = x + z with |z| drawn from the density proportional to
@@ -31,7 +33,7 @@ box diameter.
 
 Neither kernel table of the pair form depends on the weight or the profile,
 so each is built once.  The core's tau row (nodes, ``tw * tau^(n-1) * K``
-and the sliver's K(1 - delta)) is cached per quadrature rule.  The outer
+and the sliver's band factor) is cached per quadrature rule.  The outer
 fold's table K(t) on its (inner radius, t) grid is cached per geometry in
 one slot tied to the profile last passed in, by weak reference: the
 seminorms of one profile under several weights, and its bilinear form,
@@ -59,9 +61,16 @@ class QuadratureError(RuntimeError):
     """Panel refinement failed to stabilize to the requested tolerance."""
 
 
+# DELTA is the width of the |tau - 1| band that the sliver models; T_FLOOR
+# bounds the t-panel next to the origin, in the core's tau rule and in the
+# outer fold's relative rule.
+DELTA = 1e-6
+T_FLOOR = 1e-9
+
+
 @dataclass(frozen=True)
 class PanelSpec:
-    """Panel layout knobs for the deterministic path.
+    """Panel layout of the deterministic path: Gauss-Legendre points per panel.
 
     ``r_breaks`` overrides the default profile-adapted radial panels.
     ``tol`` (absolute) turns the refinement estimate into a hard check.
@@ -69,9 +78,6 @@ class PanelSpec:
 
     n_r: int = 14
     n_t: int = 12
-    delta: float = 1e-6
-    t_floor: float = 1e-9
-    kernel_npts: int = 20
     r_breaks: tuple[float, ...] | None = None
     tol: float | None = None
     estimate_error: bool = True
@@ -142,23 +148,25 @@ def default_r_breaks(profile, r_hi: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _kernel_row(n: int, s: float, delta: float, t_floor: float, n_t: int, kernel_npts: int):
-    """The core's tau rule and the sliver's edge kernel, read-only.
+def _kernel_row(n: int, s: float, n_t: int):
+    """The core's tau rule and the sliver's band factor, read-only.
 
-    The tau-panels on (0, 1 - delta) are graded toward both endpoints.
+    The tau-panels on (0, 1 - DELTA) are graded toward both endpoints.
     Returns their nodes ``tn``, ``tau_fac = tw * tn**(n-1) * K(tn)`` and
-    ``k_edge = K(1 - delta)``.  None depends on the weight, the profile or
+    ``band = K(1 - DELTA) DELTA^(1+2s) DELTA^(2-2s) / (2-2s)``, the factor of
+    the sliver's Lipschitz model.  None depends on the weight, the profile or
     the radial panels, so every pair form and every assembly on the same
     rule shares one row.
     """
-    lo = geometric_refine(0.0, 0.5, toward=0.0, ratio=0.5, floor=t_floor)
-    hi = geometric_refine(0.5, 1.0 - delta, toward=1.0 - delta, ratio=0.5, floor=delta)
+    lo = geometric_refine(0.0, 0.5, toward=0.0, ratio=0.5, floor=T_FLOOR)
+    hi = geometric_refine(0.5, 1.0 - DELTA, toward=1.0 - DELTA, ratio=0.5, floor=DELTA)
     tn, tw = panel_nodes(np.unique(np.concatenate([lo, hi])), n_t)
-    tau_fac = tw * tn ** (n - 1) * kernel_batch(n, s, tn, npts=kernel_npts)
-    k_edge = float(kernel_batch(n, s, np.array([1.0 - delta]), npts=kernel_npts)[0])
+    tau_fac = tw * tn ** (n - 1) * kernel_batch(n, s, tn)
+    k_edge = float(kernel_batch(n, s, np.array([1.0 - DELTA]))[0])
+    band = k_edge * DELTA ** (1.0 + 2.0 * s) * DELTA ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
     tn.flags.writeable = False
     tau_fac.flags.writeable = False
-    return tn, tau_fac, k_edge
+    return tn, tau_fac, band
 
 
 @lru_cache(maxsize=8)
@@ -210,9 +218,9 @@ def _weight_fns(w):
 
 
 @lru_cache(maxsize=8)
-def _rel_outer_rule(t_floor: float, n_t: int):
+def _rel_outer_rule(n_t: int):
     """(first break, nodes, weights) of the outer fold's relative t-panels, read-only."""
-    lo = geometric_refine(0.0, 0.5, toward=0.0, ratio=0.5, floor=t_floor)
+    lo = geometric_refine(0.0, 0.5, toward=0.0, ratio=0.5, floor=T_FLOOR)
     hi = geometric_refine(0.5, 1.0, toward=1.0, ratio=0.5, floor=1e-7)
     rel = np.unique(np.concatenate([lo, hi]))
     rel = rel[rel > 0.0] if rel[0] == 0.0 else rel
@@ -222,14 +230,13 @@ def _rel_outer_rule(t_floor: float, n_t: int):
     return float(rel[0]), reln, relw
 
 
-def _fold_kernel(n: int, s: float, rn: np.ndarray, *, r_hi: float, n_t: int, delta: float,
-                 t_floor: float) -> np.ndarray:
-    """The outer fold's kernel table K(t) at t = min(rn/r_hi, 1-delta) * rel node, read-only.
+def _fold_kernel(n: int, s: float, rn: np.ndarray, *, r_hi: float, n_t: int) -> np.ndarray:
+    """The outer fold's kernel table K(t) at t = min(rn/r_hi, 1-DELTA) * rel node, read-only.
 
     It depends on the geometry only, not on the weight or the profile.
     """
-    _, reln, _ = _rel_outer_rule(t_floor, n_t)
-    kvT = _kernel_interp(n, float(s))(np.minimum(rn / r_hi, 1.0 - delta)[:, None] * reln[None, :])
+    _, reln, _ = _rel_outer_rule(n_t)
+    kvT = _kernel_interp(n, float(s))(np.minimum(rn / r_hi, 1.0 - DELTA)[:, None] * reln[None, :])
     kvT.flags.writeable = False
     return kvT
 
@@ -248,43 +255,30 @@ def _drop_fold_tables(ref) -> None:
         _fold_slot[:] = [None, {}]
 
 
-def _profile_fold_kernel(profile, n: int, s: float, rn: np.ndarray, *, r_hi: float, n_t: int,
-                         delta: float, t_floor: float) -> np.ndarray:
+def _profile_fold_kernel(profile, n: int, s: float, rn: np.ndarray, *, r_hi: float, n_t: int) -> np.ndarray:
     """:func:`_fold_kernel`, kept in the slot of ``profile`` for its lifetime.
 
     A profile that takes no weak reference gets a table for the call only.
     """
-    geom = dict(r_hi=r_hi, n_t=n_t, delta=delta, t_floor=t_floor)
     ref, tables = _fold_slot
     if ref is None or ref() is not profile:
         try:
             ref = weakref.ref(profile, _drop_fold_tables)
         except TypeError:
-            return _fold_kernel(n, s, rn, **geom)
+            return _fold_kernel(n, s, rn, r_hi=r_hi, n_t=n_t)
         tables = {}
         _fold_slot[:] = [ref, tables]
-    key = (n, float(s), r_hi, rn.tobytes(), n_t, delta, t_floor)
+    key = (n, float(s), r_hi, rn.tobytes(), n_t)
     kvT = tables.get(key)
     if kvT is None:
         if len(tables) == _FOLD_TABLES:
             del tables[next(iter(tables))]
-        kvT = tables[key] = _fold_kernel(n, s, rn, **geom)
+        kvT = tables[key] = _fold_kernel(n, s, rn, r_hi=r_hi, n_t=n_t)
     return kvT
 
 
-def _outer_fold(
-    rn: np.ndarray,
-    wfun,
-    wfar: float,
-    n: int,
-    s: float,
-    kvT: np.ndarray,
-    *,
-    r_hi: float,
-    n_t: int,
-    delta: float,
-    t_floor: float,
-) -> np.ndarray:
+def _outer_fold(rn: np.ndarray, wfun, wfar: float, n: int, s: float, kvT: np.ndarray, *,
+                r_hi: float, n_t: int) -> np.ndarray:
     """Tail factor for pairs whose larger radius exceeds r_hi.
 
     For each inner radius ``rn[i]`` this is the exact t = r/rho fold of the
@@ -300,8 +294,8 @@ def _outer_fold(
     """
     two_s = 2.0 * s
     sig = sphere_surface(n)
-    rel0, reln, relw = _rel_outer_rule(t_floor, n_t)
-    t_hi = np.minimum(rn / r_hi, 1.0 - delta)
+    rel0, reln, relw = _rel_outer_rule(n_t)
+    t_hi = np.minimum(rn / r_hi, 1.0 - DELTA)
     T = t_hi[:, None] * reln[None, :]
     wr = wfun(rn)
     with np.errstate(divide="ignore", over="ignore"):
@@ -321,32 +315,16 @@ def _outer_fold(
     return fold
 
 
-def _pair_form(
-    pa,
-    pb,
-    wfun,
-    wfar: float,
-    n: int,
-    s: float,
-    r_breaks: np.ndarray,
-    *,
-    r_hi: float,
-    include_outer: bool,
-    n_r: int,
-    n_t: int,
-    delta: float,
-    t_floor: float,
-    kernel_npts: int,
-) -> float:
+def _pair_form(pa, pb, wfun, wfar: float, n: int, s: float, r_breaks: np.ndarray, *, r_hi: float,
+               include_outer: bool, n_r: int, n_t: int) -> float:
     two_s = 2.0 * s
     sig = sphere_surface(n)
 
+    # Gauss-Legendre nodes are interior, so every rn > 0
     rn, rw = panel_nodes(r_breaks, n_r)
-    keep = rn > 0.0
-    rn, rw = rn[keep], rw[keep]
 
     # --- core ---------------------------------------------------------
-    tn, tau_fac, k_edge = _kernel_row(n, s, delta, t_floor, n_t, kernel_npts)
+    tn, tau_fac, band = _kernel_row(n, s, n_t)
     inner_r = rn[:, None] * tn[None, :]
     ua = pa.radial_value(rn)
     ub = ua if pb is pa else pb.radial_value(rn)
@@ -362,7 +340,6 @@ def _pair_form(
     core = float(np.einsum("i,ij->", r_fac, wb))
 
     # --- sliver -------------------------------------------------------
-    band = k_edge * delta ** (1.0 + two_s) * delta ** (2.0 - two_s) / (2.0 - two_s)
     sliver = band * float(
         np.sum(rw * wfun(rn) * pa.radial_deriv(rn) * pb.radial_deriv(rn) * rn ** (n + 1.0 - two_s))
     )
@@ -371,7 +348,7 @@ def _pair_form(
 
     # --- outer --------------------------------------------------------
     if include_outer:
-        geom = dict(r_hi=r_hi, n_t=n_t, delta=delta, t_floor=t_floor)
+        geom = dict(r_hi=r_hi, n_t=n_t)
         fold = _outer_fold(rn, wfun, wfar, n, s, _profile_fold_kernel(pa, n, s, rn, **geom), **geom)
         total += float(np.sum(rw * ua * ub * rn ** (n - 1.0 - two_s) * fold))
 
@@ -384,15 +361,7 @@ def _halved(breaks: np.ndarray) -> np.ndarray:
 
 
 def _run_pair_form(pa, pb, wfun, wfar, n, s, r_breaks, *, r_hi, include_outer, spec: PanelSpec):
-    kwargs = dict(
-        r_hi=r_hi,
-        include_outer=include_outer,
-        n_r=spec.n_r,
-        n_t=spec.n_t,
-        delta=spec.delta,
-        t_floor=spec.t_floor,
-        kernel_npts=spec.kernel_npts,
-    )
+    kwargs = dict(r_hi=r_hi, include_outer=include_outer, n_r=spec.n_r, n_t=spec.n_t)
     coarse = _pair_form(pa, pb, wfun, wfar, n, s, r_breaks, **kwargs)
     npanels = len(r_breaks) - 1
     if not spec.estimate_error:
@@ -479,11 +448,12 @@ def ball_restricted_form(u, weight_fn, n: int, s: float, r_hi: float, panels: Pa
 # Radial power integrals and energies
 # ---------------------------------------------------------------------------
 
-def radial_power_integral(u, expo: float, n: int, *, r_max: float | None = None, npts: int = 16) -> float:
-    """\\int |u|^expo dx for a radial profile, by graded Gauss-Legendre panels.
+def radial_power_integral(u, expo: float, n: int, *, r_max: float | None = None) -> float:
+    """\\int |u|^expo dx for a radial profile, by graded 16-point Gauss-Legendre panels.
 
     Bubbles and truncated bubbles go through :func:`fracvar.bubble.lq_norm`,
-    whose panels follow the eps-scale peak and the cutoff shoulders.
+    whose panels follow the eps-scale peak and the cutoff shoulders; any
+    other profile takes the generic panels of :func:`default_r_breaks`.
     """
     prof = as_profile(u, r_max if r_max is not None else math.inf)
     top = prof.support if math.isfinite(prof.support) else r_max
@@ -492,15 +462,10 @@ def radial_power_integral(u, expo: float, n: int, *, r_max: float | None = None,
     if isinstance(u, (Bubble, TruncatedBubble)):
         if n != (u.n if isinstance(u, Bubble) else u.bubble.n):
             raise ValueError("dimension n does not match the bubble's")
-        return lq_norm(u, expo, r_max=r_max, npts=npts)
+        return lq_norm(u, expo, r_max=r_max)
     if r_max is not None:
         top = min(top, r_max)
-    breaks = np.unique(
-        np.concatenate(
-            [geometric_refine(0.0, top, toward=0.0, ratio=0.5, floor=top * 1e-10), np.linspace(0.0, top, 33)]
-        )
-    )
-    r, wq = panel_nodes(breaks, npts)
+    r, wq = panel_nodes(default_r_breaks(prof, top), 16)
     vals = np.abs(prof.radial_value(r)) ** expo
     return sphere_surface(n) * float(np.sum(wq * vals * r ** (n - 1)))
 

@@ -110,12 +110,12 @@ class RadialField:
         return self.radial_value(r)
 
 
-def make_grid(R: float, M: int = 128, ratio: float = 1.05) -> np.ndarray:
-    """Radial nodes 0, R*ratio^(1-M), ..., R: geometric clustering toward 0."""
-    if M < 4 or R <= 0.0 or ratio <= 1.0:
-        raise ValueError("need M >= 4, R > 0 and ratio > 1")
+def make_grid(R: float, M: int = 128) -> np.ndarray:
+    """Radial nodes 0, R*1.05^(1-M), ..., R: geometric clustering toward 0."""
+    if M < 4 or R <= 0.0:
+        raise ValueError("need M >= 4 and R > 0")
     j = np.arange(1, M + 1, dtype=float)
-    return np.concatenate([[0.0], R * ratio ** (j - M)])
+    return np.concatenate([[0.0], R * 1.05 ** (j - M)])
 
 
 def interpolate_field(profile, nodes: np.ndarray) -> RadialField:
@@ -185,49 +185,20 @@ class StiffnessOperator:
         return sla.cho_solve(self.cho, np.asarray_chkfinite(b), check_finite=False)
 
 
-def _mass_factor(nodes: np.ndarray, n: int, npts: int):
-    """Rows of the exact mass quadrature: per-interval GL on phi_i phi_j r^(n-1)."""
-    h = np.diff(nodes)
-    xg, wg = gl_rule(npts)
-    x01 = 0.5 * (xg + 1.0)
-    w01 = 0.5 * wg
-    r = (nodes[:-1][:, None] + h[:, None] * x01[None, :]).ravel()
-    c = (h[:, None] * w01[None, :]).ravel() * sphere_surface(n) * r ** (n - 1)
-    return r, c
-
-
 def _sparse_gram(rows, cols, vals, nrows: int, ncols: int) -> np.ndarray:
     X = csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(nrows, ncols))
     G = (X.T @ X).toarray()
     return 0.5 * (G + G.T)
 
 
-def assemble(
-    params: ProblemParams,
-    grid,
-    *,
-    n_r: int = 4,
-    n_t: int = 10,
-    delta: float = 1e-6,
-    t_floor: float = 1e-9,
-    kernel_npts: int = 20,
-    mass_npts: int | None = None,
-    tol: float | None = None,
-) -> StiffnessOperator:
-    """Assemble the weighted Gagliardo stiffness and the mass matrix.
+def _stiffness(params: ProblemParams, nodes: np.ndarray, n_r: int, n_t: int) -> tuple[np.ndarray, int]:
+    """The weighted Gagliardo stiffness on the hat basis and its number of quadrature rows.
 
-    ``grid`` is either a node array or an integer M (expanded through
-    :func:`make_grid` with the problem radius).  ``tol`` triggers a second
-    assembly at finer quadrature and compares a probe quadratic form; a
-    relative shift above ``tol`` raises :class:`SolverError`.
+    ``n_r`` Gauss-Legendre points per grid interval, ``n_t`` per tau-panel.
     """
-    nodes = make_grid(params.R, int(grid)) if np.isscalar(grid) else np.asarray(grid, dtype=float)
-    if nodes.ndim != 1 or len(nodes) < 5 or nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0.0):
-        raise ValueError("grid must be increasing nodes starting at 0 with at least 4 intervals")
     M = len(nodes) - 1
     n, s = params.n, params.s
     two_s = 2.0 * s
-    sig = sphere_surface(n)
     wfun, wfar = _weight_fns(weight_from_params(params))
 
     rn, rw = panel_nodes(nodes, n_r)
@@ -235,7 +206,7 @@ def assemble(
     nr = len(rn)
 
     # core rows: one per (r-node, tau-node) ordered pair
-    tn, tau_fac, k_edge = _kernel_row(n, s, delta, t_floor, n_t, kernel_npts)
+    tn, tau_fac, band = _kernel_row(n, s, n_t)
     inner = (rn[:, None] * tn[None, :]).ravel()
     wb = 0.5 * (wfun(rn)[:, None] + wfun(inner).reshape(nr, -1))
     sq = np.sqrt((rw * rn ** (n - 1.0 - two_s))[:, None] * tau_fac[None, :] * wb).ravel()
@@ -248,7 +219,6 @@ def assemble(
     base = nr * nt
 
     # sliver rows: the |tau - 1| < delta band through the Lipschitz model
-    band = k_edge * delta ** (1.0 + two_s) * delta ** (2.0 - two_s) / (2.0 - two_s)
     sq_sl = np.sqrt(band * rw * wfun(rn) * rn ** (n + 1.0 - two_s))
     j = np.clip(np.searchsorted(nodes, rn, side="right") - 1, 0, M - 1)
     inv_h = 1.0 / (nodes[j + 1] - nodes[j])
@@ -260,7 +230,8 @@ def assemble(
     base += nr
 
     # outer rows: pairs whose far radius exceeds R, where the field vanishes
-    geom = dict(r_hi=nodes[-1], n_t=n_t, delta=delta, t_floor=t_floor)
+    # the kernel table (about 8 MB at M = 512) dies before the Gram product
+    geom = dict(r_hi=nodes[-1], n_t=n_t)
     fold = _outer_fold(rn, wfun, wfar, n, s, _fold_kernel(n, s, rn, **geom), **geom)
     sq_out = np.sqrt(rw * rn ** (n - 1.0 - two_s) * fold)
     out_rows = base + np.arange(nr)
@@ -269,12 +240,32 @@ def assemble(
     vals += [va0 * sq_out, va1 * sq_out]
     base += nr
 
-    A = 2.0 * sig * _sparse_gram(rows, cols, vals, base, M)
+    return 2.0 * sphere_surface(n) * _sparse_gram(rows, cols, vals, base, M), base
 
-    m_npts = mass_npts if mass_npts is not None else max(8, n // 2 + 2)
-    rm, cm = _mass_factor(nodes, n, m_npts)
+
+def assemble(params: ProblemParams, grid, *, tol: float | None = None) -> StiffnessOperator:
+    """Assemble the weighted Gagliardo stiffness and the mass matrix.
+
+    ``grid`` is either a node array or an integer M (expanded through
+    :func:`make_grid` with the problem radius).  The stiffness takes 4
+    Gauss-Legendre points per interval and 10 per tau-panel; the mass
+    matrix is exact, by the 8-point :func:`grid_rule` (more from n = 14).
+    ``tol`` triggers a second stiffness at 6 and 14 points and compares a
+    probe quadratic form; a relative shift above ``tol`` raises
+    :class:`SolverError`.
+    """
+    nodes = make_grid(params.R, int(grid)) if np.isscalar(grid) else np.asarray(grid, dtype=float)
+    if nodes.ndim != 1 or len(nodes) < 5 or nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0.0):
+        raise ValueError("grid must be increasing nodes starting at 0 with at least 4 intervals")
+    M = len(nodes) - 1
+    n = params.n
+    A, n_rows = _stiffness(params, nodes, 4, 10)
+
+    # the mass rows: per-interval Gauss-Legendre on phi_i phi_j r^(n-1)
+    mass = grid_rule(nodes, n, max(8, n // 2 + 2))
+    rm = (nodes[:-1][:, None] + np.diff(nodes)[:, None] * mass.x01).ravel()
     im0, wm0, im1, wm1 = _hat_at(nodes, rm)
-    sq_m = np.sqrt(cm)
+    sq_m = np.sqrt(mass.wq.ravel() * mass.sig * mass.rn1.ravel())
     mrows = np.arange(len(rm))
     Mq = _sparse_gram([mrows, mrows], [im0, im1], [wm0 * sq_m, wm1 * sq_m], len(rm), M)
 
@@ -286,22 +277,12 @@ def assemble(
             raise SolverError(f"{name} matrix is not positive definite: quadrature under-resolved") from exc
     # the mass factor only certifies positive definiteness; A's is kept
 
-    meta = {
-        "intervals": float(M),
-        "n_r": float(n_r),
-        "n_t": float(n_t),
-        "tau_panels": float(len(tn) // n_t),
-        "quadrature_rows": float(base),
-        "probe_rel_err": math.nan,
-    }
+    meta = {"intervals": float(M), "quadrature_rows": float(n_rows), "probe_rel_err": math.nan}
     if tol is not None:
-        fine = assemble(
-            params, nodes, n_r=n_r + 2, n_t=n_t + 4, delta=delta, t_floor=t_floor,
-            kernel_npts=kernel_npts, mass_npts=m_npts,
-        )
-        probe = interpolate_field(truncated_bubble(0.2, s, n, eta=params.eta), nodes).dofs
+        fine, _ = _stiffness(params, nodes, 6, 14)
+        probe = interpolate_field(truncated_bubble(0.2, params.s, n, eta=params.eta), nodes).dofs
         qa = float(probe @ A @ probe)
-        qf = float(probe @ fine.A @ probe)
+        qf = float(probe @ fine @ probe)
         rel = abs(qa - qf) / abs(qf)
         meta["probe_rel_err"] = rel
         if rel > tol:
@@ -543,7 +524,7 @@ def minimize_S(
     )
 
     field = _with_dofs(nodes, u)
-    resid = abs(power_integral(field, qs, params.n) ** (1.0 / qs) - 1.0)
+    resid = abs(op.rule.integral(op.rule.interpolate(u), qs) ** (1.0 / qs) - 1.0)
     return MinimizeResult(
         field=field,
         energy=E,
@@ -605,10 +586,11 @@ def euler_residual(params: ProblemParams, op: StiffnessOperator, field: RadialFi
     At a constrained minimizer the multiplier is pinned by contracting the
     stationarity equation with u itself, giving
     2 A u - 2 lam Mq u - (2 S / q_s) * grad \\int |u|^{q_s} = 0; the returned
-    value is the norm of that vector relative to ||2 A u||.
+    value is the norm of that vector relative to ||2 A u||.  ``field``
+    lives on the grid of ``op``, whose rule integrates the constraint.
     """
     qs = critical_exponent(params.n, params.s)
     u = field.dofs
-    grad_c = power_gradient(field, qs, params.n)
+    grad_c = op.rule.gradient(op.rule.interpolate(u), qs)
     r = 2.0 * (op.A @ u) - 2.0 * params.lam * (op.Mq @ u) - (2.0 * S_value / qs) * grad_c
     return float(np.linalg.norm(r) / np.linalg.norm(2.0 * (op.A @ u)))

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracvar import verifysuite
+from fracvar import asymptotics, verifysuite
 from fracvar.cli import main
 from fracvar.problem import load_config
 from fracvar.verifysuite import run_all
@@ -124,6 +124,22 @@ def test_07_energy_dip_signature(battery):
     assert d["constraint_residual"] <= 1e-8
     assert d["lam0_min_energy"] >= d["level"] - 1e-3
     assert r.seconds < 600.0
+
+
+def test_07_sweeps_the_ball_form_once(monkeypatch):
+    # the lam = 0 energy sweep reuses the dip sweep's C_fit: sweep_A reads
+    # only (n, s, k, eta), which the two regimes share
+    calls = []
+    real = asymptotics.sweep_A
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "sweep_A", counting)
+    ok, _ = verifysuite.check_energy_dip(load_config(DEFAULT_CFG).params)
+    assert ok
+    assert len(calls) == 1
 
 
 def test_08_first_eigenvalue(battery):

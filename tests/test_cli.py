@@ -90,6 +90,21 @@ def test_malformed_config_exits_1(tmp_path, capsys):
     assert "ConfigError" in err
 
 
+@pytest.mark.parametrize("weight_lines", [
+    "weight.variant = Constant\n",
+    "weight.variant = TabulatedRadial\nweight.table = 0:1.0, 1:1.2, 2:1.0\n",
+], ids=["Constant", "TabulatedRadial"])
+def test_weight_variants_the_commands_ignore_exit_1(tmp_path, capsys, weight_lines):
+    # every command rebuilds a TruncatedPower weight (default.cfg's variant,
+    # which the other CLI tests run), so another variant is refused
+    cfg = tmp_path / "variant.cfg"
+    cfg.write_text(Path(DEFAULT_CFG).read_text().replace("weight.variant = TruncatedPower\n", weight_lines))
+    for command in ("validate", "eigen"):
+        rc, out, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path))
+        assert (rc, out) == (1, "")
+        assert "ConfigError" in err and "TruncatedPower" in err
+
+
 def test_bubble_point_values(capsys):
     rc, out, _ = run(capsys, "bubble", "--eps", "0.2", "--x", "0.5")
     assert rc == 0

@@ -123,6 +123,15 @@ def test_seminorm_constant_across_regimes(n, s, ks):
     assert bubble_constants(n, s).Ks == pytest.approx(ks, rel=2e-7)
 
 
+@pytest.mark.parametrize(
+    "n,s,ks_hex",
+    [(6, 0.5, "0x1.55d3c7e9d9ad7p+6"), (4, 0.3, "0x1.353c378c89854p+7"), (3, 0.2, "0x1.647637193ba09p+7")],
+)
+def test_seminorm_constant_exact_bits(n, s, ks_hex):
+    # the unit bubble on its default panels, bit for bit
+    assert bubble_constants(n, s).Ks.hex() == ks_hex
+
+
 def test_sharp_constant_closed_form_agrees():
     for n, s in [(6, 0.5), (5, 0.5), (3, 0.2)]:
         assert bubble_constants(n, s).Ss == pytest.approx(sharp_constant_reference(n, s), rel=2e-7)

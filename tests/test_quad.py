@@ -262,6 +262,13 @@ def test_getoor_profile_exact_value():
     assert (est.value.hex(), est.abs_error.hex()) == ("0x1.d3438f8383fe7p+8", "0x1.a09ce98d6c000p-6")
 
 
+def test_callable_power_integral_exact_value():
+    # a plain callable takes the generic panels of default_r_breaks
+    getoor = lambda r: np.maximum(1.0 - r * r, 0.0) ** 0.25  # noqa: E731
+    got = [radial_power_integral(getoor, expo, 6, r_max=1.0).hex() for expo in (12.0 / 5.5, 2.0)]
+    assert got == ["0x1.1c8e2cfdb522dp+1", "0x1.2e62bf7f08ad7p+1"]
+
+
 def test_spline_surrogate_runs_once_per_geometry(monkeypatch):
     # three weights x (coarse + fine) and the bilinear form share the
     # coarse and the fine fold tables of one profile

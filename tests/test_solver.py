@@ -182,6 +182,20 @@ def test_assembly_probe_tolerance():
     assert op.meta["probe_rel_err"] < 1e-3
 
 
+def test_assembly_probe_factors_only_the_operator(monkeypatch):
+    # the finer probe stiffness is compared, never factored
+    calls = []
+    real = sla.cho_factor
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "cho_factor", counting)
+    assemble(P, 32, tol=0.1)
+    assert len(calls) == 2  # A and Mq of the operator itself
+
+
 def test_first_eigenvalue_against_dense_solver(op128):
     lam1, field = first_eigenvalue(op128)
     oracle = sla.eigh(op128.A, op128.Mq, subset_by_index=[0, 0], eigvals_only=True)[0]
