@@ -56,7 +56,6 @@ from .problem import (
     weight_from_params,
 )
 from .quad import (
-    PanelSpec,
     QuadratureError,
     SeminormEstimate,
     bilinear_radial,
@@ -101,7 +100,7 @@ __all__ = [
     "Bubble", "TruncatedBubble", "eval_U", "eval_u", "lq_norm",
     "truncated_bubble",
     # quad
-    "PanelSpec", "QuadratureError", "SeminormEstimate", "bilinear_radial",
+    "QuadratureError", "SeminormEstimate", "bilinear_radial",
     "mc_reference_ks", "radial_power_integral", "seminorm_mc",
     "seminorm_radial", "weighted_energy",
     # asymptotics

@@ -2,8 +2,9 @@
 
 Each sweep evaluates a quantity on a decreasing grid of bubble widths and
 fits a power law in log-log coordinates.  Rates are contaminated by
-higher-order terms at desk-scale epsilon, hence the generous default
-slope tolerance.
+higher-order terms at desk-scale epsilon, hence the generous slope
+tolerance ``SLOPE_TOL``, shared by every sweep.  Grids stop at
+``EPS_FLOOR``: the default panels are not tuned below it.
 
 Residual sweeps subtract the same-resolution quadrature of the untruncated
 bubble rather than an externally supplied constant: the unweighted seminorm
@@ -26,7 +27,7 @@ from ._panels import geometric_refine, panel_nodes
 from .bubble import Bubble, lq_norm, truncated_bubble
 from .constants import bubble_constants, sphere_surface
 from .problem import ProblemParams, weight_from_params
-from .quad import PanelSpec, ball_restricted_form, default_r_breaks, seminorm_radial
+from .quad import ball_restricted_form, bilinear_radial, default_r_breaks
 
 DEFAULT_EPS_GRID = (0.4, 0.28, 0.2, 0.14, 0.1, 0.07, 0.05)
 SLOPE_TOL = 0.3
@@ -79,20 +80,18 @@ def fit_rate(eps, values):
     return float(slope), float(intercept), float(r2)
 
 
-def _check_grid(eps_grid, panels) -> tuple[float, ...]:
+def _check_grid(eps_grid) -> tuple[float, ...]:
     grid = tuple(float(e) for e in eps_grid)
     if len(grid) < 4:
         raise ValueError("sweep grids need at least 4 points")
-    if min(grid) < EPS_FLOOR and panels is None:
-        raise ValueError(
-            f"eps below {EPS_FLOOR} needs an explicit panel budget (pass panels=...)"
-        )
+    if min(grid) < EPS_FLOOR:
+        raise ValueError(f"eps below {EPS_FLOOR} needs hand-tuned panels; refusing")
     return grid
 
 
-def _fit_report(quantity, grid, values, fit_values, claimed, tol, extras=None, side_ok=True):
+def _fit_report(quantity, grid, values, fit_values, claimed, extras=None, side_ok=True):
     slope, intercept, r2 = fit_rate(grid, fit_values)
-    passed = bool(abs(slope - claimed) <= tol and r2 >= R2_FLOOR and side_ok)
+    passed = bool(abs(slope - claimed) <= SLOPE_TOL and r2 >= R2_FLOOR and side_ok)
     return SweepReport(
         quantity=quantity,
         eps_grid=grid,
@@ -102,7 +101,7 @@ def _fit_report(quantity, grid, values, fit_values, claimed, tol, extras=None, s
         fit_r2=r2,
         claimed_rate=claimed,
         passed=passed,
-        tolerance=tol,
+        tolerance=SLOPE_TOL,
         extras=extras or {},
     )
 
@@ -116,7 +115,7 @@ def _bubble_ball_breaks(eps: float, r_hi: float) -> np.ndarray:
     return np.unique(np.concatenate([core, np.linspace(0.0, r_hi, 9)]))
 
 
-def ball_weighted_form(params: ProblemParams, eps: float, panels: PanelSpec | None = None) -> float:
+def ball_weighted_form(params: ProblemParams, eps: float) -> float:
     """A_{s,k,eps}: both radii restricted to the cutoff core ball of radius eta."""
     k = float(params.k)
     bub = Bubble(eps=eps, s=params.s, n=params.n)
@@ -124,26 +123,25 @@ def ball_weighted_form(params: ProblemParams, eps: float, panels: PanelSpec | No
     def wk(r):
         return np.asarray(r, dtype=float) ** k
 
-    spec = panels or PanelSpec(r_breaks=tuple(_bubble_ball_breaks(eps, params.eta)), estimate_error=False)
-    return ball_restricted_form(bub, wk, params.n, params.s, params.eta, panels=spec)
+    return ball_restricted_form(bub, wk, params.n, params.s, params.eta,
+                                r_breaks=_bubble_ball_breaks(eps, params.eta))
 
 
-def sweep_A(params: ProblemParams, eps_grid=DEFAULT_EPS_GRID, *, tol: float = SLOPE_TOL, panels=None) -> SweepReport:
+def sweep_A(params: ProblemParams, eps_grid=DEFAULT_EPS_GRID) -> SweepReport:
     """Growth of the |x|^k pair form: bounded multiple of eps^{2s}."""
-    grid = _check_grid(eps_grid, panels)
-    values = [ball_weighted_form(params, e, panels) for e in grid]
+    grid = _check_grid(eps_grid)
+    values = [ball_weighted_form(params, e) for e in grid]
     two_s = 2.0 * params.s
     scaled = np.asarray(values) / np.asarray(grid) ** two_s
     ratio = float(scaled.max() / scaled.min())
     slope, intercept, _ = fit_rate(grid, values)
-    side_ok = ratio <= 10.0 and slope >= two_s - tol
+    side_ok = ratio <= 10.0 and slope >= two_s - SLOPE_TOL
     return _fit_report(
         "ball_weighted_form",
         grid,
         values,
         values,
         two_s,
-        tol,
         extras={"scaled_ratio": ratio, "C_fit": math.exp(intercept)},
         side_ok=side_ok,
     )
@@ -153,39 +151,34 @@ def sweep_A(params: ProblemParams, eps_grid=DEFAULT_EPS_GRID, *, tol: float = SL
 # Weighted seminorm of the truncated bubble: W(eps) - p0*Ks residual
 # ---------------------------------------------------------------------------
 
-def _matched_seminorms(params: ProblemParams, eps: float, panels: PanelSpec | None):
-    """(W(eps), same-panel unweighted seminorm of the free bubble).
+def _matched_seminorms(params: ProblemParams, eps: float):
+    """(W(eps), same-panel unweighted seminorm of the free bubble), single passes.
 
-    By default W takes the truncated bubble's own panels, and the free
-    bubble the same panels continued past 2 eta toward r_big.
+    W takes the truncated bubble's own panels, and the free bubble the same
+    panels continued past 2 eta toward r_big.
     """
     n, s, eta = params.n, params.s, params.eta
     r_big = max(120.0, 10.0 ** (8.0 / (n - 2.0 * s)))
     w = weight_from_params(params)
     ub = truncated_bubble(eps, s, n, eta)
     bub = Bubble(eps=eps, s=s, n=n)
-    if panels is None:
-        inner_spec = PanelSpec(estimate_error=False)
-        tail = geometric_refine(2.0 * eta, r_big, toward=2.0 * eta, ratio=0.5, floor=0.25)
-        full = np.union1d(default_r_breaks(ub, 2.0 * eta), tail)
-        full_spec = PanelSpec(r_breaks=tuple(full), estimate_error=False)
-    else:
-        inner_spec = full_spec = panels
-    wval = seminorm_radial(ub, w, n, s, 2.0 * eta, panels=inner_spec).value
-    ks_matched = seminorm_radial(bub, None, n, s, r_big, panels=full_spec).value
+    tail = geometric_refine(2.0 * eta, r_big, toward=2.0 * eta, ratio=0.5, floor=0.25)
+    full = np.union1d(default_r_breaks(ub, 2.0 * eta), tail)
+    wval = bilinear_radial(ub, ub, w, n, s, 2.0 * eta)
+    ks_matched = bilinear_radial(bub, bub, None, n, s, r_big, r_breaks=full)
     return wval, ks_matched
 
 
-def sweep_weighted_seminorm(params: ProblemParams, eps_grid=DEFAULT_EPS_GRID, *, tol: float = SLOPE_TOL, panels=None) -> SweepReport:
+def sweep_weighted_seminorm(params: ProblemParams, eps_grid=DEFAULT_EPS_GRID) -> SweepReport:
     """Residual of the weighted truncated-bubble seminorm above p0*Ks.
 
     For kappa > 0 the weight bump contributes at rate 2s; with a constant
     weight (kappa = 0) only the truncation remains, at rate n - 2s.
     """
-    grid = _check_grid(eps_grid, panels)
+    grid = _check_grid(eps_grid)
     values, residuals = [], []
     for e in grid:
-        wval, ks_m = _matched_seminorms(params, e, panels)
+        wval, ks_m = _matched_seminorms(params, e)
         values.append(wval)
         residuals.append(wval - params.p0 * ks_m)
     claimed = 2.0 * params.s if params.kappa > 0.0 else params.n - 2.0 * params.s
@@ -200,7 +193,6 @@ def sweep_weighted_seminorm(params: ProblemParams, eps_grid=DEFAULT_EPS_GRID, *,
         values,
         [abs(r) for r in residuals],
         claimed,
-        tol,
         extras=extras,
         side_ok=positive,
     )
@@ -214,8 +206,6 @@ def sweep_energy(
     params: ProblemParams,
     eps_grid=DEFAULT_EPS_GRID,
     *,
-    tol: float = SLOPE_TOL,
-    panels=None,
     c_fit: float | None = None,
 ) -> SweepReport:
     """E_lambda of the critically normalized truncated bubble across the grid.
@@ -226,7 +216,7 @@ def sweep_energy(
     """
     if params.q != 2.0:
         raise ValueError("energy sweep is defined for the q = 2 form")
-    grid = _check_grid(eps_grid, panels)
+    grid = _check_grid(eps_grid)
     n, s, lam = params.n, params.s, params.lam
     cs = bubble_constants(n, s)
     w = weight_from_params(params)
@@ -235,13 +225,13 @@ def sweep_energy(
     for e in grid:
         ub = truncated_bubble(e, s, n, params.eta)
         tnorm = lq_norm(ub, cs.q_s) ** (1.0 / cs.q_s)
-        semi = seminorm_radial(ub, w, n, s, ub.support, panels=panels or PanelSpec(estimate_error=False)).value
+        semi = bilinear_radial(ub, ub, w, n, s, ub.support)
         l2 = lq_norm(ub, 2.0)
         energy = (semi - lam * l2) / tnorm**2
         values.append(energy)
         residuals.append(energy - level)
     if c_fit is None:
-        c_fit = sweep_A(params, grid, tol=tol, panels=panels).extras["C_fit"]
+        c_fit = sweep_A(params, grid).extras["C_fit"]
     threshold = math.inf if c_fit <= 0.0 else lam * cs.K2s / (c_fit * cs.Kqs ** (2.0 / cs.q_s))
     dip_expected = params.kappa < threshold and lam > 0.0
     sign_ok = all(r < 0.0 for r in residuals) if dip_expected else True
@@ -251,7 +241,6 @@ def sweep_energy(
         values,
         [abs(r) for r in residuals],
         2.0 * s,
-        tol,
         extras={
             "kappa_threshold": threshold,
             "C_fit": c_fit,
@@ -299,13 +288,13 @@ def _critical_mass_deficit(eps: float, s: float, n: int, eta: float) -> float:
     return sphere_surface(n) * (body + tail)
 
 
-def sweep_bubble_norms(params: ProblemParams, eps_grid=DEFAULT_EPS_GRID, *, tol: float = SLOPE_TOL) -> tuple[SweepReport, SweepReport, SweepReport]:
+def sweep_bubble_norms(params: ProblemParams, eps_grid=DEFAULT_EPS_GRID) -> tuple[SweepReport, SweepReport, SweepReport]:
     """Measured rates for the truncated-bubble L^q masses.
 
     Returns three reports: L2 mass (rate 2s), critical-mass deficit
     (rate n), and the subcritical q-mass (rate n - q(n-2s)/2).
     """
-    grid = _check_grid(eps_grid, None)
+    grid = _check_grid(eps_grid)
     n, s, eta, q = params.n, params.s, params.eta, params.q
     l2, deficit, subq = [], [], []
     for e in grid:
@@ -313,10 +302,10 @@ def sweep_bubble_norms(params: ProblemParams, eps_grid=DEFAULT_EPS_GRID, *, tol:
         l2.append(lq_norm(ub, 2.0))
         deficit.append(_critical_mass_deficit(e, s, n, eta))
         subq.append(lq_norm(ub, q))
-    rep2 = _fit_report("l2_mass", grid, l2, l2, 2.0 * s, tol)
-    repd = _fit_report("critical_mass_deficit", grid, deficit, deficit, float(n), tol)
+    rep2 = _fit_report("l2_mass", grid, l2, l2, 2.0 * s)
+    repd = _fit_report("critical_mass_deficit", grid, deficit, deficit, float(n))
     rate_q = n - q * (n - 2.0 * s) / 2.0
-    repq = _fit_report("subcritical_mass", grid, subq, subq, rate_q, tol)
+    repq = _fit_report("subcritical_mass", grid, subq, subq, rate_q)
     return rep2, repd, repq
 
 

@@ -260,8 +260,7 @@ def _cmd_seminorm(args) -> int:
     if args.method == "radial":
         est = seminorm_radial(ub, w, p.n, p.s, ub.support)
     else:
-        est = seminorm_mc(ub, w, p.n, p.s, N=args.samples,
-                          seed=args.seed if args.seed is not None else cfg.seed)
+        est = seminorm_mc(ub, w, p.n, p.s, N=args.samples, seed=cfg.seed)
     payload = {"value": est.value, "abs_error": est.abs_error,
                "method": est.method, "samples_or_panels": est.samples_or_panels}
     _emit(payload)

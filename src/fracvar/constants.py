@@ -47,7 +47,7 @@ def lebesgue_power_integral(n: int, alpha: float) -> float:
     return math.pi ** (n / 2.0) * math.gamma(alpha - n / 2.0) / math.gamma(alpha)
 
 
-def lebesgue_power_quadrature(n: int, alpha: float, npts: int = 16) -> float:
+def lebesgue_power_quadrature(n: int, alpha: float) -> float:
     """Independent 1D radial quadrature of \\int (1 + |y|^2)^(-alpha) dy.
 
     Substituting r = tan(phi) turns sigma * int_0^inf r^(n-1) (1+r^2)^(-alpha) dr
@@ -66,7 +66,7 @@ def lebesgue_power_quadrature(n: int, alpha: float, npts: int = 16) -> float:
             geometric_refine(1.0, math.pi / 2.0 - h, toward=math.pi / 2.0 - h, ratio=0.5, floor=1e-7),
         ]
     )
-    phi, w = panel_nodes(np.unique(breaks), npts)
+    phi, w = panel_nodes(np.unique(breaks), 16)
     body = float(np.sum(w * np.sin(phi) ** (n - 1) * np.cos(phi) ** beta))
     # analytic tail over [pi/2 - h, pi/2]: cos phi = sin t ~ t - t^3/6,
     # sin^(n-1) phi = cos^(n-1) t ~ 1 - (n-1) t^2 / 2

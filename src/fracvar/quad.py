@@ -21,8 +21,11 @@ where wbar is the symmetrized weight (p(r) + p(rho))/2, the sliver models the
 band contributes delta^(2-2s)), and the outer fold accounts exactly for the
 pairs whose larger radius exceeds r_hi, where u vanishes.  The prefactor
 2 sigma(S^{n-1}) collects the ordered-pair doubling and the x'-sphere measure.
-The band width delta = ``DELTA`` and the floor ``T_FLOOR`` of the tau-panels
-at the origin are module constants.
+The band width delta = ``DELTA``, the floor ``T_FLOOR`` of the tau-panels at
+the origin and the Gauss-Legendre points per radial and tau panel (``N_R``,
+``N_T``) are module constants.  :func:`seminorm_radial` adds a pass on halved
+radial panels and reports the shift as its error; :func:`bilinear_radial` and
+:func:`ball_restricted_form` are single passes.
 
 The Monte Carlo path is an independent oracle: pairs are sampled as
 x ~ uniform(box), y = x + z with |z| drawn from the density proportional to
@@ -46,7 +49,7 @@ from __future__ import annotations
 import math
 import warnings
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -63,24 +66,14 @@ class QuadratureError(RuntimeError):
 
 # DELTA is the width of the |tau - 1| band that the sliver models; T_FLOOR
 # bounds the t-panel next to the origin, in the core's tau rule and in the
-# outer fold's relative rule.
+# outer fold's relative rule.  N_R and N_T are the pair form's Gauss-Legendre
+# points per radial panel and per tau-panel.
 DELTA = 1e-6
 T_FLOOR = 1e-9
-
-
-@dataclass(frozen=True)
-class PanelSpec:
-    """Panel layout of the deterministic path: Gauss-Legendre points per panel.
-
-    ``r_breaks`` overrides the default profile-adapted radial panels.
-    ``tol`` (absolute) turns the refinement estimate into a hard check.
-    """
-
-    n_r: int = 14
-    n_t: int = 12
-    r_breaks: tuple[float, ...] | None = None
-    tol: float | None = None
-    estimate_error: bool = True
+N_R = 14
+N_T = 12
+# batches of the Monte Carlo estimators; their spread gives the standard error
+MC_BATCHES = 64
 
 
 @dataclass(frozen=True)
@@ -316,15 +309,15 @@ def _outer_fold(rn: np.ndarray, wfun, wfar: float, n: int, s: float, kvT: np.nda
 
 
 def _pair_form(pa, pb, wfun, wfar: float, n: int, s: float, r_breaks: np.ndarray, *, r_hi: float,
-               include_outer: bool, n_r: int, n_t: int) -> float:
+               include_outer: bool) -> float:
     two_s = 2.0 * s
     sig = sphere_surface(n)
 
     # Gauss-Legendre nodes are interior, so every rn > 0
-    rn, rw = panel_nodes(r_breaks, n_r)
+    rn, rw = panel_nodes(r_breaks, N_R)
 
     # --- core ---------------------------------------------------------
-    tn, tau_fac, band = _kernel_row(n, s, n_t)
+    tn, tau_fac, band = _kernel_row(n, s, N_T)
     inner_r = rn[:, None] * tn[None, :]
     ua = pa.radial_value(rn)
     ub = ua if pb is pa else pb.radial_value(rn)
@@ -348,7 +341,7 @@ def _pair_form(pa, pb, wfun, wfar: float, n: int, s: float, r_breaks: np.ndarray
 
     # --- outer --------------------------------------------------------
     if include_outer:
-        geom = dict(r_hi=r_hi, n_t=n_t)
+        geom = dict(r_hi=r_hi, n_t=N_T)
         fold = _outer_fold(rn, wfun, wfar, n, s, _profile_fold_kernel(pa, n, s, rn, **geom), **geom)
         total += float(np.sum(rw * ua * ub * rn ** (n - 1.0 - two_s) * fold))
 
@@ -360,88 +353,72 @@ def _halved(breaks: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate([breaks, 0.5 * (breaks[1:] + breaks[:-1])]))
 
 
-def _run_pair_form(pa, pb, wfun, wfar, n, s, r_breaks, *, r_hi, include_outer, spec: PanelSpec):
-    kwargs = dict(r_hi=r_hi, include_outer=include_outer, n_r=spec.n_r, n_t=spec.n_t)
-    coarse = _pair_form(pa, pb, wfun, wfar, n, s, r_breaks, **kwargs)
-    npanels = len(r_breaks) - 1
-    if not spec.estimate_error:
-        return coarse, math.nan, npanels
-    fine = _pair_form(pa, pb, wfun, wfar, n, s, _halved(r_breaks), **kwargs)
-    err = abs(fine - coarse)
-    if spec.tol is not None and err > spec.tol:
-        raise QuadratureError(
-            f"panel halving moved the value by {err:.3e}, above the requested tolerance {spec.tol:.3e}"
-        )
-    return fine, err, 2 * npanels
-
-
-def _breaks_to(spec: PanelSpec, prof, r_hi: float) -> np.ndarray:
-    """Radial panel breaks (``spec.r_breaks`` or the profile default) clipped to end at r_hi."""
-    breaks = np.asarray(spec.r_breaks, dtype=float) if spec.r_breaks is not None else default_r_breaks(prof, r_hi)
+def _breaks_to(r_breaks, r_hi: float, *profiles) -> np.ndarray:
+    """Radial panel breaks (``r_breaks``, or the profiles' default union) clipped to end at r_hi."""
+    if r_breaks is not None:
+        breaks = np.asarray(r_breaks, dtype=float)
+    else:
+        breaks = np.unique(np.concatenate([default_r_breaks(p, r_hi) for p in profiles]))
     breaks = breaks[breaks <= r_hi * (1.0 + 1e-15)]
     if breaks[-1] < r_hi:
         breaks = np.append(breaks, r_hi)
     return breaks
 
 
-def seminorm_radial(u, w, n: int, s: float, r_max: float, panels: PanelSpec | None = None) -> SeminormEstimate:
-    """Deterministic weighted Gagliardo seminorm of a radial profile.
+def seminorm_radial(u, w, n: int, s: float, r_max: float, *, r_breaks=None,
+                    tol: float | None = None) -> SeminormEstimate:
+    """Deterministic weighted Gagliardo seminorm of a radial profile, with its error.
 
     ``u`` is a radial profile (or callable, treated as supported in
     [0, r_max]); ``w`` is a radial weight model or None for the unit weight.
-    The estimate's ``abs_error`` is the shift observed under one panel
-    halving; pass ``panels.tol`` to make stabilization failures raise.
+    ``r_breaks`` overrides the profile-adapted radial panels.  The form is
+    computed on the panels and again with each one halved: the value is the
+    finer pass, and ``abs_error`` the shift between the two.  A shift above
+    ``tol`` (absolute) raises :class:`QuadratureError`.  The single-pass value
+    on the same panels is ``bilinear_radial(u, u, ...)``.
     """
-    spec = panels or PanelSpec()
     prof = as_profile(u, r_max)
     r_hi = min(r_max, prof.support) if math.isfinite(prof.support) else r_max
     wfun, wfar = _weight_fns(w)
-    value, err, npanels = _run_pair_form(
-        prof, prof, wfun, wfar, n, s, _breaks_to(spec, prof, r_hi), r_hi=r_hi, include_outer=True, spec=spec
-    )
-    return SeminormEstimate(value=value, abs_error=err, method="RadialDeterministic", samples_or_panels=npanels)
+    breaks = _breaks_to(r_breaks, r_hi, prof)
+    coarse = _pair_form(prof, prof, wfun, wfar, n, s, breaks, r_hi=r_hi, include_outer=True)
+    fine = _pair_form(prof, prof, wfun, wfar, n, s, _halved(breaks), r_hi=r_hi, include_outer=True)
+    err = abs(fine - coarse)
+    if tol is not None and err > tol:
+        raise QuadratureError(
+            f"panel halving moved the value by {err:.3e}, above the requested tolerance {tol:.3e}"
+        )
+    return SeminormEstimate(value=fine, abs_error=err, method="RadialDeterministic",
+                            samples_or_panels=2 * (len(breaks) - 1))
 
 
-def bilinear_radial(u, v, w, n: int, s: float, r_max: float, panels: PanelSpec | None = None) -> float:
-    """The weighted scalar product <u, v>_p of two radial profiles.
+def bilinear_radial(u, v, w, n: int, s: float, r_max: float, *, r_breaks=None) -> float:
+    """The weighted scalar product <u, v>_p of two radial profiles, in one pass.
 
     Same decomposition as :func:`seminorm_radial` with the quadratic
-    difference polarized into a product of differences; single pass.
+    difference polarized into a product of differences, on the union of the
+    two profiles' default panels unless ``r_breaks`` is given.  With
+    ``v = u`` this is the seminorm's single pass, without an error estimate.
     """
-    spec = panels or PanelSpec(estimate_error=False)
     pu = as_profile(u, r_max)
-    pv = as_profile(v, r_max)
-    sup = max(
-        pu.support if math.isfinite(pu.support) else r_max,
-        pv.support if math.isfinite(pv.support) else r_max,
-    )
-    r_hi = min(r_max, sup)
-    if spec.r_breaks is not None:
-        breaks = np.asarray(spec.r_breaks, dtype=float)
-    else:
-        breaks = np.unique(np.concatenate([default_r_breaks(pu, r_hi), default_r_breaks(pv, r_hi)]))
+    pv = pu if v is u else as_profile(v, r_max)
+    r_hi = min(r_max, max(p.support if math.isfinite(p.support) else r_max for p in (pu, pv)))
     wfun, wfar = _weight_fns(w)
-    value, _, _ = _run_pair_form(
-        pu, pv, wfun, wfar, n, s, breaks, r_hi=r_hi, include_outer=True,
-        spec=replace(spec, estimate_error=False),
-    )
-    return value
+    return _pair_form(pu, pv, wfun, wfar, n, s, _breaks_to(r_breaks, r_hi, pu, pv), r_hi=r_hi,
+                      include_outer=True)
 
 
-def ball_restricted_form(u, weight_fn, n: int, s: float, r_hi: float, panels: PanelSpec | None = None) -> float:
-    """Pair form restricted to both points in the ball of radius r_hi.
+def ball_restricted_form(u, weight_fn, n: int, s: float, r_hi: float, *, r_breaks=None) -> float:
+    """Pair form restricted to both points in the ball of radius r_hi, in one pass.
 
     ``weight_fn`` is an arbitrary radial factor (e.g. r^k); it is
     symmetrized across the pair exactly like a weight model.  No outer
-    fold: pairs leaving the ball are excluded by definition.
+    fold: pairs leaving the ball are excluded by definition.  ``r_breaks``
+    overrides the profile-adapted radial panels.
     """
-    spec = panels or PanelSpec(estimate_error=False)
     prof = as_profile(u, math.inf)
-    value, _, _ = _run_pair_form(
-        prof, prof, weight_fn, 0.0, n, s, _breaks_to(spec, prof, r_hi), r_hi=r_hi, include_outer=False,
-        spec=replace(spec, estimate_error=False),
-    )
-    return value
+    return _pair_form(prof, prof, weight_fn, 0.0, n, s, _breaks_to(r_breaks, r_hi, prof), r_hi=r_hi,
+                      include_outer=False)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +457,6 @@ def weighted_energy(
     *,
     functional: bool = False,
     r_max: float | None = None,
-    panels: PanelSpec | None = None,
 ) -> float:
     """E_lambda(u) = N_p(u) - lambda \\int |u|^q, or the full functional.
 
@@ -491,8 +467,7 @@ def weighted_energy(
     top = prof.support if math.isfinite(prof.support) else r_max
     if top is None:
         raise ValueError("profile has unbounded support; pass r_max")
-    spec = panels or PanelSpec(estimate_error=False)
-    npart = seminorm_radial(u, w, n, s, top, panels=spec).value
+    npart = bilinear_radial(u, u, w, n, s, top)
     qpart = radial_power_integral(u, q, n, r_max=top)
     if not functional:
         return npart - lam * qpart
@@ -548,7 +523,7 @@ def _weight_points(w, r: np.ndarray) -> np.ndarray:
     return np.asarray(w.radial(r), dtype=float)
 
 
-def mc_reference_ks(n: int, s: float, N: int = 1_000_000, seed: int = 0, *, batches: int = 64) -> SeminormEstimate:
+def mc_reference_ks(n: int, s: float, N: int = 1_000_000, seed: int = 0) -> SeminormEstimate:
     """Monte Carlo estimate of Ks: the full-space seminorm of the unit bubble.
 
     Independent of the deterministic radial path.  Because the unit bubble
@@ -573,11 +548,11 @@ def mc_reference_ks(n: int, s: float, N: int = 1_000_000, seed: int = 0, *, batc
         r = np.maximum(r, 1e-12)
         return (2.0 / math.pi) / (1.0 + r * r) / (sig * r ** (n - 1.0))
 
-    m = max(N // batches, 16)
+    m = max(N // MC_BATCHES, 16)
     m_far = max(m // 4, 8)
-    children = np.random.SeedSequence(seed).spawn(batches)
-    batch_vals = np.empty(batches)
-    for b in range(batches):
+    children = np.random.SeedSequence(seed).spawn(MC_BATCHES)
+    batch_vals = np.empty(MC_BATCHES)
+    for b in range(MC_BATCHES):
         rng = np.random.default_rng(children[b])
         ux = np.clip(rng.random(m), 1e-12, 1.0 - 1e-12)
         rx = np.tan(0.5 * math.pi * ux)
@@ -602,9 +577,9 @@ def mc_reference_ks(n: int, s: float, N: int = 1_000_000, seed: int = 0, *, batc
         batch_vals[b] = w_near.mean() + w_far.mean()
 
     value = float(batch_vals.mean())
-    se = float(batch_vals.std(ddof=1) / math.sqrt(batches))
+    se = float(batch_vals.std(ddof=1) / math.sqrt(MC_BATCHES))
     return SeminormEstimate(
-        value=value, abs_error=se, method="MonteCarlo", samples_or_panels=batches * (m + m_far), seed=seed
+        value=value, abs_error=se, method="MonteCarlo", samples_or_panels=MC_BATCHES * (m + m_far), seed=seed
     )
 
 
@@ -616,8 +591,6 @@ def seminorm_mc(
     box: float | None = None,
     N: int = 200_000,
     seed: int = 0,
-    *,
-    batches: int = 64,
 ) -> SeminormEstimate:
     """Unbiased Monte Carlo estimate of the weighted Gagliardo seminorm.
 
@@ -658,13 +631,13 @@ def seminorm_mc(
     v_tail = _ball_volume(n, r_tail)
     two_s = 2.0 * s
 
-    m = max(N // batches, 16)
+    m = max(N // MC_BATCHES, 16)
     m_near = (3 * m) // 4
     m_tail = m - m_near
-    children = np.random.SeedSequence(seed).spawn(batches)
-    batch_vals = np.empty(batches)
+    children = np.random.SeedSequence(seed).spawn(MC_BATCHES)
+    batch_vals = np.empty(MC_BATCHES)
 
-    for b in range(batches):
+    for b in range(MC_BATCHES):
         rng = np.random.default_rng(children[b])
 
         # near piece: |z| <= diam
@@ -696,7 +669,7 @@ def seminorm_mc(
         batch_vals[b] = w_near.mean() + w_far.mean()
 
     value = float(batch_vals.mean())
-    se = float(batch_vals.std(ddof=1) / math.sqrt(batches))
+    se = float(batch_vals.std(ddof=1) / math.sqrt(MC_BATCHES))
     if value != 0.0 and se > 0.2 * abs(value):
         warnings.warn(
             f"Monte Carlo variance overflow: relative standard error {se / abs(value):.1%} exceeds 20%",
@@ -704,5 +677,5 @@ def seminorm_mc(
             stacklevel=2,
         )
     return SeminormEstimate(
-        value=value, abs_error=se, method="MonteCarlo", samples_or_panels=batches * m, seed=seed
+        value=value, abs_error=se, method="MonteCarlo", samples_or_panels=MC_BATCHES * m, seed=seed
     )

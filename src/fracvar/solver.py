@@ -555,11 +555,14 @@ def refinement_check(
 # First eigenvalue
 # ---------------------------------------------------------------------------
 
-def first_eigenvalue(op: StiffnessOperator, *, tol: float = 1e-8, max_iter: int = 200) -> tuple[float, RadialField]:
+EIGEN_TOL = 1e-8
+
+
+def first_eigenvalue(op: StiffnessOperator, *, max_iter: int = 200) -> tuple[float, RadialField]:
     """Smallest lam with A u = lam Mq u by inverse power iteration.
 
     Each iteration solves against the operator's stiffness factor.  Raises
-    :class:`SolverError` if the eigen-residual is still above ``tol``
+    :class:`SolverError` if the eigen-residual is still above ``EIGEN_TOL``
     (relative to ||A u||) after ``max_iter`` iterations.  The eigenfield is
     Mq-normalized with its largest coefficient positive.
     """
@@ -571,10 +574,10 @@ def first_eigenvalue(op: StiffnessOperator, *, tol: float = 1e-8, max_iter: int 
         v /= math.sqrt(v @ Mq @ v)
         Av = A @ v
         lam = float(v @ Av)
-        if np.linalg.norm(Av - lam * Mq @ v) <= tol * np.linalg.norm(Av):
+        if np.linalg.norm(Av - lam * Mq @ v) <= EIGEN_TOL * np.linalg.norm(Av):
             break
     else:
-        raise SolverError(f"inverse iteration missed tolerance {tol:.1e} after {max_iter} iterations")
+        raise SolverError(f"inverse iteration missed tolerance {EIGEN_TOL:.1e} after {max_iter} iterations")
     if v[np.argmax(np.abs(v))] < 0.0:
         v = -v
     return lam, _with_dofs(op.nodes, v)

@@ -102,6 +102,36 @@ def test_weighted_seminorm_residual_rate_constant_weight():
     assert rep.extras["min_residual"] > 0.0
 
 
+# float.hex of the single-pass seminorm sweeps behind checks 5 and 7, recorded
+# before those passes moved from seminorm_radial to bilinear_radial(u, u, ...)
+BUMP_VALUES = (
+    "0x1.598e26abef8b6p+7", "0x1.2126e76b7c43ep+7", "0x1.f8c806fc44b00p+6", "0x1.c443e7ae4e098p+6",
+    "0x1.a2dcedd06accfp+6", "0x1.8abf25b3d4110p+6", "0x1.7b232ab41bab8p+6",
+)
+FLAT_VALUES = (
+    "0x1.55d4551414a68p+6", "0x1.55d3e25459f07p+6", "0x1.55d3cd23e8a64p+6", "0x1.55d3c8d068a80p+6",
+    "0x1.55d3c8111d743p+6",
+)
+DIP_VALUES = (
+    "0x1.143f0815db12ap+7", "0x1.18bbe82435196p+7", "0x1.1ca9981950d96p+7", "0x1.1fef1e7d82e9dp+7",
+    "0x1.223a2035df413p+7", "0x1.23feef8611b10p+7", "0x1.25326531b49c0p+7",
+)
+
+
+def test_weighted_seminorm_sweeps_exact_values():
+    p0w = ProblemParams(n=6, s=0.5, k=2, kappa=0.0, lam=0.0, q=2.0, p0=1.0, eta=1.0, R=5.0)
+    flat = sweep_weighted_seminorm(p0w, eps_grid=(0.1, 0.07, 0.05, 0.035, 0.025))
+    assert tuple(v.hex() for v in sweep_weighted_seminorm(P).values) == BUMP_VALUES
+    assert tuple(v.hex() for v in flat.values) == FLAT_VALUES
+
+
+def test_energy_sweep_exact_values():
+    # check 7's dip parameters at default.cfg (lam = lambda1 / 2, to 12 digits)
+    p = ProblemParams(n=6, s=0.5, k=2, kappa=0.05, lam=20.9641768993, q=2.0, p0=1.0, eta=1.0, R=5.0)
+    rep = sweep_energy(p, c_fit=1.0)
+    assert tuple(v.hex() for v in rep.values) == DIP_VALUES
+
+
 def test_energy_requires_q2():
     bad = ProblemParams(n=6, s=0.5, k=2, kappa=0.1, lam=1.0, q=2.2, p0=1.0, eta=1.0, R=5.0)
     with pytest.raises(ValueError):

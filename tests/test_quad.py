@@ -12,7 +12,6 @@ from fracvar.constants import bubble_constants, sphere_surface
 from fracvar import quad
 from fracvar.problem import ProblemParams, WeightModel, weight_from_params
 from fracvar.quad import (
-    PanelSpec,
     QuadratureError,
     bilinear_radial,
     default_r_breaks,
@@ -49,9 +48,8 @@ def test_refinement_error_estimate_is_small():
 
 def test_nonconvergence_error_on_coarse_grid():
     tb = truncated_bubble(0.2, S6, N6, 1.0)
-    panels = PanelSpec(r_breaks=(0.0, 1.0, 2.0), n_r=4, n_t=6, tol=1e-12)
     with pytest.raises(QuadratureError):
-        seminorm_radial(tb, None, N6, S6, tb.support, panels=panels)
+        seminorm_radial(tb, None, N6, S6, tb.support, r_breaks=(0.0, 1.0, 2.0), tol=1e-12)
 
 
 def test_bubble_seminorm_vs_mc_oracle():
@@ -210,6 +208,19 @@ def test_weighted_energy_components():
     assert weighted_energy(tb, w, N6, S6, 0.0, 2.0) == pytest.approx(2.0 * semi, rel=1e-8)
 
 
+def test_weighted_energy_exact_values():
+    # recorded before the single pass moved from seminorm_radial to
+    # bilinear_radial(u, u, ...): the same pair-form call, so the same bits
+    tb = truncated_bubble(0.5, S6, N6, 1.0)
+    e = weighted_energy(tb, WeightModel.constant(n=N6, p0=2.0), N6, S6, 0.7, 2.0)
+    assert e.hex() == "0x1.54413c326912bp+7"
+    bump = weight_from_params(ProblemParams(n=6, s=0.5, k=2, kappa=1.0, lam=0.0, q=2.0, p0=1.0,
+                                            eta=1.0, R=5.0))
+    phi = weighted_energy(lambda r: np.maximum(1.0 - r * r, 0.0) ** 0.5, bump, N6, S6, 0.7, 2.0,
+                          functional=True, r_max=1.0)
+    assert phi.hex() == "0x1.142289c34f3dfp+8"
+
+
 def test_full_functional_zero_at_zero():
     z = lambda r: np.zeros_like(r)
     val = weighted_energy(z, None, N6, S6, 1.0, 2.0, functional=True, r_max=2.0)
@@ -316,11 +327,11 @@ def test_stale_profile_collection_keeps_current_tables():
 
 def test_profile_switch_matches_fresh_calls():
     # equal breaks, so both profiles map to the same fold geometry
-    spec = PanelSpec(r_breaks=tuple(default_r_breaks(truncated_bubble(0.2, S6, N6, 1.0), 2.0)))
+    breaks = default_r_breaks(truncated_bubble(0.2, S6, N6, 1.0), 2.0)
     w = _CONTINUUM_WEIGHTS[-1]
     ub1, ub2 = truncated_bubble(0.3, S6, N6, 1.0), truncated_bubble(0.2, S6, N6, 1.0)
-    seq = [seminorm_radial(u, w, N6, S6, 2.0, panels=spec) for u in (ub1, ub2, ub1)]
-    fresh = [seminorm_radial(truncated_bubble(e, S6, N6, 1.0), w, N6, S6, 2.0, panels=spec)
+    seq = [seminorm_radial(u, w, N6, S6, 2.0, r_breaks=breaks) for u in (ub1, ub2, ub1)]
+    fresh = [seminorm_radial(truncated_bubble(e, S6, N6, 1.0), w, N6, S6, 2.0, r_breaks=breaks)
              for e in (0.3, 0.2, 0.3)]
     assert [(e.value.hex(), e.abs_error.hex()) for e in seq] == [
         (e.value.hex(), e.abs_error.hex()) for e in fresh
@@ -353,7 +364,7 @@ class _SlottedProfile:
 
 def test_profile_without_weak_reference_is_accepted():
     ub = truncated_bubble(0.3, S6, N6, 1.0)
-    spec = PanelSpec(r_breaks=tuple(default_r_breaks(ub, ub.support)))
-    plain = seminorm_radial(ub, None, N6, S6, ub.support, panels=spec)
-    slotted = seminorm_radial(_SlottedProfile(ub), None, N6, S6, ub.support, panels=spec)
+    breaks = default_r_breaks(ub, ub.support)
+    plain = seminorm_radial(ub, None, N6, S6, ub.support, r_breaks=breaks)
+    slotted = seminorm_radial(_SlottedProfile(ub), None, N6, S6, ub.support, r_breaks=breaks)
     assert (slotted.value.hex(), slotted.abs_error.hex()) == (plain.value.hex(), plain.abs_error.hex())

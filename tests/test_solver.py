@@ -10,7 +10,7 @@ from scipy.optimize import minimize as sp_minimize
 from fracvar.bubble import truncated_bubble
 from fracvar.constants import bubble_constants, sphere_surface
 from fracvar.problem import ProblemParams, critical_exponent, weight_from_params
-from fracvar.quad import PanelSpec, seminorm_radial
+from fracvar.quad import bilinear_radial
 from fracvar.solver import (
     MinimizeOptions,
     RadialField,
@@ -114,13 +114,10 @@ def test_weight_doubling_doubles_stiffness():
 def test_quadratic_form_matches_profile_quadrature(op128):
     fld = interpolate_field(truncated_bubble(0.5, 0.5, 6, eta=1.0), op128.nodes)
     qa = float(fld.dofs @ op128.A @ fld.dofs)
-    est = seminorm_radial(
-        fld, weight_from_params(P), 6, 0.5, 5.0,
-        panels=PanelSpec(r_breaks=tuple(op128.nodes), estimate_error=False),
-    )
-    assert qa == pytest.approx(est.value, rel=0.02)
+    form = bilinear_radial(fld, fld, weight_from_params(P), 6, 0.5, 5.0, r_breaks=op128.nodes)
+    assert qa == pytest.approx(form, rel=0.02)
     # the two quadratures agree far more tightly than the contract requires
-    assert qa == pytest.approx(est.value, rel=5e-4)
+    assert qa == pytest.approx(form, rel=5e-4)
 
 
 def test_mass_matrix_exact_on_linear_ramp(op128):
