@@ -5,6 +5,7 @@ quantity with its pinned tolerance, so a regression shows up as a named
 red line here even if the in-battery guard drifts.
 """
 
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -34,6 +35,12 @@ PINNED_HEX = {
     (10, "grad_drop"): "0x1.f458b343979d2p+13",
     (11, "mc_mean"): "0x1.fa9b607fcdf56p+5",
     (11, "mean_z_50_seeds"): "0x1.0bdd4a83bdcdfp-2",
+}
+
+# sha256 of ``fracvar verify --config default.cfg`` artifacts (seed 1318)
+VERIFY_SHA256 = {
+    "manifest.json": "382c119117017462a7dc524b422c99d85e36340b472c574c1790cafe82cb8e8f",
+    "verify_results.json": "1a7ef79e481d69f70a660abd57349d98b680168df5217777e95376a3460bfb68",
 }
 
 
@@ -192,6 +199,7 @@ def test_12_repeated_verify_runs_are_byte_identical(battery, tmp_path,
         dirs.append(out)
     for fname in ("manifest.json", "verify_results.json"):
         assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
+        assert hashlib.sha256((dirs[0] / fname).read_bytes()).hexdigest() == VERIFY_SHA256[fname]
     timings = json.loads((dirs[0] / "timings.json").read_text())
     assert set(timings["seconds"]) == set(timings["budgets"]) == {str(i) for i in range(1, 13)}
     assert timings["workers"] == min(2, len(os.sched_getaffinity(0)))

@@ -1,7 +1,7 @@
+import hashlib
 import importlib
 import json
 import math
-import os
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import fracvar.constants
-from fracvar.cli import main
+import fracvar.verifysuite
+from fracvar.cli import _build_parser, main
 from fracvar.constants import bubble_constants
 from fracvar.mountainpass import MountainPassError
 from fracvar.problem import ConfigError, load_config
@@ -99,17 +100,26 @@ def test_weight_variants_the_commands_ignore_exit_1(tmp_path, capsys, weight_lin
     # which the other CLI tests run), so another variant is refused
     cfg = tmp_path / "variant.cfg"
     cfg.write_text(Path(DEFAULT_CFG).read_text().replace("weight.variant = TruncatedPower\n", weight_lines))
-    for command in ("validate", "eigen"):
-        rc, out, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path))
+    for command, *rest in (("validate",), ("eigen", "--out", str(tmp_path))):
+        rc, out, err = run(capsys, command, "--config", str(cfg), *rest)
         assert (rc, out) == (1, "")
         assert "ConfigError" in err and "TruncatedPower" in err
 
 
 def test_bubble_point_values(capsys):
-    rc, out, _ = run(capsys, "bubble", "--eps", "0.2", "--x", "0.5")
-    assert rc == 0
-    payload = json.loads(out)
-    assert 0.0 < payload["u"] < payload["U"]
+    # --x is the radius; the cutoff is 1 up to eta = 1 and 0 from 2 eta on
+    def point(x):
+        rc, out, _ = run(capsys, "bubble", "--eps", "0.2", "--x", str(x))
+        assert rc == 0
+        payload = json.loads(out)
+        return payload["U"], payload["u"]
+
+    U, u = point(0.5)
+    assert U == pytest.approx((0.2 / (0.2**2 + 0.5**2)) ** ((6 - 2 * 0.5) / 2), rel=1e-12)
+    assert u == U
+    U, u = point(1.5)
+    assert 0.0 < u < U
+    assert point(2.5)[1] == 0.0
 
 
 def test_bubble_norms_csv(tmp_path, capsys):
@@ -214,14 +224,78 @@ def test_out_env_overrides_flag(tmp_path, capsys, monkeypatch):
     assert not a.exists()
 
 
-def test_threads_flag(capsys, monkeypatch):
-    monkeypatch.setenv("OMP_NUM_THREADS", "unset-sentinel")
-    rc, _, _ = run(capsys, "constants", "--n", "6", "--s", "0.5",
-                   "--threads", "2")
-    assert rc == 0
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    assert run(capsys, "constants", "--n", "6", "--s", "0.5",
-               "--threads", "0")[0] == 1
+# The shortest valid call of each command, and the flags the command does not read.
+_BASE_ARGV = {
+    "validate": ("--config", DEFAULT_CFG),
+    "constants": ("--n", "6", "--s", "0.5"),
+    "bubble": ("--eps", "0.2", "--x", "0.5"),
+    "bubble-norms": ("--q", "2.4", "--eps-grid", "0.2"),
+    "seminorm": ("--config", DEFAULT_CFG, "--eps", "0.5"),
+    "verify-estimates": ("--config", DEFAULT_CFG, "--suite", "norms"),
+    "minimize": ("--config", DEFAULT_CFG, "--grid", "16"),
+    "eigen": ("--config", DEFAULT_CFG, "--grid", "16"),
+    "fiber": ("--config", DEFAULT_CFG, "--eps-grid", "0.2"),
+    "mountain-pass": ("--config", DEFAULT_CFG, "--grid", "16"),
+    "verify": ("--config", DEFAULT_CFG),
+}
+_UNREAD = {
+    "validate": ("--out", "--seed", "--threads", "--tol"),
+    "constants": ("--config", "--seed", "--threads", "--tol"),
+    "bubble": ("--config", "--out", "--seed", "--threads", "--tol"),
+    "bubble-norms": ("--config", "--seed", "--threads", "--tol"),
+    "seminorm": ("--threads", "--tol"),
+    "verify-estimates": ("--threads", "--tol"),
+    "minimize": ("--seed", "--threads", "--tol"),
+    "eigen": ("--seed", "--threads", "--tol"),
+    "fiber": ("--seed", "--threads", "--tol"),
+    "mountain-pass": ("--seed", "--threads", "--tol"),
+    "verify": ("--threads",),
+}
+_FLAG_VALUE = {"--out": "d", "--seed": "3", "--threads": "2", "--tol": "5",
+               "--config": DEFAULT_CFG}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in _UNREAD.items() for f in flags])
+def test_flags_a_command_does_not_read_exit_1(tmp_path, capsys, monkeypatch, command, flag):
+    monkeypatch.delenv("FRACVAR_OUT", raising=False)
+    rc, out, err = run(capsys, command, *_BASE_ARGV[command], flag, _FLAG_VALUE[flag])
+    assert (rc, out) == (1, "")
+    assert flag in err and "usage" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("seminorm", "--config", DEFAULT_CFG, "--method", "mc", "--eps", "1", "--seed", "-1"),
+    ("verify-estimates", "--config", DEFAULT_CFG, "--suite", "delta", "--seed", "-3"),
+    ("verify", "--config", DEFAULT_CFG, "--seed", "-1"),
+    ("verify", "--config", DEFAULT_CFG, "--seed", str(2**64)),
+    ("verify", "--config", DEFAULT_CFG, "--seed", "1.5"),
+])
+def test_seed_outside_u64_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    def not_started(*args, **kwargs):
+        raise AssertionError("the battery started")
+
+    monkeypatch.setattr(fracvar.verifysuite, "run_all", not_started)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert "--seed" in err and "2^64" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_largest_u64_seed_is_accepted():
+    args = _build_parser().parse_args(["verify", "--config", DEFAULT_CFG,
+                                       "--seed", str(2**64 - 1)])
+    assert args.seed == 2**64 - 1
+
+
+def test_readme_command_lines_parse():
+    # every `fracvar ...` example of README's command-line section uses flags its command reads
+    section = (ROOT / "README.md").read_text().split("## Command line")[1].split("\n## ")[0]
+    lines = [ln.split("#")[0].split() for ln in section.splitlines() if ln.startswith("fracvar ")]
+    assert len(lines) >= 11
+    parser = _build_parser()
+    for argv in lines:
+        parser.parse_args(argv[1:])
 
 
 @pytest.mark.parametrize("module, name, argv", [
@@ -254,3 +328,90 @@ def test_known_failures_map_to_exit_codes(capsys, monkeypatch, exc, code):
     rc, _, err = run(capsys, "constants", "--n", "6", "--s", "0.5")
     assert rc == code
     assert f"{type(exc).__name__}: {exc}" in err
+
+
+# One invocation per subcommand (``bubble`` and ``verify`` aside; the
+# acceptance suite pins ``verify``'s artifacts), with the exit code, the
+# printed payload and the sha256 of every artifact it writes.
+OUT = object()  # stands for the test's output directory
+GOLDEN = {
+    "validate": (
+        ("validate", "--config", DEFAULT_CFG), 0,
+        {"errors": [], "k_admissible": True, "ns_admissible": True, "ok": True,
+         "regime_errors": [], "theorem1_regime": True, "warnings": []},
+        {}),
+    "constants": (
+        ("constants", "--n", "6", "--s", "0.5", "--q", "2.2", "--out", OUT), 0,
+        {"K2s": 1.29192819501, "Kq_s": 0.787460995055, "Kqs": 0.516771278005,
+         "Ks": 85.4568172969, "Ss": 148.13740789, "q_s": 2.4},
+        {"constants.json": "47c413183954f7ebfba7a915da6ea1039e2513acd41e6340c4e4f0f957624921"}),
+    "bubble-norms": (
+        ("bubble-norms", "--q", "2.4", "--eps-grid", "0.2,0.1", "--out", OUT), 0,
+        {"csv": "bubble_norms.csv", "q": 2.4, "rows": 2},
+        {"bubble_norms.csv": "9054343646135ef9c22ed68be45e506eb320e4005483a279a962f647f232be74"}),
+    "seminorm-radial": (
+        ("seminorm", "--config", DEFAULT_CFG, "--eps", "0.5", "--out", OUT), 0,
+        {"abs_error": 2.55937493421e-10, "method": "RadialDeterministic",
+         "samples_or_panels": 72, "value": 90.7602353525},
+        {"seminorm.json": "b295ee7c8eda131f552014aeea156b2d6a2f4a87eebe842b419f03139f021040"}),
+    "seminorm-mc": (
+        ("seminorm", "--config", DEFAULT_CFG, "--method", "mc", "--eps", "1.0",
+         "--samples", "20000", "--seed", "9", "--out", OUT), 0,
+        {"abs_error": 11.3051773887, "method": "MonteCarlo",
+         "samples_or_panels": 19968, "value": 91.1225283791},
+        {"seminorm.json": "c65274f5630f99f24ff7ba40ba87770fac5c943e9090ce0231a2314f98fc7396"}),
+    "verify-estimates-delta": (
+        ("verify-estimates", "--config", DEFAULT_CFG, "--suite", "delta", "--seed", "5",
+         "--out", OUT), 0,
+        {"delta": {"pass": True, "worst_ratio": 0.999953904413}},
+        {"estimates_delta.csv": "45e0d476f9198184f9fd906ebb6aa3e7a70caac338e9eef1c4fad0d67e2f71ae",
+         "estimates_summary.json": "e1c596ce5e35e25a3bff66ae49d2d60430ad57c39f97be3a52fe4683a308f656"}),
+    "verify-estimates-norms": (
+        ("verify-estimates", "--config", DEFAULT_CFG, "--suite", "norms", "--out", OUT), 0,
+        {"norms_deficit": {"claimed_rate": 6.0, "fit_slope": 5.83211623745, "pass": True},
+         "norms_l2": {"claimed_rate": 1.0, "fit_slope": 0.987683886324, "pass": True},
+         "norms_lq": {"claimed_rate": 1.0, "fit_slope": 0.987683886324, "pass": True}},
+        {"estimates_norms_deficit.csv": "bf7595727b22e8522960f8a444796dde1a4d1aa704a0582ce1ed17cd0593a13b",
+         "estimates_norms_l2.csv": "385776d1e0456456ca2b70536bdad8a4135bf3932f06083983a1b36dd05d6fcd",
+         "estimates_norms_lq.csv": "385776d1e0456456ca2b70536bdad8a4135bf3932f06083983a1b36dd05d6fcd",
+         "estimates_summary.json": "d3ff0907773a0f79fe1d3df6d9f949fc5916b6e7005c1c52676d028794559c18"}),
+    "minimize": (
+        ("minimize", "--config", DEFAULT_CFG, "--grid", "64", "--out", OUT), 0,
+        {"below_threshold": True, "constraint_residual": 0.0, "converged": True,
+         "energy": 109.267274966, "iterations": 55, "status": "converged"},
+        {"minimize.json": "b8fe29c47b49fa85e8e411421fa1319fee5050d3a5838f89091905f468df78cf",
+         "minimize_field.csv": "36453a9761139fa942f65a5b5109db158a0fccb40be2337430a4a862a3ab38af"}),
+    "eigen": (
+        ("eigen", "--config", DEFAULT_CFG, "--grid", "64", "--out", OUT), 0,
+        {"lambda1": 41.9283537986},
+        {"eigen.json": "32c2d8a556a715efcc54e421e6788b442b691656a7ec9b2f2f975a072c394e8b"}),
+    "fiber": (
+        ("fiber", "--config", DEFAULT_CFG, "--eps-grid", "0.2", "0.1", "--out", OUT), 0,
+        {"csv": "fiber.csv", "final_limit_gap": 13457.2804899, "rows": 2},
+        {"fiber.csv": "3970616a1e0ff00aac6bf0011a1abe0a1226dadfc856f799cb78d3c19d4ef6a4"}),
+    "mountain-pass": (
+        ("mountain-pass", "--config", DEFAULT_CFG, "--grid", "64", "--path-points", "11",
+         "--out", OUT), 0,
+        {"beta": 13619800421.7, "bound": 880657829424.0, "converged": True,
+         "iterations": 126, "level": 141827166822.0, "rho": 572219.121494},
+        {"mountain_pass.json": "b6a8a60c13c41bfdad98f2b95f1fa48212224423b6649d5a0d2c802a58b9e467",
+         "mountain_pass_path.csv": "aba743040f3e9e808525e6fc075848bafa476d800725c5169f18235cca437495"}),
+    "empty-eps-grid": (("fiber", "--config", DEFAULT_CFG, "--eps-grid", ",", "--out", OUT), 1, None, {}),
+    "missing-config-file": (("eigen", "--config", "/nonexistent/x.cfg", "--out", OUT), 1, None, {}),
+    "bad-eps-grid-value": (("bubble-norms", "--q", "2.4", "--eps-grid", "0.2,x", "--out", OUT), 2, None, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_cli_golden_outputs(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.delenv("FRACVAR_OUT", raising=False)
+    argv, code, payload, artifacts = GOLDEN[case]
+    out = tmp_path / "out"
+    rc, stdout, _ = run(capsys, *(str(out) if a is OUT else a for a in argv))
+    assert rc == code
+    expected = "" if payload is None else \
+        json.dumps(payload, sort_keys=True, indent=1, ensure_ascii=False) + "\n"
+    assert stdout == expected
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir()} if out.exists() else {}
+    assert written == artifacts
