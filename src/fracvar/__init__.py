@@ -16,7 +16,7 @@ from .asymptotics import (
     sweep_energy,
     sweep_weighted_seminorm,
 )
-from .bubble import Bubble, TruncatedBubble, eval_U, eval_u, lq_norm, truncated_bubble
+from .bubble import Bubble, TruncatedBubble, lq_norm, truncated_bubble
 from .constants import (
     ConstantSet,
     SingularityError,
@@ -52,7 +52,6 @@ from .problem import (
     ns_admissible,
     parse_config_text,
     validate,
-    weight_eval,
     weight_from_params,
 )
 from .quad import (
@@ -91,14 +90,13 @@ __all__ = [
     # problem
     "ConfigError", "ProblemParams", "RunConfig", "ValidityReport",
     "WeightModel", "critical_exponent", "load_config", "ns_admissible",
-    "parse_config_text", "validate", "weight_eval", "weight_from_params",
+    "parse_config_text", "validate", "weight_from_params",
     # constants
     "ConstantSet", "SingularityError", "angular_kernel_K", "bubble_constants",
     "kernel_H", "lebesgue_power_integral", "lebesgue_power_quadrature",
     "sphere_surface",
     # bubble
-    "Bubble", "TruncatedBubble", "eval_U", "eval_u", "lq_norm",
-    "truncated_bubble",
+    "Bubble", "TruncatedBubble", "lq_norm", "truncated_bubble",
     # quad
     "QuadratureError", "SeminormEstimate", "bilinear_radial",
     "mc_reference_ks", "radial_power_integral", "seminorm_mc",

@@ -24,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from ._panels import geometric_refine, panel_nodes
-from .bubble import Bubble, lq_norm, truncated_bubble
+from .bubble import Bubble, Cutoff, lq_norm, truncated_bubble
 from .constants import bubble_constants, sphere_surface
 from .problem import ProblemParams, weight_from_params
 from .quad import ball_restricted_form, bilinear_radial, default_r_breaks
@@ -110,11 +110,6 @@ def _fit_report(quantity, grid, values, fit_values, claimed, extras=None, side_o
 # A_{s,k,eps}: the ball-restricted |x|^k pair form of the free bubble
 # ---------------------------------------------------------------------------
 
-def _bubble_ball_breaks(eps: float, r_hi: float) -> np.ndarray:
-    core = geometric_refine(0.0, r_hi, toward=0.0, ratio=0.5, floor=max(eps * 1e-8, 1e-14))
-    return np.unique(np.concatenate([core, np.linspace(0.0, r_hi, 9)]))
-
-
 def ball_weighted_form(params: ProblemParams, eps: float) -> float:
     """A_{s,k,eps}: both radii restricted to the cutoff core ball of radius eta."""
     k = float(params.k)
@@ -123,8 +118,7 @@ def ball_weighted_form(params: ProblemParams, eps: float) -> float:
     def wk(r):
         return np.asarray(r, dtype=float) ** k
 
-    return ball_restricted_form(bub, wk, params.n, params.s, params.eta,
-                                r_breaks=_bubble_ball_breaks(eps, params.eta))
+    return ball_restricted_form(bub, wk, params.n, params.s, params.eta)
 
 
 def sweep_A(params: ProblemParams, eps_grid=DEFAULT_EPS_GRID) -> SweepReport:
@@ -266,8 +260,6 @@ def _critical_mass_deficit(eps: float, s: float, n: int, eta: float) -> float:
     accuracy on a quantity of order eps^n.
     """
     bub = Bubble(eps=eps, s=s, n=n)
-    from .bubble import Cutoff
-
     cut = Cutoff(eta=eta)
     qs = 2.0 * n / (n - 2.0 * s)
     r_tail = 200.0 * eta

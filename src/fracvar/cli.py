@@ -89,13 +89,17 @@ def _load_config(path: str, seed: int | None):
 
 
 def _u64(text: str) -> int:
-    if not (text.isascii() and text.isdigit() and int(text) < 2**64):
-        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2^64), got {text!r}")
-    return int(text)
+    try:
+        return problem.parse_seed(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _eps_grid(items: list[str]) -> list[float]:
-    grid = [float(tok) for item in items for tok in item.split(",") if tok]
+    try:
+        grid = [float(tok) for item in items for tok in item.split(",") if tok]
+    except ValueError as exc:
+        raise _UsageError(f"--eps-grid: {exc}") from exc
     if not grid:
         raise _UsageError("--eps-grid needs at least one value")
     return grid

@@ -1,14 +1,14 @@
 """Problem definition: parameters, admissibility checks, and the weight model.
 
-The minimization problem lives on a ball Omega = B(a, R) in dimension n >= 3,
+The minimization problem lives on a ball Omega = B(0, R) in dimension n >= 3,
 with fractional order s in (0, 1), a radial weight p(x) >= p0 attaining its
-global minimum p0 at the center, a subcritical perturbation lambda * |u|^q,
-and the critical exponent q_s = 2n/(n - 2s).
+global minimum p0 at the origin, a subcritical perturbation lambda * |u|^q,
+and the critical exponent q_s = 2n/(n - 2s).  By translation invariance the
+weight and every profile are radial about the origin.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +60,8 @@ class ProblemParams:
     """Immutable bundle of problem parameters.
 
     ``lam`` is the perturbation coefficient (written ``lambda`` in config
-    files; renamed here because of the Python keyword).  ``a`` is the weight
-    center; ``None`` means the origin, which is what the radial machinery
-    assumes.
+    files; renamed here because of the Python keyword).  The weight's
+    minimum, and the center of the ball of radius ``R``, is the origin.
     """
 
     n: int
@@ -74,7 +73,6 @@ class ProblemParams:
     p0: float = 1.0
     eta: float = 1.0
     R: float = 5.0
-    a: tuple[float, ...] | None = None
 
     @property
     def q_s(self) -> float:
@@ -88,9 +86,6 @@ class ProblemParams:
     def k_admissible(self) -> bool:
         """Weight growth exponent constraint 2 <= k < n - 4s (open at the top)."""
         return 2.0 <= self.k < self.n - 4.0 * self.s
-
-    def center(self) -> np.ndarray:
-        return np.zeros(self.n) if self.a is None else np.asarray(self.a, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -194,18 +189,18 @@ VARIANTS = ("Constant", "TruncatedPower", "TabulatedRadial")
 
 @dataclass(frozen=True)
 class WeightModel:
-    """Concrete radial weight p(|x - a|).
+    """Concrete radial weight p(|x|).
 
     Variants:
 
     * ``Constant`` — p == p0 everywhere.
     * ``TruncatedPower`` — p(r) = p0 + kappa * r^k for r <= 4*eta, then a
       continuous integrable tail p0 + kappa * (4 eta)^k * (4 eta / r)^(n+1).
-      Attains the local growth bound with equality on the ball B(a, 4 eta).
+      Attains the local growth bound with equality on the ball B(0, 4 eta).
     * ``TabulatedRadial`` — piecewise-linear interpolation of (r, p) samples,
       clamped to the last sample value beyond the table and floored at p0.
 
-    Every variant is bounded, >= p0 pointwise, equals p0 at the center, and
+    Every variant is bounded, >= p0 pointwise, equals p0 at the origin, and
     has finite excess mass \\int (p - p0) dx.
     """
 
@@ -215,7 +210,6 @@ class WeightModel:
     kappa: float = 0.0
     k: float = 2.0
     eta: float = 1.0
-    a: tuple[float, ...] | None = None
     table: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
@@ -287,13 +281,6 @@ class WeightModel:
         return sig * float(np.trapezoid(vals, grid))
 
 
-def weight_eval(w: WeightModel, x) -> float:
-    """Evaluate the weight at a point x in R^n."""
-    x = np.asarray(x, dtype=float)
-    c = np.zeros_like(x) if w.a is None else np.asarray(w.a, dtype=float)
-    return float(w.radial(np.linalg.norm(x - c)))
-
-
 def weight_from_params(params: ProblemParams, variant: str = "TruncatedPower") -> WeightModel:
     if variant == "Constant":
         return WeightModel.constant(params.n, params.p0)
@@ -322,12 +309,20 @@ class RunConfig:
         return "".join(f"{k} = {v}\n" for k, v in self.raw)
 
 
+def parse_seed(text: str) -> int:
+    """A seed written in decimal digits, in [0, 2^64): the seeds numpy's generators take."""
+    if not (text.isascii() and text.isdigit() and int(text) < 2**64):
+        raise ValueError(f"expected an integer in [0, 2^64), got {text!r}")
+    return int(text)
+
+
 def parse_config_text(text: str) -> RunConfig:
     """Parse line-oriented ``key = value`` configuration text.
 
-    Blank lines and ``#`` comments are ignored.  Unknown keys are an error.
-    Raw value strings are preserved verbatim so that a config snapshot
-    round-trips decimal-exactly.
+    Blank lines and ``#`` comments are ignored.  Unknown keys are an error,
+    as are a seed outside [0, 2^64) and a ``weight.table`` that the weight
+    variant does not read.  Raw value strings are preserved verbatim so
+    that a config snapshot round-trips decimal-exactly.
     """
     raw: list[tuple[str, str]] = []
     seen: dict[str, str] = {}
@@ -386,14 +381,16 @@ def parse_config_text(text: str) -> RunConfig:
             pairs.append((float(r_str), float(p_str)))
         weight = WeightModel.tabulated(params.n, params.p0, pairs)
     elif variant in ("Constant", "TruncatedPower"):
+        if "weight.table" in seen:
+            raise ConfigError(f"key 'weight.table' is read only by weight.variant = TabulatedRadial, not {variant!r}")
         weight = weight_from_params(params, variant)
     else:
         raise ConfigError(f"unknown weight.variant {variant!r}")
 
     try:
-        seed = int(seen.get("seed", "0"))
+        seed = parse_seed(seen.get("seed", "0"))
     except ValueError as exc:
-        raise ConfigError(f"key 'seed': not an integer: {seen['seed']!r}") from exc
+        raise ConfigError(f"key 'seed': {exc}") from exc
 
     return RunConfig(params=params, weight=weight, seed=seed, raw=tuple(raw))
 

@@ -27,6 +27,9 @@ the origin and the Gauss-Legendre points per radial and tau panel (``N_R``,
 radial panels and reports the shift as its error; :func:`bilinear_radial` and
 :func:`ball_restricted_form` are single passes.
 
+Every profile and weight is radial about the origin, and
+:func:`radial_power_integral` is the one power sum of a profile.
+
 The Monte Carlo path is an independent oracle: pairs are sampled as
 x ~ uniform(box), y = x + z with |z| drawn from the density proportional to
 |z|^(2-n-2s) (cancelling the kernel singularity against the quadratic
@@ -56,7 +59,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from ._panels import geometric_refine, panel_nodes
-from .bubble import Bubble, TruncatedBubble, lq_norm
+from .bubble import Bubble, TruncatedBubble
 from .constants import kernel_batch, sphere_surface
 
 
@@ -426,22 +429,17 @@ def ball_restricted_form(u, weight_fn, n: int, s: float, r_hi: float, *, r_break
 # ---------------------------------------------------------------------------
 
 def radial_power_integral(u, expo: float, n: int, *, r_max: float | None = None) -> float:
-    """\\int |u|^expo dx for a radial profile, by graded 16-point Gauss-Legendre panels.
+    """\\int |u|^expo dx over radii up to r_max, on 16-point panels of :func:`default_r_breaks`.
 
-    Bubbles and truncated bubbles go through :func:`fracvar.bubble.lq_norm`,
-    whose panels follow the eps-scale peak and the cutoff shoulders; any
-    other profile takes the generic panels of :func:`default_r_breaks`.
+    The one power sum of a radial profile; :func:`fracvar.bubble.lq_norm`
+    calls it.  A bubble's dimension must equal ``n``.
     """
     prof = as_profile(u, r_max if r_max is not None else math.inf)
-    top = prof.support if math.isfinite(prof.support) else r_max
-    if top is None:
+    top = prof.support if r_max is None else min(prof.support, r_max)
+    if not math.isfinite(top):
         raise ValueError("profile has unbounded support; pass r_max")
-    if isinstance(u, (Bubble, TruncatedBubble)):
-        if n != (u.n if isinstance(u, Bubble) else u.bubble.n):
-            raise ValueError("dimension n does not match the bubble's")
-        return lq_norm(u, expo, r_max=r_max)
-    if r_max is not None:
-        top = min(top, r_max)
+    if isinstance(u, (Bubble, TruncatedBubble)) and n != (u.n if isinstance(u, Bubble) else u.bubble.n):
+        raise ValueError("dimension n does not match the bubble's")
     r, wq = panel_nodes(default_r_breaks(prof, top), 16)
     vals = np.abs(prof.radial_value(r)) ** expo
     return sphere_surface(n) * float(np.sum(wq * vals * r ** (n - 1)))
@@ -605,17 +603,10 @@ def seminorm_mc(
     independent of how batches would be scheduled.
 
     Each sampled point set has its radii computed once, and the weight and
-    a radial profile are both evaluated at those radii, that is, about the
-    origin.  So the weight and a profile object must be centered there: a
-    weight with ``a`` set, or a bubble or truncated bubble with a center,
-    raises ``ValueError``.  A plain callable receives the points themselves
-    and may be centered anywhere inside ``box``.
+    a radial profile, both radial about the origin, are evaluated at those
+    radii.  A plain callable receives the points themselves and may be
+    centered anywhere inside ``box``.
     """
-    centre = u.bubble.a if isinstance(u, TruncatedBubble) else getattr(u, "a", None)
-    if hasattr(u, "radial_value") and centre is not None:
-        raise ValueError("seminorm_mc evaluates radial profiles about the origin; got a centered profile")
-    if w is not None and w.a is not None:
-        raise ValueError("seminorm_mc evaluates the weight about the origin; got a centered weight")
     if hasattr(u, "support") and math.isfinite(getattr(u, "support")):
         support = float(u.support)
     elif box is not None:

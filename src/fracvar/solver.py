@@ -348,15 +348,15 @@ def grid_rule(nodes: np.ndarray, n: int, npts: int = 12) -> GridRule:
                     x01=x01[None, :], omx=1.0 - x01[None, :])
 
 
-def power_integral(field: RadialField, expo: float, n: int, *, npts: int = 12) -> float:
-    """\\int |u|^expo dx of the interpolant, exact per-interval panels."""
-    rule = grid_rule(field.nodes, n, npts)
+def power_integral(field: RadialField, expo: float, n: int) -> float:
+    """\\int |u|^expo dx of the interpolant, on the 12-point :class:`GridRule`."""
+    rule = grid_rule(field.nodes, n)
     return rule.integral(rule.interpolate(field.dofs), expo)
 
 
-def power_gradient(field: RadialField, expo: float, n: int, *, npts: int = 12) -> np.ndarray:
+def power_gradient(field: RadialField, expo: float, n: int) -> np.ndarray:
     """Gradient of \\int |u|^expo dx with respect to the hat coefficients."""
-    rule = grid_rule(field.nodes, n, npts)
+    rule = grid_rule(field.nodes, n)
     return rule.gradient(rule.interpolate(field.dofs), expo)
 
 
@@ -496,12 +496,12 @@ def _min_form_on_sphere(
 def minimize_S(
     params: ProblemParams,
     op: StiffnessOperator,
-    init: RadialField | None = None,
     opts: MinimizeOptions | None = None,
 ) -> MinimizeResult:
     """Projected-gradient minimization of u^T A u - lam u^T Mq u on the q_s sphere.
 
-    The descent direction is the tangentially projected gradient,
+    The descent starts from the interpolant of the truncated bubble of
+    width 0.2.  The descent direction is the tangentially projected gradient,
     preconditioned by the stiffness factorization; Armijo backtracking on
     the renormalized iterate keeps the energy monotone across accepted
     steps.  Convergence is declared when the projected gradient drops below
@@ -516,8 +516,7 @@ def minimize_S(
     level = params.p0 * bubble_constants(params.n, params.s).Ss
     nodes = op.nodes
 
-    if init is None:
-        init = interpolate_field(truncated_bubble(0.2, params.s, params.n, eta=params.eta), nodes)
+    init = interpolate_field(truncated_bubble(0.2, params.s, params.n, eta=params.eta), nodes)
     u, E, it, status = _min_form_on_sphere(
         op.A - params.lam * op.Mq, op, qs, init.dofs,
         opts, floor_energy=-10.0 * level,
@@ -536,17 +535,9 @@ def minimize_S(
     )
 
 
-def refinement_check(
-    params: ProblemParams,
-    M: int = 128,
-    *,
-    opts: MinimizeOptions | None = None,
-) -> tuple[float, float, float]:
+def refinement_check(params: ProblemParams, M: int = 128) -> tuple[float, float, float]:
     """Converged energies at M and 2M intervals and their relative change."""
-    e = []
-    for m in (M, 2 * M):
-        op = assemble(params, m)
-        e.append(minimize_S(params, op, opts=opts).energy)
+    e = [minimize_S(params, assemble(params, m)).energy for m in (M, 2 * M)]
     rel = abs(e[1] - e[0]) / abs(e[1])
     return e[0], e[1], rel
 

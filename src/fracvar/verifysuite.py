@@ -31,7 +31,6 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .asymptotics import (
-    DEFAULT_EPS_GRID,
     check_delta_lemma,
     sweep_A,
     sweep_bubble_norms,
@@ -272,12 +271,11 @@ def check_fiber_limits(base: ProblemParams) -> tuple[bool, dict]:
     }
 
 
-def _initial_crest_gradient(params: ProblemParams, op, e, m: int = 21,
-                            samples: int = 3) -> float:
+def _initial_crest_gradient(params: ProblemParams, op, e) -> float:
     # the straight ray from 0 to e on the t-grid of a 21-point path with 3
     # checkpoints per segment; the gradient at its highest sample is the
     # reference that the Nehari minimizer's gradient must undercut
-    ts = np.linspace(0.0, 1.0, (m - 1) * (samples + 1) + 1)
+    ts = np.linspace(0.0, 1.0, 20 * 4 + 1)
     vals = [phi_value(params, op, _with_dofs(op.nodes, t * e.dofs)) for t in ts]
     t_best = ts[int(np.argmax(vals))]
     g = phi_gradient(params, op, _with_dofs(op.nodes, t_best * e.dofs))

@@ -39,8 +39,8 @@ PINNED_HEX = {
 
 # sha256 of ``fracvar verify --config default.cfg`` artifacts (seed 1318)
 VERIFY_SHA256 = {
-    "manifest.json": "382c119117017462a7dc524b422c99d85e36340b472c574c1790cafe82cb8e8f",
-    "verify_results.json": "1a7ef79e481d69f70a660abd57349d98b680168df5217777e95376a3460bfb68",
+    "manifest.json": "08e2f4163c1fa79eddc0c10f43249355dd3a9d6125d12e9f689322eb655c6c8f",
+    "verify_results.json": "cf44ae6e6e82dc5715426b06e2a40a2fb09fc9d048f9d6d1f6b0cbdb269c18c1",
 }
 
 

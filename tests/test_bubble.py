@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracvar.bubble import Bubble, Cutoff, TruncatedBubble, eval_U, eval_u, lq_norm, truncated_bubble
+from fracvar.bubble import Bubble, Cutoff, TruncatedBubble, lq_norm, truncated_bubble
 from fracvar.constants import lebesgue_power_integral
 
 
@@ -12,7 +12,7 @@ def test_bubble_pointwise_values():
     assert b.radial_value(0.0) == pytest.approx(1.0, abs=0.0)
     # (eps/(eps^2+r^2))^((n-2s)/2) at r=1, eps=1 -> 2^(-2.5)
     assert b.radial_value(1.0) == pytest.approx(2.0**-2.5, rel=1e-15)
-    assert eval_U(b, np.zeros(6)) == pytest.approx(1.0)
+    assert b.radial_value(np.linalg.norm(np.zeros(6))) == pytest.approx(1.0)
 
 
 def test_bubble_rescaling_identity():
@@ -73,7 +73,7 @@ def test_truncated_bubble_support_and_product_rule():
     np.testing.assert_allclose(tb.radial_deriv(rr), fd, rtol=1e-6)
     x = np.zeros(6)
     x[0] = 0.8
-    assert eval_u(tb, x) == pytest.approx(tb.radial_value(0.8))
+    assert tb.radial_value(np.linalg.norm(x)) == pytest.approx(tb.radial_value(0.8))
 
 
 def test_truncated_bubble_evaluated_only_inside_support():
@@ -88,22 +88,28 @@ def test_truncated_bubble_evaluated_only_inside_support():
         assert tb.radial_value(x) == tb.bubble.radial_value(x) * tb.cutoff.radial_value(x)
 
 
+NORM_CASES = [(6, 0.5), (4, 0.3), (3, 0.2), (10, 0.7)]
+NORM_EPS = (1.0, 0.35, 0.12, 0.05, 0.01)
+
+
 def test_critical_norm_is_scale_invariant():
-    # int U_eps^{q_s} = Kqs independent of eps
-    n, s = 6, 0.5
-    qs = 2.0 * n / (n - 2 * s)
-    kqs = lebesgue_power_integral(n, n)
-    for eps in (1.0, 0.35, 0.12):
-        b = Bubble(eps=eps, s=s, n=n)
-        assert lq_norm(b, qs, r_max=1e4 * eps) == pytest.approx(kqs, rel=1e-8)
+    # int U_eps^{q_s} = Kqs independent of eps; the cut at 1e4 eps drops
+    # a fraction of order (1e4)^-n of the mass
+    for n, s in NORM_CASES:
+        qs = 2.0 * n / (n - 2 * s)
+        kqs = lebesgue_power_integral(n, n)
+        for eps in NORM_EPS:
+            b = Bubble(eps=eps, s=s, n=n)
+            assert lq_norm(b, qs, r_max=1e4 * eps) == pytest.approx(kqs, rel=1e-11)
 
 
 def test_l2_norm_of_unit_bubble_closed_form():
-    # int U_1^2 = lebesgue_power_integral(n, n-2s)
-    n, s = 6, 0.5
-    b = Bubble(eps=1.0, s=s, n=n)
-    want = lebesgue_power_integral(n, n - 2 * s)
-    assert lq_norm(b, 2.0, r_max=1e6) == pytest.approx(want, rel=1e-8)
+    # int U_eps^2 = eps^{2s} lebesgue_power_integral(n, n-2s)
+    for n, s in NORM_CASES:
+        want = lebesgue_power_integral(n, n - 2 * s)
+        for eps in NORM_EPS:
+            b = Bubble(eps=eps, s=s, n=n)
+            assert lq_norm(b, 2.0, r_max=1e6 * eps) == pytest.approx(eps ** (2 * s) * want, rel=1e-11)
 
 
 def test_truncation_error_small_at_small_eps():

@@ -91,6 +91,20 @@ def test_malformed_config_exits_1(tmp_path, capsys):
     assert "ConfigError" in err
 
 
+@pytest.mark.parametrize("extra", ["seed = -1\n", "weight.table = 0:1.0, 1:1.2, 2:1.0\n"],
+                         ids=["negative-seed", "table-without-variant"])
+def test_config_keys_that_change_nothing_exit_1(tmp_path, capsys, extra):
+    # a negative seed would fail later inside numpy; a table is read only
+    # by the TabulatedRadial variant
+    text = "".join(line for line in Path(DEFAULT_CFG).read_text().splitlines(keepends=True)
+                   if not line.startswith("seed"))
+    cfg = tmp_path / "extra.cfg"
+    cfg.write_text(text + extra)
+    rc, out, err = run(capsys, "validate", "--config", str(cfg))
+    assert (rc, out) == (1, "")
+    assert "ConfigError" in err
+
+
 @pytest.mark.parametrize("weight_lines", [
     "weight.variant = Constant\n",
     "weight.variant = TabulatedRadial\nweight.table = 0:1.0, 1:1.2, 2:1.0\n",
@@ -398,7 +412,7 @@ GOLDEN = {
          "mountain_pass_path.csv": "aba743040f3e9e808525e6fc075848bafa476d800725c5169f18235cca437495"}),
     "empty-eps-grid": (("fiber", "--config", DEFAULT_CFG, "--eps-grid", ",", "--out", OUT), 1, None, {}),
     "missing-config-file": (("eigen", "--config", "/nonexistent/x.cfg", "--out", OUT), 1, None, {}),
-    "bad-eps-grid-value": (("bubble-norms", "--q", "2.4", "--eps-grid", "0.2,x", "--out", OUT), 2, None, {}),
+    "bad-eps-grid-value": (("bubble-norms", "--q", "2.4", "--eps-grid", "0.2,x", "--out", OUT), 1, None, {}),
 }
 
 

@@ -11,7 +11,6 @@ from fracvar.problem import (
     ns_admissible,
     parse_config_text,
     validate,
-    weight_eval,
     weight_from_params,
 )
 
@@ -87,17 +86,17 @@ def test_theorem_regime_needs_positive_lambda():
 
 def test_weight_constant_and_center():
     w = WeightModel.constant(n=6, p0=1.5)
-    assert weight_eval(w, np.zeros(6)) == 1.5
-    assert weight_eval(w, np.full(6, 2.0)) == 1.5
+    assert w.radial(np.linalg.norm(np.zeros(6))) == 1.5
+    assert w.radial(np.linalg.norm(np.full(6, 2.0))) == 1.5
 
 
 def test_weight_truncated_power_center_and_floor():
     w = WeightModel.truncated_power(n=6, p0=1.0, kappa=0.3, k=2, eta=1.0)
-    assert weight_eval(w, np.zeros(6)) == pytest.approx(1.0, abs=0.0)
+    assert w.radial(np.linalg.norm(np.zeros(6))) == pytest.approx(1.0, abs=0.0)
     rng = np.random.default_rng(5)
     for _ in range(50):
         x = rng.normal(size=6) * rng.uniform(0.1, 20.0)
-        assert weight_eval(w, x) >= 1.0 - 1e-15
+        assert w.radial(np.linalg.norm(x)) >= 1.0 - 1e-15
 
 
 def test_weight_junction_continuity():
@@ -183,6 +182,25 @@ def test_config_errors():
         parse_config_text("n = 6\ns = 0.5\nbogus_key = 1\n")
     with pytest.raises(ConfigError):
         parse_config_text("n = 6\nn = 7\ns = 0.5\n")
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_config_seed_outside_u64_is_rejected(seed):
+    # numpy's generators take seeds in [0, 2^64), as the --seed flag does
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config_text(f"n = 6\ns = 0.5\nseed = {seed}\n")
+
+
+def test_config_largest_u64_seed_is_accepted():
+    assert parse_config_text(f"n = 6\ns = 0.5\nseed = {2**64 - 1}\n").seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("variant", ["", "weight.variant = Constant\n", "weight.variant = TruncatedPower\n"],
+                         ids=["default", "Constant", "TruncatedPower"])
+def test_config_weight_table_needs_tabulated_variant(variant):
+    # only TabulatedRadial reads the table; elsewhere it would change nothing
+    with pytest.raises(ConfigError, match="weight.table"):
+        parse_config_text(f"n = 6\ns = 0.5\n{variant}weight.table = 0:1.0, 1:1.2, 2:1.0\n")
 
 
 def test_weight_from_params_matches_fields():

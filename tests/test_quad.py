@@ -145,22 +145,6 @@ def test_mc_exact_values(case, N, value, abs_error):
     assert (est.value.hex(), est.abs_error.hex()) == (value, abs_error)
 
 
-@pytest.mark.parametrize(
-    "u, w",
-    [
-        (truncated_bubble(0.8, S6, N6, 1.0),
-         WeightModel(variant="TruncatedPower", n=N6, p0=1.0, kappa=1.0, a=(0.7,) + (0.0,) * 5)),
-        (truncated_bubble(0.8, S6, N6, 1.0, a=(0.7,) + (0.0,) * 5), None),
-        (Bubble(eps=0.8, s=S6, n=N6, a=(0.7,) + (0.0,) * 5), None),
-    ],
-    ids=["weight_center", "truncated_bubble_center", "bubble_center"],
-)
-def test_mc_rejects_centered_inputs(u, w):
-    # the weight and a radial profile share the radii |x| about the origin
-    with pytest.raises(ValueError, match="origin"):
-        seminorm_mc(u, w, N6, S6, box=3.0, N=10_000, seed=3)
-
-
 def test_bilinear_symmetry_and_cauchy_schwarz():
     u = truncated_bubble(0.5, S6, N6, 1.0)
     v = truncated_bubble(0.9, S6, N6, 1.0)
