@@ -320,8 +320,9 @@ def parse_config_text(text: str) -> RunConfig:
     """Parse line-oriented ``key = value`` configuration text.
 
     Blank lines and ``#`` comments are ignored.  Unknown keys are an error,
-    as are a seed outside [0, 2^64) and a ``weight.table`` that the weight
-    variant does not read.  Raw value strings are preserved verbatim so
+    as are a seed outside [0, 2^64), a ``weight.table`` that the weight
+    variant does not read, and a table that does not parse or that
+    :class:`WeightModel` rejects.  Raw value strings are preserved verbatim so
     that a config snapshot round-trips decimal-exactly.
     """
     raw: list[tuple[str, str]] = []
@@ -373,13 +374,16 @@ def parse_config_text(text: str) -> RunConfig:
     variant = seen.get("weight.variant", "TruncatedPower")
     if variant == "TabulatedRadial":
         pairs = []
-        for chunk in seen.get("weight.table", "").split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            r_str, _, p_str = chunk.partition(":")
-            pairs.append((float(r_str), float(p_str)))
-        weight = WeightModel.tabulated(params.n, params.p0, pairs)
+        try:
+            for chunk in seen.get("weight.table", "").split(","):
+                chunk = chunk.strip()
+                if not chunk:
+                    continue
+                r_str, _, p_str = chunk.partition(":")
+                pairs.append((float(r_str), float(p_str)))
+            weight = WeightModel.tabulated(params.n, params.p0, pairs)
+        except ValueError as exc:
+            raise ConfigError(f"key 'weight.table': {exc}") from exc
     elif variant in ("Constant", "TruncatedPower"):
         if "weight.table" in seen:
             raise ConfigError(f"key 'weight.table' is read only by weight.variant = TabulatedRadial, not {variant!r}")

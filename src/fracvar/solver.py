@@ -4,17 +4,22 @@ Fields are continuous piecewise-linear radial functions on a graded grid
 0 = r_0 < ... < r_M = R, extended by zero beyond R.  The weighted Gagliardo
 form of two such fields reduces, exactly like the profile quadrature in
 :mod:`fracvar.quad`, to core / sliver / outer pieces; each quadrature node
-of that reduction touches at most four hat coefficients, so the stiffness
-matrix assembles as X^T X for a tall sparse factor X whose rows are the
-square-rooted, nonnegative node contributions.  This keeps A symmetric
-positive semidefinite by construction and exactly linear in the weight.
-The assembled operator carries the Cholesky factor of A, computed once by
-:func:`assemble`; every solve against A in the package reuses it.  It also
-owns the grid's power-integral rule (:class:`GridRule`: per-interval
-Gauss-Legendre weights, the Jacobian r^(n-1) and the hat values at the
-panel nodes), built once beside the factor, so the descents below
-interpolate a dof vector and integrate its powers without rebuilding the
-rule or a validated field at every step.
+of that reduction touches at most four hat coefficients.  Each node is one
+row of a factor X (its square-rooted, nonnegative contribution on those
+coefficients), and the stiffness matrix is the Gram matrix X^T X, which
+keeps A symmetric positive semidefinite by construction and exactly
+linear in the weight.  X is never stored whole: its rows are built a block
+at a time, and each row's 4 x 4 outer product is added into the dense
+matrix in row order (:func:`_gram`), so the working set is a block,
+not the million rows of a fine grid.  The mass matrix is the Gram matrix
+of its quadrature rows, added by the same routine.  The assembled operator
+carries the Cholesky factor of A, computed once by :func:`assemble`; every
+solve against A in the package reuses it.  It also owns the grid's
+power-integral rule (:class:`GridRule`: per-interval Gauss-Legendre
+weights, the Jacobian r^(n-1) and the hat values at the panel nodes),
+built once beside the factor, so the descents below interpolate a dof
+vector and integrate its powers without rebuilding the rule or a validated
+field at every step.
 
 The constrained infimum
 
@@ -41,7 +46,6 @@ from typing import Mapping
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.sparse import csr_matrix
 
 from ._panels import gl_rule, panel_nodes
 from .bubble import truncated_bubble
@@ -185,16 +189,56 @@ class StiffnessOperator:
         return sla.cho_solve(self.cho, np.asarray_chkfinite(b), check_finite=False)
 
 
-def _sparse_gram(rows, cols, vals, nrows: int, ncols: int) -> np.ndarray:
-    X = csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(nrows, ncols))
-    G = (X.T @ X).toarray()
-    return 0.5 * (G + G.T)
+# r-nodes per block of core rows: a block of the factor X is added into the
+# dense Gram matrix before the next one is built
+GRAM_BLOCK = 64
 
 
-def _stiffness(params: ProblemParams, nodes: np.ndarray, n_r: int, n_t: int) -> tuple[np.ndarray, int]:
-    """The weighted Gagliardo stiffness on the hat basis and its number of quadrature rows.
+def _gram(M: int, blocks) -> tuple[np.ndarray, int]:
+    """The Gram matrix X^T X of a sparse factor X given in row blocks, and X's row count.
+
+    Each block is ``(cols, vals)``: ``cols[a]`` and ``vals[a]`` hold the
+    column and the value of slot a of every row of the block, and the
+    blocks come in row order.  A column repeated within a row is merged
+    into its first slot, and then every row adds its full outer product,
+    row after row: ``np.add.at`` applies its updates unbuffered in index
+    order, so each G[i, j] is the sequential sum over the rows in order,
+    the same float operations as a CSR product X^T X, and G[j, i] receives
+    the same products as G[i, j].  A zero slot (the Dirichlet node) adds
+    +-0, which changes no sum.  Blocks of one shape share the work arrays
+    of the products, so fresh memory is not paged in for every block.
+    """
+    G = np.zeros((M, M))
+    n_rows = 0
+    work = None
+    for cols, vals in blocks:
+        cols = np.array(cols)
+        vals = np.array(vals, dtype=float)
+        for a in range(1, len(cols)):
+            for b in range(a):
+                same = cols[a] == cols[b]
+                vals[b] = np.where(same, vals[b] + vals[a], vals[b])
+                vals[a] = np.where(same, 0.0, vals[a])
+        k, rows = cols.shape
+        n_rows += rows
+        if work is None or work[0].shape != (k, k, rows):
+            work = (np.empty((k, k, rows), dtype=np.intp), np.empty((k, k, rows)),
+                    np.empty((rows, k, k), dtype=np.intp), np.empty((rows, k, k)))
+        flat_kk, prod_kk, flat, prod = work
+        np.add(cols[:, None, :] * M, cols[None, :, :], out=flat_kk)
+        np.multiply(vals[:, None, :], vals[None, :, :], out=prod_kk)
+        flat[...] = flat_kk.transpose(2, 0, 1)  # row by row
+        prod[...] = prod_kk.transpose(2, 0, 1)
+        np.add.at(G.reshape(-1), flat.reshape(-1), prod.reshape(-1))
+    return G, n_rows
+
+
+def _stiffness_rows(params: ProblemParams, nodes: np.ndarray, n_r: int, n_t: int):
+    """The rows of the stiffness factor X, as :func:`_gram` blocks in row order.
 
     ``n_r`` Gauss-Legendre points per grid interval, ``n_t`` per tau-panel.
+    The core rows come ``GRAM_BLOCK`` r-nodes at a time, then the sliver
+    rows, then the outer rows.
     """
     M = len(nodes) - 1
     n, s = params.n, params.s
@@ -204,43 +248,38 @@ def _stiffness(params: ProblemParams, nodes: np.ndarray, n_r: int, n_t: int) -> 
     rn, rw = panel_nodes(nodes, n_r)
     ia0, va0, ia1, va1 = _hat_at(nodes, rn)
     nr = len(rn)
+    radial = rw * rn ** (n - 1.0 - two_s)
+    wr = wfun(rn)
 
     # core rows: one per (r-node, tau-node) ordered pair
     tn, tau_fac, band = _kernel_row(n, s, n_t)
-    inner = (rn[:, None] * tn[None, :]).ravel()
-    wb = 0.5 * (wfun(rn)[:, None] + wfun(inner).reshape(nr, -1))
-    sq = np.sqrt((rw * rn ** (n - 1.0 - two_s))[:, None] * tau_fac[None, :] * wb).ravel()
-    ib0, vb0, ib1, vb1 = _hat_at(nodes, inner)
     nt = len(tn)
-    core_rows = np.arange(nr * nt)
-    rows = [core_rows, core_rows, core_rows, core_rows]
-    cols = [np.repeat(ia0, nt), np.repeat(ia1, nt), ib0, ib1]
-    vals = [np.repeat(va0, nt) * sq, np.repeat(va1, nt) * sq, -vb0 * sq, -vb1 * sq]
-    base = nr * nt
+    for lo in range(0, nr, GRAM_BLOCK):
+        blk = slice(lo, lo + GRAM_BLOCK)
+        inner = (rn[blk, None] * tn[None, :]).ravel()
+        wb = 0.5 * (wr[blk, None] + wfun(inner).reshape(-1, nt))
+        sq = np.sqrt(radial[blk, None] * tau_fac[None, :] * wb).ravel()
+        ib0, vb0, ib1, vb1 = _hat_at(nodes, inner)
+        yield ([np.repeat(ia0[blk], nt), np.repeat(ia1[blk], nt), ib0, ib1],
+               [np.repeat(va0[blk], nt) * sq, np.repeat(va1[blk], nt) * sq, -vb0 * sq, -vb1 * sq])
 
     # sliver rows: the |tau - 1| < delta band through the Lipschitz model
-    sq_sl = np.sqrt(band * rw * wfun(rn) * rn ** (n + 1.0 - two_s))
+    sq_sl = np.sqrt(band * rw * wr * rn ** (n + 1.0 - two_s))
     j = np.clip(np.searchsorted(nodes, rn, side="right") - 1, 0, M - 1)
     inv_h = 1.0 / (nodes[j + 1] - nodes[j])
-    sl_rows = base + np.arange(nr)
-    j1 = np.where(j + 1 < M, j + 1, 0)
-    rows += [sl_rows, sl_rows]
-    cols += [j, j1]
-    vals += [-inv_h * sq_sl, np.where(j + 1 < M, inv_h, 0.0) * sq_sl]
-    base += nr
+    yield [j, np.where(j + 1 < M, j + 1, 0)], [-inv_h * sq_sl, np.where(j + 1 < M, inv_h, 0.0) * sq_sl]
 
     # outer rows: pairs whose far radius exceeds R, where the field vanishes
-    # the kernel table (about 8 MB at M = 512) dies before the Gram product
     geom = dict(r_hi=nodes[-1], n_t=n_t)
     fold = _outer_fold(rn, wfun, wfar, n, s, _fold_kernel(n, s, rn, **geom), **geom)
-    sq_out = np.sqrt(rw * rn ** (n - 1.0 - two_s) * fold)
-    out_rows = base + np.arange(nr)
-    rows += [out_rows, out_rows]
-    cols += [ia0, ia1]
-    vals += [va0 * sq_out, va1 * sq_out]
-    base += nr
+    sq_out = np.sqrt(radial * fold)
+    yield [ia0, ia1], [va0 * sq_out, va1 * sq_out]
 
-    return 2.0 * sphere_surface(n) * _sparse_gram(rows, cols, vals, base, M), base
+
+def _stiffness(params: ProblemParams, nodes: np.ndarray, n_r: int, n_t: int) -> tuple[np.ndarray, int]:
+    """The weighted Gagliardo stiffness on the hat basis and its number of quadrature rows."""
+    G, n_rows = _gram(len(nodes) - 1, _stiffness_rows(params, nodes, n_r, n_t))
+    return 2.0 * sphere_surface(params.n) * G, n_rows
 
 
 def assemble(params: ProblemParams, grid, *, tol: float | None = None) -> StiffnessOperator:
@@ -266,8 +305,7 @@ def assemble(params: ProblemParams, grid, *, tol: float | None = None) -> Stiffn
     rm = (nodes[:-1][:, None] + np.diff(nodes)[:, None] * mass.x01).ravel()
     im0, wm0, im1, wm1 = _hat_at(nodes, rm)
     sq_m = np.sqrt(mass.wq.ravel() * mass.sig * mass.rn1.ravel())
-    mrows = np.arange(len(rm))
-    Mq = _sparse_gram([mrows, mrows], [im0, im1], [wm0 * sq_m, wm1 * sq_m], len(rm), M)
+    Mq, _ = _gram(M, [([im0, im1], [wm0 * sq_m, wm1 * sq_m])])
 
     factors = []
     for name, mat in (("stiffness", A), ("mass", Mq)):
@@ -405,9 +443,9 @@ def _projected_descent(solve, u, energy, gradients, stop, retract, max_iter: int
     ``u`` starts on the set.  ``gradients(u)`` returns the energy gradient g
     and the constraint gradient c.  The descent direction is the Riemannian
     gradient in the metric of the SPD matrix whose inverse ``solve``
-    applies: g and c are both preconditioned before the tangential
-    projection, so stiff high-frequency components do not leak back in
-    through the projector.  If that is not a descent direction, the
+    applies: g and c are both preconditioned, by one two-column ``solve``,
+    before the tangential projection, so stiff high-frequency components
+    do not leak back in through the projector.  If that is not a descent direction, the
     Euclidean tangential gradient g_tan takes its place.  c never vanishes
     on the sets in use (<c, u> is nonzero on the sphere and on the Nehari
     set), so the projections need no guard.
@@ -431,8 +469,7 @@ def _projected_descent(solve, u, energy, gradients, stop, retract, max_iter: int
         if stop(u, g, g_tan):
             status = "converged"
             break
-        y = solve(g)
-        z = solve(c)
+        y, z = np.ascontiguousarray(solve(np.column_stack((g, c))).T)
         d = y - (y @ c) / (z @ c) * z
         slope = float(d @ g)
         if slope <= 0.0:
@@ -560,12 +597,14 @@ def first_eigenvalue(op: StiffnessOperator, *, max_iter: int = 200) -> tuple[flo
     A, Mq = op.A, op.Mq
     v = np.ones(op.size)
     v /= math.sqrt(v @ Mq @ v)
+    Mv = Mq @ v
     for _ in range(max_iter):
-        v = op.solve(Mq @ v)
+        v = op.solve(Mv)
         v /= math.sqrt(v @ Mq @ v)
         Av = A @ v
+        Mv = Mq @ v
         lam = float(v @ Av)
-        if np.linalg.norm(Av - lam * Mq @ v) <= EIGEN_TOL * np.linalg.norm(Av):
+        if np.linalg.norm(Av - lam * Mv) <= EIGEN_TOL * np.linalg.norm(Av):
             break
     else:
         raise SolverError(f"inverse iteration missed tolerance {EIGEN_TOL:.1e} after {max_iter} iterations")

@@ -105,6 +105,18 @@ def test_config_keys_that_change_nothing_exit_1(tmp_path, capsys, extra):
     assert "ConfigError" in err
 
 
+@pytest.mark.parametrize("table", ["0:1.0, x:1.2", "1:1.0, 2:1.2"], ids=["not-a-number", "not-from-0"])
+def test_malformed_weight_table_exits_1(tmp_path, capsys, table):
+    # a table that does not parse or that the weight rejects is a config error
+    cfg = tmp_path / "table.cfg"
+    cfg.write_text(Path(DEFAULT_CFG).read_text().replace(
+        "weight.variant = TruncatedPower\n",
+        f"weight.variant = TabulatedRadial\nweight.table = {table}\n"))
+    rc, out, err = run(capsys, "validate", "--config", str(cfg))
+    assert (rc, out) == (1, "")
+    assert "ConfigError" in err and "weight.table" in err
+
+
 @pytest.mark.parametrize("weight_lines", [
     "weight.variant = Constant\n",
     "weight.variant = TabulatedRadial\nweight.table = 0:1.0, 1:1.2, 2:1.0\n",

@@ -1,12 +1,16 @@
 import hashlib
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy.integrate import quad as sp_quad
 from scipy.optimize import minimize as sp_minimize
+from scipy.sparse import csr_matrix
 
+from fracvar import solver
 from fracvar.bubble import truncated_bubble
 from fracvar.constants import bubble_constants, sphere_surface
 from fracvar.problem import ProblemParams, critical_exponent, weight_from_params
@@ -15,6 +19,7 @@ from fracvar.solver import (
     MinimizeOptions,
     RadialField,
     SolverError,
+    StiffnessOperator,
     assemble,
     euler_residual,
     first_eigenvalue,
@@ -88,6 +93,63 @@ def test_assembly_exact_matrices(op128):
         "c6191a8a28aa9019178694203d1c620012e925a0f12b68391cefebf876c7ce47")
     assert hashlib.sha256(op128.Mq.tobytes()).hexdigest() == (
         "5ce22eea43a6fcbe0c09ea70f14efba3f21d638fff3faea2c9be705e305ca756")
+
+
+def test_assembly_exact_matrices_stiff_regime():
+    # recorded before the Gram matrices were accumulated in row blocks (the
+    # CSR product X^T X at the time): the blocks must not move a bit
+    op = assemble(replace(P, kappa=1.0, p0=0.5), 512)
+    assert op.meta["quadrature_rows"] == 987136.0
+    assert hashlib.sha256(op.A.tobytes()).hexdigest() == (
+        "c5c5ee379ef9d14d3fae6cf5b7adfde499240961790046d622a8443427425e11")
+    assert hashlib.sha256(op.Mq.tobytes()).hexdigest() == (
+        "908d6126b5fb734a105ec64be26bcf15f6ed259b1a88c7b250d1657d018bc62e")
+
+
+def test_assembly_probe_exact_value():
+    # recorded with the same CSR product as the matrices above
+    assert assemble(P, 128, tol=1.0).meta["probe_rel_err"].hex() == "0x1.e9577223f5412p-16"
+
+
+# the (kappa, p0) weights of the solve benchmark, with P's other parameters
+SOLVE_WEIGHTS = ((0.0, 1.0), (0.05, 1.0), (0.2, 1.5), (1.0, 0.5))
+
+
+@pytest.mark.parametrize("rule", [(4, 10), (6, 14)], ids=["4-10", "6-14"])
+@pytest.mark.parametrize("kappa, p0, uniform", [(k, p, False) for k, p in SOLVE_WEIGHTS]
+                         + [(0.05, 1.0, True)])
+def test_stiffness_matches_csr_gram(rule, kappa, p0, uniform):
+    # the row blocks of the stiffness factor, stacked into one CSR matrix X:
+    # scipy's X^T X sums each entry over the rows in order, after merging a
+    # row's repeated columns, and the blocked accumulation must match it bit
+    # for bit.  Uniform nodes give many repeated columns.
+    nodes = np.linspace(0.0, 5.0, 49) if uniform else make_grid(5.0, 48)
+    params = replace(P, kappa=kappa, p0=p0)
+    blocks = [(np.array(c), np.array(v)) for c, v in solver._stiffness_rows(params, nodes, *rule)]
+    assert len(blocks) > 3  # several core blocks, the sliver and the outer rows
+    rows, start = [], 0
+    for cols, _ in blocks:
+        rows.append(np.tile(np.arange(start, start + cols.shape[1]), len(cols)))
+        start += cols.shape[1]
+    X = csr_matrix((np.concatenate([v.ravel() for _, v in blocks]),
+                    (np.concatenate(rows), np.concatenate([c.ravel() for c, _ in blocks]))),
+                   shape=(start, 48))
+    A, n_rows = solver._stiffness(params, nodes, *rule)
+    assert n_rows == start
+    assert (2.0 * sphere_surface(6) * (X.T @ X).toarray()).tobytes() == A.tobytes()
+
+
+def test_assembly_traced_peak_memory():
+    # the Gram matrices are accumulated a row block at a time; the tall
+    # factor X of all rows (as a CSR product) peaked at about 137 MiB here
+    assemble(P, 32)
+    tracemalloc.start()
+    try:
+        assemble(P, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20
 
 
 def test_assemblies_share_one_kernel_row(monkeypatch):
@@ -287,6 +349,22 @@ def test_no_minimizer_at_lambda_zero():
     assert res.energy >= P_FREE.p0 * LEVEL * (1.0 - 1e-3)
     assert res.energy <= P_FREE.p0 * LEVEL * (1.0 + 1e-2)
     assert not res.below_threshold
+
+
+def test_descent_solves_once_per_iteration(op128, monkeypatch):
+    # the preconditioned gradient and constraint gradient share one
+    # two-column solve against the stiffness factor
+    shapes = []
+    real = StiffnessOperator.solve
+
+    def counting(self, b):
+        shapes.append(np.shape(b))
+        return real(self, b)
+
+    monkeypatch.setattr(StiffnessOperator, "solve", counting)
+    res = minimize_S(P, op128, opts=MinimizeOptions(max_iter=25))
+    assert res.iterations == 25 and res.status == "max_iter"
+    assert shapes == [(op128.size, 2)] * 25
 
 
 def test_concentration_sharpens_under_refinement():
