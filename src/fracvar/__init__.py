@@ -22,7 +22,6 @@ from .constants import (
     SingularityError,
     angular_kernel_K,
     bubble_constants,
-    kernel_H,
     lebesgue_power_integral,
     lebesgue_power_quadrature,
     sphere_surface,
@@ -33,7 +32,6 @@ from .mountainpass import (
     PathState,
     PSReport,
     fiber_sweep,
-    fiber_t,
     level_bound,
     mp_geometry,
     mp_level,
@@ -62,7 +60,6 @@ from .quad import (
     radial_power_integral,
     seminorm_mc,
     seminorm_radial,
-    weighted_energy,
 )
 from .solver import (
     MinimizeOptions,
@@ -93,14 +90,13 @@ __all__ = [
     "parse_config_text", "validate", "weight_from_params",
     # constants
     "ConstantSet", "SingularityError", "angular_kernel_K", "bubble_constants",
-    "kernel_H", "lebesgue_power_integral", "lebesgue_power_quadrature",
-    "sphere_surface",
+    "lebesgue_power_integral", "lebesgue_power_quadrature", "sphere_surface",
     # bubble
     "Bubble", "TruncatedBubble", "lq_norm", "truncated_bubble",
     # quad
     "QuadratureError", "SeminormEstimate", "bilinear_radial",
     "mc_reference_ks", "radial_power_integral", "seminorm_mc",
-    "seminorm_radial", "weighted_energy",
+    "seminorm_radial",
     # asymptotics
     "DEFAULT_EPS_GRID", "DeltaLemmaResult", "SweepReport", "check_delta_lemma",
     "fit_rate", "sweep_A", "sweep_bubble_norms", "sweep_energy",
@@ -112,7 +108,7 @@ __all__ = [
     "power_integral", "refinement_check",
     # mountainpass
     "FiberResult", "MountainPassError", "PathState", "PSReport",
-    "fiber_sweep", "fiber_t", "level_bound", "mp_geometry", "mp_level",
+    "fiber_sweep", "level_bound", "mp_geometry", "mp_level",
     "phi_gradient", "phi_value", "ps_diagnostics",
     # verify
     "CheckResult", "VerifyReport", "run_all",

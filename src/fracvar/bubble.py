@@ -52,8 +52,8 @@ class Bubble:
     n: int
 
     def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
 
     @property
     def exponent(self) -> float:
@@ -85,8 +85,8 @@ class Cutoff:
     eta: float
 
     def __post_init__(self):
-        if self.eta <= 0.0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not (math.isfinite(self.eta) and self.eta > 0.0):
+            raise ValueError(f"eta must be finite and positive, got {self.eta}")
 
     def radial_value(self, r):
         r = np.asarray(r, dtype=float)

@@ -81,10 +81,6 @@ def _csv_bytes(header: list[str], rows) -> bytes:
 
 def _load_config(path: str, seed: int | None):
     cfg = problem.load_config(path)
-    if cfg.weight.variant != "TruncatedPower":
-        # every command rebuilds the weight from the parameters alone
-        raise ConfigError(f"weight.variant {cfg.weight.variant!r} is not supported by the commands; "
-                          "use TruncatedPower")
     return cfg if seed is None else replace(cfg, seed=seed)
 
 

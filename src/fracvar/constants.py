@@ -136,16 +136,6 @@ def angular_kernel_K(n: int, s: float, tau: float) -> float:
     return float(kernel_batch(n, s, np.array([tau]))[0])
 
 
-def kernel_H(n: int, s: float, tau: float) -> float:
-    """Derived profile H(tau) = K(tau) * tau^(n-2) * (tau^2 - 1)^(1+2s), tau > 1.
-
-    Positive and continuous, growing like tau^{2s} at infinity.
-    """
-    if tau <= 1.0:
-        raise ValueError("H is defined for tau > 1")
-    return angular_kernel_K(n, s, tau) * tau ** (n - 2) * (tau**2 - 1.0) ** (1.0 + 2.0 * s)
-
-
 # ---------------------------------------------------------------------------
 # Bubble constants
 # ---------------------------------------------------------------------------

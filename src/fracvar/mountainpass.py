@@ -7,10 +7,10 @@ The full (unconstrained) functional on the hat-function space is
 with A the assembled weighted stiffness matrix and the integrals the
 Gauss-Legendre power integrals of the interpolant.  The module provides:
 
-- ``fiber_t`` / ``fiber_sweep``: the scalar problem on a ray {t v : t > 0}
-  through a critical-norm-normalized profile v.  Phi(t v) is an explicit
-  polynomial in t of three scalars, so the ray maximum is the positive root
-  of  t X - t^{q_s - 1} - lam t^{q - 1} int |v|^q = 0.
+- ``fiber_sweep``: the scalar problem on a ray {t v : t > 0} through a
+  critical-norm-normalized profile v.  Phi(t v) is an explicit polynomial
+  in t of three scalars, so the ray maximum is the positive root of
+  t X - t^{q_s - 1} - lam t^{q - 1} int |v|^q = 0.
 - ``mp_geometry``: the radius/level pair (rho, beta) from the explicit
   embedding lower bound, plus a far endpoint e with Phi(e) < 0.
 - ``mp_level``: the mountain-pass level as the minimum of Phi on the Nehari
@@ -22,7 +22,7 @@ Gauss-Legendre power integrals of the interpolant.  The module provides:
   minimum is computed from several starts by
   :func:`fracvar.solver._projected_descent`, the same constrained loop as
   the ground-state solver, with the ray rescale onto the Nehari set (the
-  fiber root of ``fiber_t``) as its retraction.
+  same fiber root) as its retraction.
 - ``ps_diagnostics``: gradient norm and the critical-level identity split
   at a candidate field.
 """
@@ -58,7 +58,6 @@ __all__ = [
     "MountainPassError",
     "PathState",
     "PSReport",
-    "fiber_t",
     "fiber_sweep",
     "level_bound",
     "mp_geometry",
@@ -77,8 +76,8 @@ class MountainPassError(RuntimeError):
 class FiberResult:
     """Ray maximum through a normalized profile v (||v||_{q_s} = 1).
 
-    ``eps`` is the bubble parameter when the profile came from a sweep and
-    NaN for a plain grid field.  ``X_tilde`` is the weighted form of v,
+    ``eps`` is the width of the truncated bubble that v normalizes.
+    ``X_tilde`` is the weighted form of v,
     ``t_eps`` the positive root of the fiber derivative, ``Y_eps`` the
     functional value at t_eps v, and ``limit_gap`` the absolute distance
     |t_eps - (p0 Ss)^{1/(q_s-2)}| to the concentration limit of the root.
@@ -212,38 +211,6 @@ def _fiber_root(X: float, sub_mass: float, lam: float, q: float, qs: float,
     return float(sopt.brentq(h, lo, t_hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps))
 
 
-def _fiber_from_scalars(params: ProblemParams, eps: float, X: float,
-                        sub_mass: float, crit_mass: float) -> FiberResult:
-    qs = critical_exponent(params.n, params.s)
-    t = _fiber_root(X, sub_mass, params.lam, params.q, qs)
-    if t is None:
-        raise ValueError(
-            "no positive fiber root: the weighted form does not dominate the "
-            "lam-term (X_tilde <= lam * int v^2)"
-        )
-    Y = _phi_ray(params, X, sub_mass, crit_mass, t)
-    limit = (params.p0 * bubble_constants(params.n, params.s).Ss) ** (1.0 / (qs - 2.0))
-    return FiberResult(eps=eps, X_tilde=X, t_eps=t, Y_eps=Y, limit_gap=abs(t - limit))
-
-
-def fiber_t(params: ProblemParams, v: RadialField, op: StiffnessOperator) -> FiberResult:
-    """Ray maximum of Phi through a grid field v normalized in the critical norm.
-
-    X_tilde is the discrete weighted form v^T A v; the masses are the power
-    integrals of the interpolant.  Raises if v is not normalized (the ray
-    algebra, and the invariant Y <= (s/n) X_tilde^{n/2s}, assume
-    int |v|^{q_s} = 1) or if the q = 2 fiber has no positive root.
-    """
-    if not np.array_equal(v.nodes, op.nodes):
-        raise ValueError("field and operator live on different grids")
-    X, sub_mass, crit_mass = _phi_scalars(params, op, v.dofs)
-    if abs(crit_mass - 1.0) > 1e-6:
-        raise ValueError(
-            f"profile must be normalized in the critical norm (int |v|^qs = {crit_mass:.6g})"
-        )
-    return _fiber_from_scalars(params, math.nan, X, sub_mass, crit_mass)
-
-
 @lru_cache(maxsize=32)
 def _bubble_form_and_mass(key: ProblemParams, eps: float) -> tuple[float, float]:
     """Weighted form and critical mass of the truncated bubble of width eps.
@@ -276,6 +243,7 @@ def fiber_sweep(params: ProblemParams, eps_grid) -> tuple[FiberResult, ...]:
         raise ValueError(f"eps below {EPS_FLOOR} needs hand-tuned panels; refusing")
     n, s, eta = params.n, params.s, params.eta
     qs = critical_exponent(n, s)
+    limit = (params.p0 * bubble_constants(n, s).Ss) ** (1.0 / (qs - 2.0))
     key = replace(params, lam=0.0, q=2.0)
     out = []
     for eps in eps_grid:
@@ -285,7 +253,14 @@ def fiber_sweep(params: ProblemParams, eps_grid) -> tuple[FiberResult, ...]:
         nrm = crit_raw ** (1.0 / qs)
         X = form / (nrm * nrm)
         sub_mass = sub_raw / nrm ** params.q
-        out.append(_fiber_from_scalars(params, float(eps), X, sub_mass, 1.0))
+        t = _fiber_root(X, sub_mass, params.lam, params.q, qs)
+        if t is None:
+            raise ValueError(
+                "no positive fiber root: the weighted form does not dominate the "
+                "lam-term (X_tilde <= lam * int v^2)"
+            )
+        Y = _phi_ray(params, X, sub_mass, 1.0, t)
+        out.append(FiberResult(eps=float(eps), X_tilde=X, t_eps=t, Y_eps=Y, limit_gap=abs(t - limit)))
     return tuple(out)
 
 

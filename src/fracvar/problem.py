@@ -9,6 +9,7 @@ weight and every profile are radial about the origin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,116 +185,62 @@ def validate(params: ProblemParams) -> ValidityReport:
 # Weight model
 # ---------------------------------------------------------------------------
 
-VARIANTS = ("Constant", "TruncatedPower", "TabulatedRadial")
-
-
 @dataclass(frozen=True)
 class WeightModel:
-    """Concrete radial weight p(|x|).
+    """The radial weight p(|x|) of the problem, a truncated power bump.
 
-    Variants:
-
-    * ``Constant`` — p == p0 everywhere.
-    * ``TruncatedPower`` — p(r) = p0 + kappa * r^k for r <= 4*eta, then a
-      continuous integrable tail p0 + kappa * (4 eta)^k * (4 eta / r)^(n+1).
-      Attains the local growth bound with equality on the ball B(0, 4 eta).
-    * ``TabulatedRadial`` — piecewise-linear interpolation of (r, p) samples,
-      clamped to the last sample value beyond the table and floored at p0.
-
-    Every variant is bounded, >= p0 pointwise, equals p0 at the origin, and
-    has finite excess mass \\int (p - p0) dx.
+    p(r) = p0 + kappa * r^k for r <= 4*eta, then a continuous integrable
+    tail p0 + kappa * (4 eta)^k * (4 eta / r)^(n+1).  It attains the local
+    growth bound with equality on the ball B(0, 4 eta), is bounded, >= p0
+    pointwise, equals p0 at the origin, tends to ``far`` = p0 at infinity,
+    and has finite excess mass \\int (p - p0) dx.  The pair forms read a
+    weight through ``radial`` and ``far`` only.
     """
 
-    variant: str
     n: int
     p0: float
-    kappa: float = 0.0
-    k: float = 2.0
-    eta: float = 1.0
-    table: tuple[tuple[float, float], ...] | None = None
+    kappa: float
+    k: float
+    eta: float
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown weight variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.variant == "TabulatedRadial":
-            if not self.table:
-                raise ValueError("TabulatedRadial requires a (r, p) sample table")
-            rs = [r for r, _ in self.table]
-            if rs != sorted(rs) or rs[0] != 0.0:
-                raise ValueError("weight table must start at r = 0 with increasing radii")
-            if any(p < self.p0 for _, p in self.table):
-                raise ValueError("weight table values must be >= p0")
-            if self.table[0][1] != self.p0:
-                raise ValueError("weight table must attain p0 at r = 0")
-
-    @classmethod
-    def constant(cls, n: int, p0: float) -> "WeightModel":
-        return cls(variant="Constant", n=n, p0=p0)
-
-    @classmethod
-    def truncated_power(cls, n: int, p0: float, kappa: float, k: float, eta: float) -> "WeightModel":
-        return cls(variant="TruncatedPower", n=n, p0=p0, kappa=kappa, k=k, eta=eta)
-
-    @classmethod
-    def tabulated(cls, n: int, p0: float, table) -> "WeightModel":
-        return cls(variant="TabulatedRadial", n=n, p0=p0, table=tuple((float(r), float(p)) for r, p in table))
+    @property
+    def far(self) -> float:
+        """The far-field limit of p."""
+        return self.p0
 
     def radial(self, r):
         """Vectorized evaluation p(r) for radii r >= 0."""
         r = np.asarray(r, dtype=float)
-        if self.variant == "Constant":
-            return np.full_like(r, self.p0)
-        if self.variant == "TruncatedPower":
-            r4 = 4.0 * self.eta
-            out = np.asarray(self.p0 + self.kappa * np.minimum(r, r4) ** self.k)
-            # beyond 4*eta the bump decays like r^-(n+1); continuous at the junction
-            far = r > r4
-            out[far] = self.p0 + self.kappa * r4**self.k * (r4 / r[far]) ** (self.n + 1)
-            return out
-        rs = np.array([t[0] for t in self.table])
-        ps = np.array([t[1] for t in self.table])
-        return np.maximum(np.interp(r, rs, ps), self.p0)
+        r4 = 4.0 * self.eta
+        out = np.asarray(self.p0 + self.kappa * np.minimum(r, r4) ** self.k)
+        # beyond 4*eta the bump decays like r^-(n+1); continuous at the junction
+        far = r > r4
+        out[far] = self.p0 + self.kappa * r4**self.k * (r4 / r[far]) ** (self.n + 1)
+        return out
 
     def sup(self) -> float:
-        """A finite upper bound for p (exact for the built-in variants)."""
-        if self.variant == "Constant":
-            return self.p0
-        if self.variant == "TruncatedPower":
-            return self.p0 + self.kappa * (4.0 * self.eta) ** self.k
-        return max(p for _, p in self.table)
+        """The maximum of p, attained at r = 4*eta."""
+        return self.p0 + self.kappa * (4.0 * self.eta) ** self.k
 
     def excess_mass(self) -> float:
-        """\\int_{R^n} (p - p0) dx, closed form where available.
+        """\\int_{R^n} (p - p0) dx in closed form.
 
-        For TruncatedPower: sigma(S^{n-1}) * kappa * (4 eta)^(k+n) * (1/(k+n) + 1),
-        the bulk power integral plus the exactly integrable tail.
+        sigma(S^{n-1}) * kappa * (4 eta)^(k+n) * (1/(k+n) + 1), the bulk
+        power integral plus the exactly integrable tail.
         """
-        sig = sphere_surface(self.n)
-        if self.variant == "Constant":
-            return 0.0
-        if self.variant == "TruncatedPower":
-            r4 = 4.0 * self.eta
-            return sig * self.kappa * r4 ** (self.k + self.n) * (1.0 / (self.k + self.n) + 1.0)
-        # tabulated: numeric radial quadrature over the table's support
-        rs = np.array([t[0] for t in self.table])
-        grid = np.linspace(rs[0], rs[-1], 4097)
-        vals = (self.radial(grid) - self.p0) * grid ** (self.n - 1)
-        return sig * float(np.trapezoid(vals, grid))
+        r4 = 4.0 * self.eta
+        return sphere_surface(self.n) * self.kappa * r4 ** (self.k + self.n) * (1.0 / (self.k + self.n) + 1.0)
 
 
-def weight_from_params(params: ProblemParams, variant: str = "TruncatedPower") -> WeightModel:
-    if variant == "Constant":
-        return WeightModel.constant(params.n, params.p0)
-    if variant == "TruncatedPower":
-        return WeightModel.truncated_power(params.n, params.p0, params.kappa, params.k, params.eta)
-    raise ValueError(f"cannot build {variant!r} from bare parameters (needs a table)")
+def weight_from_params(params: ProblemParams) -> WeightModel:
+    return WeightModel(n=params.n, p0=params.p0, kappa=params.kappa, k=params.k, eta=params.eta)
 
 
 # ---------------------------------------------------------------------------
 # Configuration files
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = ("n", "s", "k", "kappa", "lambda", "q", "p0", "eta", "R", "weight.variant", "weight.table", "seed")
+_CONFIG_KEYS = ("n", "s", "k", "kappa", "lambda", "q", "p0", "eta", "R", "weight.variant", "seed")
 
 
 @dataclass(frozen=True)
@@ -301,7 +248,6 @@ class RunConfig:
     """Parsed configuration plus the raw key/value text for exact round-trip."""
 
     params: ProblemParams
-    weight: WeightModel
     seed: int
     raw: tuple[tuple[str, str], ...]
 
@@ -320,10 +266,10 @@ def parse_config_text(text: str) -> RunConfig:
     """Parse line-oriented ``key = value`` configuration text.
 
     Blank lines and ``#`` comments are ignored.  Unknown keys are an error,
-    as are a seed outside [0, 2^64), a ``weight.table`` that the weight
-    variant does not read, and a table that does not parse or that
-    :class:`WeightModel` rejects.  Raw value strings are preserved verbatim so
-    that a config snapshot round-trips decimal-exactly.
+    as are a number that is not finite, a seed outside [0, 2^64), and a
+    ``weight.variant`` other than ``TruncatedPower``, the one weight the
+    parameters describe.  Raw value strings are preserved verbatim so that a
+    config snapshot round-trips decimal-exactly.
     """
     raw: list[tuple[str, str]] = []
     seen: dict[str, str] = {}
@@ -349,9 +295,12 @@ def parse_config_text(text: str) -> RunConfig:
 
     def _float(key: str, default: float) -> float:
         try:
-            return float(seen.get(key, default))
+            value = float(seen.get(key, default))
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: not a number: {seen[key]!r}") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"key {key!r}: not a finite number: {seen[key]!r}")
+        return value
 
     try:
         n = int(seen["n"])
@@ -372,31 +321,15 @@ def parse_config_text(text: str) -> RunConfig:
     )
 
     variant = seen.get("weight.variant", "TruncatedPower")
-    if variant == "TabulatedRadial":
-        pairs = []
-        try:
-            for chunk in seen.get("weight.table", "").split(","):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                r_str, _, p_str = chunk.partition(":")
-                pairs.append((float(r_str), float(p_str)))
-            weight = WeightModel.tabulated(params.n, params.p0, pairs)
-        except ValueError as exc:
-            raise ConfigError(f"key 'weight.table': {exc}") from exc
-    elif variant in ("Constant", "TruncatedPower"):
-        if "weight.table" in seen:
-            raise ConfigError(f"key 'weight.table' is read only by weight.variant = TabulatedRadial, not {variant!r}")
-        weight = weight_from_params(params, variant)
-    else:
-        raise ConfigError(f"unknown weight.variant {variant!r}")
+    if variant != "TruncatedPower":
+        raise ConfigError(f"weight.variant {variant!r} is not supported; the weight is TruncatedPower")
 
     try:
         seed = parse_seed(seen.get("seed", "0"))
     except ValueError as exc:
         raise ConfigError(f"key 'seed': {exc}") from exc
 
-    return RunConfig(params=params, weight=weight, seed=seed, raw=tuple(raw))
+    return RunConfig(params=params, seed=seed, raw=tuple(raw))
 
 
 def load_config(path) -> RunConfig:

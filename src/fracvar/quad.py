@@ -204,13 +204,10 @@ def _unit_weight(r):
 
 
 def _weight_fns(w):
-    """Return (radial evaluator, far-field limit) for a weight model or None."""
+    """Return (radial evaluator, far-field limit) for a weight, or the unit weight for None."""
     if w is None:
         return _unit_weight, 1.0
-    far = w.p0
-    if getattr(w, "variant", None) == "TabulatedRadial":
-        far = w.table[-1][1]
-    return w.radial, far
+    return w.radial, w.far
 
 
 @lru_cache(maxsize=8)
@@ -373,10 +370,11 @@ def seminorm_radial(u, w, n: int, s: float, r_max: float, *, r_breaks=None,
     """Deterministic weighted Gagliardo seminorm of a radial profile, with its error.
 
     ``u`` is a radial profile (or callable, treated as supported in
-    [0, r_max]); ``w`` is a radial weight model or None for the unit weight.
-    ``r_breaks`` overrides the profile-adapted radial panels.  The form is
-    computed on the panels and again with each one halved: the value is the
-    finer pass, and ``abs_error`` the shift between the two.  A shift above
+    [0, r_max]); ``w`` is a weight with ``radial(r)`` and its far-field
+    limit ``far``, or None for the unit weight.  ``r_breaks`` overrides the
+    profile-adapted radial panels.  The form is computed on the panels and
+    again with each one halved: the value is the finer pass, and
+    ``abs_error`` the shift between the two.  A shift above
     ``tol`` (absolute) raises :class:`QuadratureError`.  The single-pass value
     on the same panels is ``bilinear_radial(u, u, ...)``.
     """
@@ -425,7 +423,7 @@ def ball_restricted_form(u, weight_fn, n: int, s: float, r_hi: float, *, r_break
 
 
 # ---------------------------------------------------------------------------
-# Radial power integrals and energies
+# Radial power integral
 # ---------------------------------------------------------------------------
 
 def radial_power_integral(u, expo: float, n: int, *, r_max: float | None = None) -> float:
@@ -443,35 +441,6 @@ def radial_power_integral(u, expo: float, n: int, *, r_max: float | None = None)
     r, wq = panel_nodes(default_r_breaks(prof, top), 16)
     vals = np.abs(prof.radial_value(r)) ** expo
     return sphere_surface(n) * float(np.sum(wq * vals * r ** (n - 1)))
-
-
-def weighted_energy(
-    u,
-    w,
-    n: int,
-    s: float,
-    lam: float,
-    q: float,
-    *,
-    functional: bool = False,
-    r_max: float | None = None,
-) -> float:
-    """E_lambda(u) = N_p(u) - lambda \\int |u|^q, or the full functional.
-
-    With ``functional=True`` returns
-    Phi(u) = N_p(u)/2 - (lambda/q) \\int |u|^q - (1/q_s) \\int |u|^{q_s}.
-    """
-    prof = as_profile(u, r_max if r_max is not None else math.inf)
-    top = prof.support if math.isfinite(prof.support) else r_max
-    if top is None:
-        raise ValueError("profile has unbounded support; pass r_max")
-    npart = bilinear_radial(u, u, w, n, s, top)
-    qpart = radial_power_integral(u, q, n, r_max=top)
-    if not functional:
-        return npart - lam * qpart
-    qs = 2.0 * n / (n - 2.0 * s)
-    crit = radial_power_integral(u, qs, n, r_max=top)
-    return 0.5 * npart - (lam / q) * qpart - crit / qs
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,9 @@ class StiffnessOperator:
 # r-nodes per block of core rows: a block of the factor X is added into the
 # dense Gram matrix before the next one is built
 GRAM_BLOCK = 64
+# the stiffness rule: Gauss-Legendre points per grid interval and per tau-panel
+GRID_N_R = 4
+GRID_N_T = 10
 
 
 def _gram(M: int, blocks) -> tuple[np.ndarray, int]:
@@ -233,19 +236,20 @@ def _gram(M: int, blocks) -> tuple[np.ndarray, int]:
     return G, n_rows
 
 
-def _stiffness_rows(params: ProblemParams, nodes: np.ndarray, n_r: int, n_t: int):
+def _stiffness_rows(params: ProblemParams, nodes: np.ndarray):
     """The rows of the stiffness factor X, as :func:`_gram` blocks in row order.
 
-    ``n_r`` Gauss-Legendre points per grid interval, ``n_t`` per tau-panel.
-    The core rows come ``GRAM_BLOCK`` r-nodes at a time, then the sliver
-    rows, then the outer rows.
+    ``GRID_N_R`` Gauss-Legendre points per grid interval, ``GRID_N_T`` per
+    tau-panel.  The core rows come ``GRAM_BLOCK`` r-nodes at a time, then
+    the sliver rows, then the outer rows.
     """
     M = len(nodes) - 1
     n, s = params.n, params.s
+    n_t = GRID_N_T
     two_s = 2.0 * s
     wfun, wfar = _weight_fns(weight_from_params(params))
 
-    rn, rw = panel_nodes(nodes, n_r)
+    rn, rw = panel_nodes(nodes, GRID_N_R)
     ia0, va0, ia1, va1 = _hat_at(nodes, rn)
     nr = len(rn)
     radial = rw * rn ** (n - 1.0 - two_s)
@@ -276,29 +280,22 @@ def _stiffness_rows(params: ProblemParams, nodes: np.ndarray, n_r: int, n_t: int
     yield [ia0, ia1], [va0 * sq_out, va1 * sq_out]
 
 
-def _stiffness(params: ProblemParams, nodes: np.ndarray, n_r: int, n_t: int) -> tuple[np.ndarray, int]:
-    """The weighted Gagliardo stiffness on the hat basis and its number of quadrature rows."""
-    G, n_rows = _gram(len(nodes) - 1, _stiffness_rows(params, nodes, n_r, n_t))
-    return 2.0 * sphere_surface(params.n) * G, n_rows
-
-
-def assemble(params: ProblemParams, grid, *, tol: float | None = None) -> StiffnessOperator:
+def assemble(params: ProblemParams, grid) -> StiffnessOperator:
     """Assemble the weighted Gagliardo stiffness and the mass matrix.
 
     ``grid`` is either a node array or an integer M (expanded through
-    :func:`make_grid` with the problem radius).  The stiffness takes 4
-    Gauss-Legendre points per interval and 10 per tau-panel; the mass
-    matrix is exact, by the 8-point :func:`grid_rule` (more from n = 14).
-    ``tol`` triggers a second stiffness at 6 and 14 points and compares a
-    probe quadratic form; a relative shift above ``tol`` raises
-    :class:`SolverError`.
+    :func:`make_grid` with the problem radius).  The stiffness takes
+    ``GRID_N_R`` Gauss-Legendre points per interval and ``GRID_N_T`` per
+    tau-panel; the mass matrix is exact, by the 8-point :func:`grid_rule`
+    (more from n = 14).
     """
     nodes = make_grid(params.R, int(grid)) if np.isscalar(grid) else np.asarray(grid, dtype=float)
     if nodes.ndim != 1 or len(nodes) < 5 or nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0.0):
         raise ValueError("grid must be increasing nodes starting at 0 with at least 4 intervals")
     M = len(nodes) - 1
     n = params.n
-    A, n_rows = _stiffness(params, nodes, 4, 10)
+    G, n_rows = _gram(M, _stiffness_rows(params, nodes))
+    A = 2.0 * sphere_surface(n) * G
 
     # the mass rows: per-interval Gauss-Legendre on phi_i phi_j r^(n-1)
     mass = grid_rule(nodes, n, max(8, n // 2 + 2))
@@ -315,18 +312,7 @@ def assemble(params: ProblemParams, grid, *, tol: float | None = None) -> Stiffn
             raise SolverError(f"{name} matrix is not positive definite: quadrature under-resolved") from exc
     # the mass factor only certifies positive definiteness; A's is kept
 
-    meta = {"intervals": float(M), "quadrature_rows": float(n_rows), "probe_rel_err": math.nan}
-    if tol is not None:
-        fine, _ = _stiffness(params, nodes, 6, 14)
-        probe = interpolate_field(truncated_bubble(0.2, params.s, n, eta=params.eta), nodes).dofs
-        qa = float(probe @ A @ probe)
-        qf = float(probe @ fine @ probe)
-        rel = abs(qa - qf) / abs(qf)
-        meta["probe_rel_err"] = rel
-        if rel > tol:
-            raise SolverError(
-                f"assembly probe moved by {rel:.3e} under quadrature refinement, above tolerance {tol:.3e}"
-            )
+    meta = {"intervals": float(M), "quadrature_rows": float(n_rows)}
     return StiffnessOperator(A=A, Mq=Mq, cho=factors[0], rule=grid_rule(nodes, n), nodes=nodes, meta=meta)
 
 

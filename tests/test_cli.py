@@ -94,8 +94,7 @@ def test_malformed_config_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("extra", ["seed = -1\n", "weight.table = 0:1.0, 1:1.2, 2:1.0\n"],
                          ids=["negative-seed", "table-without-variant"])
 def test_config_keys_that_change_nothing_exit_1(tmp_path, capsys, extra):
-    # a negative seed would fail later inside numpy; a table is read only
-    # by the TabulatedRadial variant
+    # a negative seed would fail later inside numpy; no weight reads a table
     text = "".join(line for line in Path(DEFAULT_CFG).read_text().splitlines(keepends=True)
                    if not line.startswith("seed"))
     cfg = tmp_path / "extra.cfg"
@@ -107,7 +106,7 @@ def test_config_keys_that_change_nothing_exit_1(tmp_path, capsys, extra):
 
 @pytest.mark.parametrize("table", ["0:1.0, x:1.2", "1:1.0, 2:1.2"], ids=["not-a-number", "not-from-0"])
 def test_malformed_weight_table_exits_1(tmp_path, capsys, table):
-    # a table that does not parse or that the weight rejects is a config error
+    # weight.table is an unknown key, well-formed or not
     cfg = tmp_path / "table.cfg"
     cfg.write_text(Path(DEFAULT_CFG).read_text().replace(
         "weight.variant = TruncatedPower\n",
@@ -119,17 +118,31 @@ def test_malformed_weight_table_exits_1(tmp_path, capsys, table):
 
 @pytest.mark.parametrize("weight_lines", [
     "weight.variant = Constant\n",
-    "weight.variant = TabulatedRadial\nweight.table = 0:1.0, 1:1.2, 2:1.0\n",
+    "weight.variant = TabulatedRadial\n",
 ], ids=["Constant", "TabulatedRadial"])
 def test_weight_variants_the_commands_ignore_exit_1(tmp_path, capsys, weight_lines):
-    # every command rebuilds a TruncatedPower weight (default.cfg's variant,
-    # which the other CLI tests run), so another variant is refused
+    # the weight is the TruncatedPower bump of the parameters (default.cfg's
+    # variant, which the other CLI tests run), so another variant is refused
     cfg = tmp_path / "variant.cfg"
     cfg.write_text(Path(DEFAULT_CFG).read_text().replace("weight.variant = TruncatedPower\n", weight_lines))
     for command, *rest in (("validate",), ("eigen", "--out", str(tmp_path))):
         rc, out, err = run(capsys, command, "--config", str(cfg), *rest)
         assert (rc, out) == (1, "")
         assert "ConfigError" in err and "TruncatedPower" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bubble", "--eps", "nan", "--x", "0.5"),
+    ("bubble", "--eps", "0.2", "--x", "0.5", "--eta", "inf"),
+    ("seminorm", "--config", DEFAULT_CFG, "--eps", "nan"),
+    ("fiber", "--config", DEFAULT_CFG, "--eps-grid", "0.2,nan,0.1"),
+], ids=["bubble-eps", "bubble-eta", "seminorm", "fiber"])
+def test_non_finite_widths_exit_2(tmp_path, capsys, argv):
+    # eps <= 0 is false for NaN; a width must be finite and positive
+    rc, out, err = run(capsys, *argv, *(("--out", str(tmp_path)) if argv[0] != "bubble" else ()))
+    assert (rc, out) == (2, "")
+    assert "must be finite and positive" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bubble_point_values(capsys):

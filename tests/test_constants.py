@@ -7,7 +7,6 @@ from fracvar.constants import (
     SingularityError,
     angular_kernel_K,
     bubble_constants,
-    kernel_H,
     lebesgue_power_integral,
     lebesgue_power_quadrature,
     sharp_constant_reference,
@@ -73,23 +72,6 @@ def test_kernel_singularity_floor():
         angular_kernel_K(6, 0.5, 1.0 + 1e-7)
     with pytest.raises(SingularityError):
         angular_kernel_K(6, 0.5, 1.0 - 1e-8)
-
-
-def test_kernel_H_positive_continuous_and_tail():
-    n, s = 6, 0.5
-    taus = np.linspace(1.001, 50.0, 200)
-    vals = np.array([kernel_H(n, s, t) for t in taus])
-    assert np.all(vals > 0.0)
-    # continuity: halving the step halves the increment (no jumps); checked
-    # away from tau=1 where the (tau^2-1)^{1+2s} factor is legitimately steep
-    t0 = np.linspace(1.05, 50.0, 64)
-    h = 0.01
-    big = np.array([kernel_H(n, s, t + 2 * h) - kernel_H(n, s, t) for t in t0])
-    small = np.array([kernel_H(n, s, t + h) - kernel_H(n, s, t) for t in t0])
-    np.testing.assert_allclose(big, 2.0 * small, rtol=0.02)
-    # H(tau) ~ tau^{2s} at infinity: ratio H(2T)/H(T) -> 2^{2s}
-    ratio = kernel_H(n, s, 4000.0) / kernel_H(n, s, 2000.0)
-    assert ratio == pytest.approx(2.0 ** (2 * s), rel=1e-3)
 
 
 def test_bubble_constants_6_05():

@@ -16,8 +16,9 @@ from fracvar.mountainpass import (
     FiberResult,
     _alpha_q,
     _fiber_root,
+    _phi_ray,
+    _phi_scalars,
     fiber_sweep,
-    fiber_t,
     level_bound,
     mp_geometry,
     mp_level,
@@ -106,43 +107,26 @@ def test_fiber_root_vanishes_when_lam_term_dominates():
     assert _fiber_root(1.0, 1.0, 10.0, 2.0, QS) is None
 
 
-# ---------------------------------------------------------------- fiber_t
-
-
-def test_fiber_t_on_ground_state_matches_ray_algebra(ground, op_gs):
-    # For the normalized minimizer the ray maximum is explicit in the energy:
-    # t = E^{1/(qs-2)} and Y = (s/n) E^{n/2s}
+def test_fiber_root_on_ground_state_matches_ray_algebra(ground, op_gs):
+    # For the normalized minimizer (int |u|^qs = 1) the ray maximum is
+    # explicit in the energy E = P - lam Q: t = E^{1/(qs-2)} and
+    # Y = (s/n) E^{n/2s}, below the lam = 0 values of X = P
+    P, Q, T = _phi_scalars(P_GS, op_gs, ground.field.dofs)
+    assert T == pytest.approx(1.0, rel=1e-12)
     E = ground.energy
-    fr = fiber_t(P_GS, ground.field, op_gs)
-    assert fr.t_eps == pytest.approx(E ** 2.5, rel=1e-10)
-    assert fr.Y_eps == pytest.approx((P_GS.s / P_GS.n) * E ** 6.0, rel=1e-10)
-    assert math.isnan(fr.eps)
+    t = _fiber_root(P / T, Q / T, P_GS.lam, P_GS.q, QS)
+    Y = _phi_ray(P_GS, P, Q, T, t)
+    assert t == pytest.approx(E ** 2.5, rel=1e-10)
+    assert Y == pytest.approx((P_GS.s / P_GS.n) * E ** 6.0, rel=1e-10)
+    assert t <= P ** 2.5 * (1.0 + 1e-12)
+    assert Y <= (P_GS.s / P_GS.n) * P ** 6.0 * (1.0 + 1e-12)
 
 
-def test_fiber_t_invariants(ground, op_gs):
-    fr = fiber_t(P_GS, ground.field, op_gs)
-    assert fr.t_eps <= fr.X_tilde ** 2.5 * (1.0 + 1e-12)
-    assert fr.Y_eps <= (P_GS.s / P_GS.n) * fr.X_tilde ** 6.0 * (1.0 + 1e-12)
-
-
-def test_fiber_t_requires_normalized_profile(ground, op_gs):
-    doubled = _with_dofs(op_gs.nodes, 2.0 * ground.field.dofs)
-    with pytest.raises(ValueError, match="normalized"):
-        fiber_t(P_GS, doubled, op_gs)
-
-
-def test_fiber_t_requires_matching_grid(ground, op_gs):
-    other = assemble(P_GS, 64)
-    coarse = interpolate_field(ground.field, other.nodes)
-    with pytest.raises(ValueError, match="grid"):
-        fiber_t(P_GS, coarse, op_gs)
-
-
-def test_fiber_t_reports_missing_root(ground, op_gs):
+def test_fiber_sweep_reports_missing_root():
     # lam so large that X - lam * int v^2 < 0: no positive ray maximum
     p_bad = ProblemParams(n=6, s=0.5, k=2, kappa=0.05, lam=1e6, q=2.0)
     with pytest.raises(ValueError, match="no positive fiber root"):
-        fiber_t(p_bad, ground.field, op_gs)
+        fiber_sweep(p_bad, [0.2])
 
 
 # ---------------------------------------------------------------- fiber_sweep

@@ -85,13 +85,14 @@ def test_theorem_regime_needs_positive_lambda():
 
 
 def test_weight_constant_and_center():
-    w = WeightModel.constant(n=6, p0=1.5)
+    w = WeightModel(n=6, p0=1.5, kappa=0.0, k=2.0, eta=1.0)
     assert w.radial(np.linalg.norm(np.zeros(6))) == 1.5
     assert w.radial(np.linalg.norm(np.full(6, 2.0))) == 1.5
+    assert w.far == 1.5 and w.sup() == 1.5 and w.excess_mass() == 0.0
 
 
 def test_weight_truncated_power_center_and_floor():
-    w = WeightModel.truncated_power(n=6, p0=1.0, kappa=0.3, k=2, eta=1.0)
+    w = WeightModel(n=6, p0=1.0, kappa=0.3, k=2, eta=1.0)
     assert w.radial(np.linalg.norm(np.zeros(6))) == pytest.approx(1.0, abs=0.0)
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -100,7 +101,7 @@ def test_weight_truncated_power_center_and_floor():
 
 
 def test_weight_junction_continuity():
-    w = WeightModel.truncated_power(n=6, p0=1.0, kappa=0.7, k=3, eta=1.0)
+    w = WeightModel(n=6, p0=1.0, kappa=0.7, k=3, eta=1.0)
     r = 4.0  # junction radius 4*eta
     left = 1.0 + 0.7 * r**3
     right = 1.0 + 0.7 * r**3 * (r / r) ** 7
@@ -112,7 +113,7 @@ def test_weight_junction_continuity():
 
 def test_weight_tail_mass_closed_form():
     # int (p - p0) over R^n: closed form vs 1D quadrature
-    w = WeightModel.truncated_power(n=6, p0=1.0, kappa=0.4, k=2, eta=1.0)
+    w = WeightModel(n=6, p0=1.0, kappa=0.4, k=2, eta=1.0)
     closed = w.excess_mass()
     from scipy.integrate import quad as spquad
 
@@ -124,7 +125,7 @@ def test_weight_tail_mass_closed_form():
 
 
 def test_weight_sup_is_attained_at_junction():
-    w = WeightModel.truncated_power(n=5, p0=2.0, kappa=0.25, k=3, eta=0.5)
+    w = WeightModel(n=5, p0=2.0, kappa=0.25, k=3, eta=0.5)
     r = np.linspace(0.0, 50.0, 20001)
     assert w.sup() == pytest.approx(float(np.max(w.radial(r))), rel=1e-12)
 
@@ -141,7 +142,7 @@ def _truncated_power_both_branches(w, r):
 
 @pytest.mark.parametrize("kappa", [0.0, 0.3])
 def test_weight_tail_evaluated_only_beyond_junction(kappa):
-    w = WeightModel.truncated_power(n=6, p0=1.2, kappa=kappa, k=2.5, eta=0.5)
+    w = WeightModel(n=6, p0=1.2, kappa=kappa, k=2.5, eta=0.5)
     r = np.concatenate([np.linspace(0.0, 6.0, 600),
                         [np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0), np.inf]]).reshape(2, -1)
     got = w.radial(r)
@@ -172,7 +173,7 @@ def test_config_roundtrip_and_defaults():
     assert cfg.params.n == 6 and cfg.params.s == 0.5
     assert cfg.params.R == 5.0  # default 5*eta
     assert cfg.seed == 42
-    assert cfg.weight.variant == "TruncatedPower"
+    assert ("weight.variant", "TruncatedPower") in cfg.raw
 
 
 def test_config_errors():
@@ -198,9 +199,17 @@ def test_config_largest_u64_seed_is_accepted():
 @pytest.mark.parametrize("variant", ["", "weight.variant = Constant\n", "weight.variant = TruncatedPower\n"],
                          ids=["default", "Constant", "TruncatedPower"])
 def test_config_weight_table_needs_tabulated_variant(variant):
-    # only TabulatedRadial reads the table; elsewhere it would change nothing
+    # no weight reads a table, so weight.table is an unknown key
     with pytest.raises(ConfigError, match="weight.table"):
         parse_config_text(f"n = 6\ns = 0.5\n{variant}weight.table = 0:1.0, 1:1.2, 2:1.0\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+@pytest.mark.parametrize("key", ["s", "k", "kappa", "lambda", "q", "p0", "eta", "R"])
+def test_config_non_finite_number_is_rejected(key, value):
+    # float() parses both; a NaN passes every range check of validate()
+    with pytest.raises(ConfigError, match=f"key '{key}'"):
+        parse_config_text("".join(f"{k} = {v}\n" for k, v in {"n": "6", "s": "0.5", key: value}.items()))
 
 
 def test_weight_from_params_matches_fields():

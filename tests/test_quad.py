@@ -19,7 +19,6 @@ from fracvar.quad import (
     radial_power_integral,
     seminorm_mc,
     seminorm_radial,
-    weighted_energy,
 )
 
 N6, S6 = 6, 0.5
@@ -33,8 +32,8 @@ def test_zero_profile_is_zero():
 
 def test_weight_linearity():
     tb = truncated_bubble(0.5, S6, N6, 1.0)
-    w1 = WeightModel.truncated_power(n=N6, p0=1.0, kappa=0.3, k=2, eta=1.0)
-    w2 = WeightModel.truncated_power(n=N6, p0=2.0, kappa=0.6, k=2, eta=1.0)
+    w1 = WeightModel(n=N6, p0=1.0, kappa=0.3, k=2, eta=1.0)
+    w2 = WeightModel(n=N6, p0=2.0, kappa=0.6, k=2, eta=1.0)
     a = seminorm_radial(tb, w1, N6, S6, tb.support).value
     b = seminorm_radial(tb, w2, N6, S6, tb.support).value
     assert b == pytest.approx(2.0 * a, rel=1e-10)
@@ -63,7 +62,7 @@ def test_bubble_seminorm_vs_mc_oracle():
 def test_cross_method_truncated_weighted():
     # (n=6, s=0.5, eps=0.5, TruncatedPower weight): radial vs box sampler
     tb = truncated_bubble(0.5, S6, N6, 1.0)
-    w = WeightModel.truncated_power(n=N6, p0=1.0, kappa=1.0, k=2, eta=1.0)
+    w = WeightModel(n=N6, p0=1.0, kappa=1.0, k=2, eta=1.0)
     det = seminorm_radial(tb, w, N6, S6, tb.support)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -116,7 +115,7 @@ def test_mc_variance_warning():
 _MC_TB = truncated_bubble(0.8, S6, N6, 1.0)
 _MC_CASES = {
     # kappa = 1 weight: the sampled y points cross the 4*eta junction
-    "weighted": (_MC_TB, WeightModel.truncated_power(n=N6, p0=1.0, kappa=1.0, k=2, eta=1.0), None),
+    "weighted": (_MC_TB, WeightModel(n=N6, p0=1.0, kappa=1.0, k=2, eta=1.0), None),
     "unweighted": (_MC_TB, None, None),
     "callable_box": (lambda pts: _MC_TB.radial_value(np.linalg.norm(pts, axis=1)), None, 3.0),
 }
@@ -145,10 +144,32 @@ def test_mc_exact_values(case, N, value, abs_error):
     assert (est.value.hex(), est.abs_error.hex()) == (value, abs_error)
 
 
+@pytest.mark.parametrize("eps, radial, bilinear, mc", [
+    (0.05, ("0x1.55d3cd23e8a6bp+7", "0x1.c000000000000p-43"), "0x1.55d3cd23e8a64p+7",
+     ("0x1.1de8e74bc2655p-9", "0x1.b7fc89e3b001dp-10")),
+    (0.4, ("0x1.55f664e29323cp+7", "0x1.3c88000000000p-32"), "0x1.55f664e2959cdp+7",
+     ("0x1.92fbd10285c3ep+4", "0x1.2379070d2a20dp+4")),
+    (1.2, ("0x1.fb17c804336acp+6", "0x1.06a4000000000p-32"), "0x1.fb17c8042f503p+6",
+     ("0x1.4d998b47a28a4p+6", "0x1.e3348d3b2061ep+4")),
+])
+def test_kappa_zero_weight_matches_constant_weight(eps, radial, bilinear, mc):
+    # recorded with numpy 2.4.6 under the constant weight p = 2 (a weight
+    # variant of its own until it was found equal to kappa = 0, bit for bit)
+    tb = truncated_bubble(eps, S6, N6, 1.0)
+    w = WeightModel(n=N6, p0=2.0, kappa=0.0, k=2.0, eta=1.0)
+    est = seminorm_radial(tb, w, N6, S6, tb.support)
+    assert (est.value.hex(), est.abs_error.hex()) == radial
+    assert bilinear_radial(tb, tb, w, N6, S6, tb.support).hex() == bilinear
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        est = seminorm_mc(tb, w, N6, S6, N=1024, seed=3)
+    assert (est.value.hex(), est.abs_error.hex()) == mc
+
+
 def test_bilinear_symmetry_and_cauchy_schwarz():
     u = truncated_bubble(0.5, S6, N6, 1.0)
     v = truncated_bubble(0.9, S6, N6, 1.0)
-    w = WeightModel.truncated_power(n=N6, p0=1.0, kappa=0.2, k=2, eta=1.0)
+    w = WeightModel(n=N6, p0=1.0, kappa=0.2, k=2, eta=1.0)
     uv = bilinear_radial(u, v, w, N6, S6, 2.0)
     vu = bilinear_radial(v, u, w, N6, S6, 2.0)
     assert uv == pytest.approx(vu, rel=1e-12)
@@ -161,7 +182,7 @@ def test_bilinear_symmetry_and_cauchy_schwarz():
 
 def test_norm_equivalence_bounds():
     tb = truncated_bubble(0.6, S6, N6, 1.0)
-    w = WeightModel.truncated_power(n=N6, p0=1.3, kappa=0.8, k=2, eta=1.0)
+    w = WeightModel(n=N6, p0=1.3, kappa=0.8, k=2, eta=1.0)
     plain = seminorm_radial(tb, None, N6, S6, tb.support).value
     weighted = seminorm_radial(tb, w, N6, S6, tb.support).value
     assert 1.3 * plain <= weighted * (1.0 + 1e-12)
@@ -178,37 +199,6 @@ def test_quadratic_homogeneity():
     base = seminorm_radial(tb, None, N6, S6, tb.support).value
     scl = seminorm_radial(scaled, None, N6, S6, tb.support).value
     assert scl == pytest.approx(c**2 * base, rel=1e-10)
-
-
-def test_weighted_energy_components():
-    tb = truncated_bubble(0.5, S6, N6, 1.0)
-    w = WeightModel.constant(n=N6, p0=2.0)
-    semi = seminorm_radial(tb, None, N6, S6, tb.support).value
-    q2 = radial_power_integral(tb, 2.0, N6)
-    lam = 0.7
-    e = weighted_energy(tb, w, N6, S6, lam, 2.0)
-    assert e == pytest.approx(2.0 * semi - lam * q2, rel=1e-8)
-    # lambda = 0, w = p0: E = p0 * seminorm
-    assert weighted_energy(tb, w, N6, S6, 0.0, 2.0) == pytest.approx(2.0 * semi, rel=1e-8)
-
-
-def test_weighted_energy_exact_values():
-    # recorded before the single pass moved from seminorm_radial to
-    # bilinear_radial(u, u, ...): the same pair-form call, so the same bits
-    tb = truncated_bubble(0.5, S6, N6, 1.0)
-    e = weighted_energy(tb, WeightModel.constant(n=N6, p0=2.0), N6, S6, 0.7, 2.0)
-    assert e.hex() == "0x1.54413c326912bp+7"
-    bump = weight_from_params(ProblemParams(n=6, s=0.5, k=2, kappa=1.0, lam=0.0, q=2.0, p0=1.0,
-                                            eta=1.0, R=5.0))
-    phi = weighted_energy(lambda r: np.maximum(1.0 - r * r, 0.0) ** 0.5, bump, N6, S6, 0.7, 2.0,
-                          functional=True, r_max=1.0)
-    assert phi.hex() == "0x1.142289c34f3dfp+8"
-
-
-def test_full_functional_zero_at_zero():
-    z = lambda r: np.zeros_like(r)
-    val = weighted_energy(z, None, N6, S6, 1.0, 2.0, functional=True, r_max=2.0)
-    assert val == 0.0
 
 
 def test_radial_power_integral_matches_closed_form():

@@ -106,11 +106,6 @@ def test_assembly_exact_matrices_stiff_regime():
         "908d6126b5fb734a105ec64be26bcf15f6ed259b1a88c7b250d1657d018bc62e")
 
 
-def test_assembly_probe_exact_value():
-    # recorded with the same CSR product as the matrices above
-    assert assemble(P, 128, tol=1.0).meta["probe_rel_err"].hex() == "0x1.e9577223f5412p-16"
-
-
 # the (kappa, p0) weights of the solve benchmark, with P's other parameters
 SOLVE_WEIGHTS = ((0.0, 1.0), (0.05, 1.0), (0.2, 1.5), (1.0, 0.5))
 
@@ -118,14 +113,17 @@ SOLVE_WEIGHTS = ((0.0, 1.0), (0.05, 1.0), (0.2, 1.5), (1.0, 0.5))
 @pytest.mark.parametrize("rule", [(4, 10), (6, 14)], ids=["4-10", "6-14"])
 @pytest.mark.parametrize("kappa, p0, uniform", [(k, p, False) for k, p in SOLVE_WEIGHTS]
                          + [(0.05, 1.0, True)])
-def test_stiffness_matches_csr_gram(rule, kappa, p0, uniform):
+def test_stiffness_matches_csr_gram(monkeypatch, rule, kappa, p0, uniform):
     # the row blocks of the stiffness factor, stacked into one CSR matrix X:
     # scipy's X^T X sums each entry over the rows in order, after merging a
     # row's repeated columns, and the blocked accumulation must match it bit
-    # for bit.  Uniform nodes give many repeated columns.
+    # for bit.  Uniform nodes give many repeated columns; the finer rule
+    # gives blocks of another shape.
+    monkeypatch.setattr(solver, "GRID_N_R", rule[0])
+    monkeypatch.setattr(solver, "GRID_N_T", rule[1])
     nodes = np.linspace(0.0, 5.0, 49) if uniform else make_grid(5.0, 48)
     params = replace(P, kappa=kappa, p0=p0)
-    blocks = [(np.array(c), np.array(v)) for c, v in solver._stiffness_rows(params, nodes, *rule)]
+    blocks = [(np.array(c), np.array(v)) for c, v in solver._stiffness_rows(params, nodes)]
     assert len(blocks) > 3  # several core blocks, the sliver and the outer rows
     rows, start = [], 0
     for cols, _ in blocks:
@@ -134,9 +132,9 @@ def test_stiffness_matches_csr_gram(rule, kappa, p0, uniform):
     X = csr_matrix((np.concatenate([v.ravel() for _, v in blocks]),
                     (np.concatenate(rows), np.concatenate([c.ravel() for c, _ in blocks]))),
                    shape=(start, 48))
-    A, n_rows = solver._stiffness(params, nodes, *rule)
-    assert n_rows == start
-    assert (2.0 * sphere_surface(6) * (X.T @ X).toarray()).tobytes() == A.tobytes()
+    op = assemble(params, nodes)
+    assert op.meta["quadrature_rows"] == start
+    assert (2.0 * sphere_surface(6) * (X.T @ X).toarray()).tobytes() == op.A.tobytes()
 
 
 def test_assembly_traced_peak_memory():
@@ -234,27 +232,6 @@ def test_power_integral_and_gradient_exact_values():
     assert [float(power_gradient(f, 2.2, 6)[i]).hex() for i in picks] == [
         "0x1.266baa5177465p-34", "0x1.5593b2fa74cb8p-21", "0x1.c3a68894e9474p-10",
         "0x1.eab172f10d46ap-5", "0x1.0a0cd01c5476bp-6"]
-
-
-def test_assembly_probe_tolerance():
-    with pytest.raises(SolverError):
-        assemble(P, 32, tol=1e-16)
-    op = assemble(P, 32, tol=0.1)
-    assert op.meta["probe_rel_err"] < 1e-3
-
-
-def test_assembly_probe_factors_only_the_operator(monkeypatch):
-    # the finer probe stiffness is compared, never factored
-    calls = []
-    real = sla.cho_factor
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(sla, "cho_factor", counting)
-    assemble(P, 32, tol=0.1)
-    assert len(calls) == 2  # A and Mq of the operator itself
 
 
 def test_first_eigenvalue_against_dense_solver(op128):

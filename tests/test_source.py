@@ -33,3 +33,76 @@ def test_no_unused_imports(module):
 def test_unused_import_check_sees_imports_and_reexports():
     tree = ast.parse("import math\nimport os.path\nfrom .a import b, c as d\n__all__ = ['d']\nos.sep\n")
     assert _unused_imports(tree) == ["b (line 3)", "math (line 1)"]
+
+
+# Public names that no command, check or benchmark runs, kept because tests
+# use them as references.
+ORACLES = {
+    "sharp_constant_reference": "closed-form Ss, the test reference for bubble_constants",
+    "mc_reference_ks": "Monte Carlo Ks, the independent route for the unit bubble's seminorm",
+    "ps_diagnostics": "critical-point identity, the tests' reference for the Nehari level",
+    "refinement_check": "the M against 2M energy change of the grid size",
+    "angular_kernel_K": "the scalar angular kernel with its singularity guard",
+}
+
+
+def _reads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names and attributes read anywhere in ``tree``, outside the subtree ``skip``."""
+    out, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _bench_words() -> set[str]:
+    """Identifiers, imported names and the words of string constants in ``perfbench/*.py``."""
+    words = set()
+    for path in (SRC.parents[1] / "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                words.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                words.add(node.attr)
+            elif isinstance(node, ast.alias):
+                words.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                words |= set(node.value.replace(".", " ").split())
+    return words
+
+
+def _unreached(trees: dict[str, ast.Module], bench: set[str]) -> list[str]:
+    """Public top-level functions and classes that nothing in ``src``, ``perfbench`` or ORACLES reads."""
+    found = []
+    for mod, tree in sorted(trees.items()):
+        if mod == "__init__":
+            continue
+        elsewhere = set().union(*(_reads(t) for m, t in trees.items() if m not in (mod, "__init__")))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name in elsewhere | bench | ORACLES.keys() or node.name in _reads(tree, skip=node):
+                continue
+            found.append(f"{mod}.{node.name}")
+    return found
+
+
+def test_every_public_name_is_reached():
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    assert _unreached(trees, _bench_words()) == []
+
+
+def test_unreached_check_sees_reads():
+    trees = {
+        "a": ast.parse("def used():\n    pass\ndef self_read():\n    pass\nX = self_read\n"
+                       "def recursive():\n    return recursive()\ndef benched():\n    pass\n"),
+        "b": ast.parse("from . import a\na.used()\n"),
+        "__init__": ast.parse("from .a import recursive\n"),
+    }
+    assert _unreached(trees, {"benched"}) == ["a.recursive"]
