@@ -107,19 +107,33 @@ def test_fiber_root_vanishes_when_lam_term_dominates():
     assert _fiber_root(1.0, 1.0, 10.0, 2.0, QS) is None
 
 
-def test_fiber_root_on_ground_state_matches_ray_algebra(ground, op_gs):
-    # For the normalized minimizer (int |u|^qs = 1) the ray maximum is
-    # explicit in the energy E = P - lam Q: t = E^{1/(qs-2)} and
-    # Y = (s/n) E^{n/2s}, below the lam = 0 values of X = P
-    P, Q, T = _phi_scalars(P_GS, op_gs, ground.field.dofs)
+# ---------------------------------------------------------------- fiber_t
+# The ray maximum t of a normalized profile and its value Y, computed the way
+# mp_level's retraction computes them: _fiber_root on the profile's scalars,
+# then _phi_ray at that root.
+
+
+def _fiber_t(ground, op):
+    P, Q, T = _phi_scalars(P_GS, op, ground.field.dofs)
     assert T == pytest.approx(1.0, rel=1e-12)
-    E = ground.energy
     t = _fiber_root(P / T, Q / T, P_GS.lam, P_GS.q, QS)
-    Y = _phi_ray(P_GS, P, Q, T, t)
+    return P, t, _phi_ray(P_GS, P, Q, T, t)
+
+
+def test_fiber_t_on_ground_state_matches_ray_algebra(ground, op_gs):
+    # For the normalized minimizer (int |u|^qs = 1) the ray maximum is
+    # explicit in the energy: t = E^{1/(qs-2)} and Y = (s/n) E^{n/2s}
+    E = ground.energy
+    _, t, Y = _fiber_t(ground, op_gs)
     assert t == pytest.approx(E ** 2.5, rel=1e-10)
     assert Y == pytest.approx((P_GS.s / P_GS.n) * E ** 6.0, rel=1e-10)
-    assert t <= P ** 2.5 * (1.0 + 1e-12)
-    assert Y <= (P_GS.s / P_GS.n) * P ** 6.0 * (1.0 + 1e-12)
+
+
+def test_fiber_t_invariants(ground, op_gs):
+    # Below the lam = 0 values of X = P
+    X, t, Y = _fiber_t(ground, op_gs)
+    assert t <= X ** 2.5 * (1.0 + 1e-12)
+    assert Y <= (P_GS.s / P_GS.n) * X ** 6.0 * (1.0 + 1e-12)
 
 
 def test_fiber_sweep_reports_missing_root():
