@@ -110,7 +110,9 @@ def validate(params: ProblemParams) -> ValidityReport:
     """Check structural validity of the parameters.
 
     Hard errors (specific codes) reject n < 3, s outside (0,1), p0 <= 0,
-    eta <= 0, R < 5*eta, kappa < 0, k < 2, and q outside [2, q_s).
+    eta <= 0, R < 5*eta, kappa < 0, k < 2, q outside [2, q_s), and any
+    float parameter that is not finite (a non-finite lambda under
+    ``E_PERTURBATION``, every other one under its range's code).
     Exact boundary values of the open admissibility intervals produce
     warnings, not errors — the strict flags are still False there.
     ``theorem1_regime`` is True iff ns_admissible and k_admissible hold and
@@ -124,16 +126,20 @@ def validate(params: ProblemParams) -> ValidityReport:
         errors.append(("E_DIMENSION", f"dimension n must be an integer >= 3, got {params.n}"))
     if not (0.0 < params.s < 1.0):
         errors.append(("E_ORDER", f"order s must lie in the open interval (0, 1), got {params.s}"))
-    if params.p0 <= 0.0:
-        errors.append(("E_WEIGHT_MIN", f"global weight minimum p0 must be positive, got {params.p0}"))
-    if params.eta <= 0.0:
-        errors.append(("E_CUTOFF", f"cutoff radius eta must be positive, got {params.eta}"))
-    if params.R < 5.0 * params.eta:
-        errors.append(("E_DOMAIN", f"domain radius R must satisfy R >= 5*eta (= {5.0 * params.eta}), got {params.R}"))
-    if params.kappa < 0.0:
-        errors.append(("E_AMPLITUDE", f"weight amplitude kappa must be >= 0, got {params.kappa}"))
-    if params.k < 2.0:
-        errors.append(("E_GROWTH", f"weight growth exponent k must be >= 2, got {params.k}"))
+    # a comparison with NaN is false, so each check asks 'not in range'; inf is in no range
+    if not 0.0 < params.p0 < math.inf:
+        errors.append(("E_WEIGHT_MIN", f"global weight minimum p0 must be positive and finite, got {params.p0}"))
+    if not 0.0 < params.eta < math.inf:
+        errors.append(("E_CUTOFF", f"cutoff radius eta must be positive and finite, got {params.eta}"))
+    if not 5.0 * params.eta <= params.R < math.inf:
+        errors.append(("E_DOMAIN", f"domain radius R must be finite with R >= 5*eta (= {5.0 * params.eta}), "
+                                   f"got {params.R}"))
+    if not 0.0 <= params.kappa < math.inf:
+        errors.append(("E_AMPLITUDE", f"weight amplitude kappa must be >= 0 and finite, got {params.kappa}"))
+    if not 2.0 <= params.k < math.inf:
+        errors.append(("E_GROWTH", f"weight growth exponent k must be >= 2 and finite, got {params.k}"))
+    if not math.isfinite(params.lam):
+        errors.append(("E_PERTURBATION", f"perturbation coefficient lambda must be finite, got {params.lam}"))
 
     ns_ok = False
     k_ok = False

@@ -30,12 +30,14 @@ radial panels and reports the shift as its error; :func:`bilinear_radial` and
 Every profile and weight is radial about the origin, and
 :func:`radial_power_integral` is the one power sum of a profile.
 
-The Monte Carlo path is an independent oracle: pairs are sampled as
-x ~ uniform(box), y = x + z with |z| drawn from the density proportional to
-|z|^(2-n-2s) (cancelling the kernel singularity against the quadratic
-difference), combined with a balance-heuristic weight over the two symmetric
-generation routes, plus a zero-variance-in-|z| far piece for |z| beyond the
-box diameter.
+The Monte Carlo path is an independent oracle.  Every factor of the
+integrand is radial, so a pair is drawn as the radii (|x|, |z|, |y|) of
+y = x + z: |x| as for x ~ uniform(ball), |z| from the density proportional
+to |z|^(2-n-2s) (cancelling the kernel singularity against the quadratic
+difference) and |y| from the law of the angle between x and z.  It is
+combined with a balance-heuristic weight over the two symmetric generation
+routes, plus a zero-variance-in-|z| far piece for |z| beyond the ball's
+diameter.
 
 Neither kernel table of the pair form depends on the weight or the profile,
 so each is built once.  The core's tau row (nodes, ``tw * tau^(n-1) * K``
@@ -451,50 +453,31 @@ def _ball_volume(n: int, R: float) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * R**n
 
 
-def _radii(pts: np.ndarray) -> np.ndarray:
-    """|p| for each row of an (m, n) point array.
+def _partner_radius(rng, rx: np.ndarray, rho: np.ndarray, n: int) -> np.ndarray:
+    """|y| for y = x + rho d, d uniform on the sphere, from |x| = rx.
 
-    The squares are summed one coordinate at a time, in order, which is the
-    sum numpy's ``norm(axis=1)`` forms for n <= 7 at about half its cost
-    (from n = 8 numpy sums pairwise, which can differ in the last bit).
+    The cosine t of the angle between x and d has the law 2B - 1 with
+    B ~ Beta((n-1)/2, (n-1)/2), so |y|^2 = rx^2 + rho^2 + 2 rx rho t.
     """
-    acc = pts[:, 0] * pts[:, 0]
-    for j in range(1, pts.shape[1]):
-        acc += pts[:, j] * pts[:, j]
-    return np.sqrt(acc)
+    t = 2.0 * rng.beta(0.5 * (n - 1), 0.5 * (n - 1), len(rx)) - 1.0
+    return np.sqrt(np.maximum(rx * rx + rho * rho + 2.0 * rx * rho * t, 0.0))
 
 
-def _sample_ball(rng, m: int, n: int, R: float) -> np.ndarray:
-    v = rng.standard_normal((m, n))
-    v /= _radii(v)[:, None]
-    v *= (R * rng.random(m) ** (1.0 / n))[:, None]
-    return v
+def _batched(draw, seed: int) -> tuple[float, float]:
+    """(mean, standard error) of ``draw(rng)`` over ``MC_BATCHES`` batches.
 
-
-def _sample_dirs(rng, m: int, n: int) -> np.ndarray:
-    v = rng.standard_normal((m, n))
-    v /= _radii(v)[:, None]
-    return v
-
-
-def _point_eval(u, pts: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Profile values at ``pts`` with radii ``r``: profiles take the radii, plain callables the points."""
-    if hasattr(u, "radial_value"):
-        return np.asarray(u.radial_value(r), dtype=float)
-    return np.asarray(u(pts), dtype=float)
-
-
-def _weight_points(w, r: np.ndarray) -> np.ndarray:
-    if w is None:
-        return np.ones(len(r))
-    return np.asarray(w.radial(r), dtype=float)
+    Batch b draws from the b-th spawn of ``SeedSequence(seed)``, so the
+    result is independent of how batches would be scheduled.
+    """
+    vals = np.array([draw(np.random.default_rng(c)) for c in np.random.SeedSequence(seed).spawn(MC_BATCHES)])
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(MC_BATCHES))
 
 
 def mc_reference_ks(n: int, s: float, N: int = 1_000_000, seed: int = 0) -> SeminormEstimate:
     """Monte Carlo estimate of Ks: the full-space seminorm of the unit bubble.
 
     Independent of the deterministic radial path.  Because the unit bubble
-    has unbounded support, x is drawn over all of R^n with a half-Cauchy
+    has unbounded support, |x| is drawn over all of R^n with a half-Cauchy
     radius (heavy enough to cover both the core and the algebraic tail),
     while |x - y| uses the same singularity-cancelling split as
     :func:`seminorm_mc` at pivot 4.  The per-pair density is symmetrized
@@ -504,132 +487,79 @@ def mc_reference_ks(n: int, s: float, N: int = 1_000_000, seed: int = 0) -> Semi
     """
     sig = sphere_surface(n)
     two_s = 2.0 * s
-    alpha = (n - two_s) / 2.0
     D = 4.0
+    m = max(N // MC_BATCHES, 16)
+    m_far = max(m // 4, 8)
+    c_near = sig * D ** (2.0 - two_s) / (2.0 - two_s)
+    c_far = sig / (two_s * D**two_s)
 
-    def u_pt(pts):
-        r2 = np.sum(pts * pts, axis=1)
-        return (1.0 + r2) ** (-alpha)
+    def u(r):
+        return (1.0 + r * r) ** (-(n - two_s) / 2.0)
 
-    def fx_of(r):
+    def fx(r):
         r = np.maximum(r, 1e-12)
         return (2.0 / math.pi) / (1.0 + r * r) / (sig * r ** (n - 1.0))
 
-    m = max(N // MC_BATCHES, 16)
-    m_far = max(m // 4, 8)
-    children = np.random.SeedSequence(seed).spawn(MC_BATCHES)
-    batch_vals = np.empty(MC_BATCHES)
-    for b in range(MC_BATCHES):
-        rng = np.random.default_rng(children[b])
-        ux = np.clip(rng.random(m), 1e-12, 1.0 - 1e-12)
-        rx = np.tan(0.5 * math.pi * ux)
-        x = _sample_dirs(rng, m, n) * rx[:, None]
+    def draw(rng):
+        rx = np.tan(0.5 * math.pi * np.clip(rng.random(m), 1e-12, 1.0 - 1e-12))
+        # near piece: |z| <= D with density ~ |z|^(2-n-2s)
+        rz = np.maximum(D * np.maximum(rng.random(m), 1e-18) ** (1.0 / (2.0 - two_s)), D * 1e-9)
+        ry = _partner_radius(rng, rx, rz, n)
+        near = (u(rx) - u(ry)) ** 2 / (rz**2 * 0.5 * (fx(rx) + fx(ry)))
+        # far piece: |z| > D with density ~ |z|^-(n+2s), from the first m_far of the |x|
+        rxf = rx[:m_far]
+        rzf = D * np.maximum(rng.random(m_far), 1e-16) ** (-1.0 / two_s)
+        ryf = _partner_radius(rng, rxf, rzf, n)
+        far = (u(rxf) - u(ryf)) ** 2 / (0.5 * (fx(rxf) + fx(ryf)))
+        return c_near * near.mean() + c_far * far.mean()
 
-        uz = np.maximum(rng.random(m), 1e-18)
-        rz = np.maximum(D * uz ** (1.0 / (2.0 - two_s)), D * 1e-9)
-        g = (2.0 - two_s) / (sig * D ** (2.0 - two_s)) * rz ** (2.0 - n - two_s)
-        y = x + _sample_dirs(rng, m, n) * rz[:, None]
-        du = u_pt(x) - u_pt(y)
-        fmix = 0.5 * (fx_of(rx) + fx_of(np.linalg.norm(y, axis=1)))
-        w_near = du**2 * rz ** (-(n + two_s)) / (fmix * g)
-
-        uf = np.maximum(rng.random(m_far), 1e-16)
-        rzf = D * uf ** (-1.0 / two_s)
-        h = two_s * D**two_s / sig * rzf ** (-(n + two_s))
-        yf = x[:m_far] + _sample_dirs(rng, m_far, n) * rzf[:, None]
-        duf = u_pt(x[:m_far]) - u_pt(yf)
-        fmixf = 0.5 * (fx_of(rx[:m_far]) + fx_of(np.linalg.norm(yf, axis=1)))
-        w_far = duf**2 * rzf ** (-(n + two_s)) / (fmixf * h)
-
-        batch_vals[b] = w_near.mean() + w_far.mean()
-
-    value = float(batch_vals.mean())
-    se = float(batch_vals.std(ddof=1) / math.sqrt(MC_BATCHES))
+    value, se = _batched(draw, seed)
     return SeminormEstimate(
         value=value, abs_error=se, method="MonteCarlo", samples_or_panels=MC_BATCHES * (m + m_far), seed=seed
     )
 
 
-def seminorm_mc(
-    u,
-    w,
-    n: int,
-    s: float,
-    box: float | None = None,
-    N: int = 200_000,
-    seed: int = 0,
-) -> SeminormEstimate:
+def seminorm_mc(u, w, n: int, s: float, N: int = 200_000, seed: int = 0) -> SeminormEstimate:
     """Unbiased Monte Carlo estimate of the weighted Gagliardo seminorm.
 
-    ``box`` is the radius of the sampling ball; defaults to 1.5x the profile
-    support (required for plain callables, whose support is unknown).  The
-    near piece pairs x ~ uniform(box) with y = x + z, |z| <= diam drawn from
-    the singularity-cancelling radial density, weighted by the balance
-    heuristic over the two symmetric generation routes; the far piece
-    (|z| > diam, where the partner point is guaranteed outside the support)
-    is doubled to cover its mirror region.  Reproducible per seed: batch b
-    draws from the b-th spawn of the seed sequence, so the result is
-    independent of how batches would be scheduled.
-
-    Each sampled point set has its radii computed once, and the weight and
-    a radial profile, both radial about the origin, are evaluated at those
-    radii.  A plain callable receives the points themselves and may be
-    centered anywhere inside ``box``.
+    ``u`` is a radial profile with a finite ``support`` and ``radial_value``
+    (:func:`as_profile` wraps a radial callable).  A pair is drawn as the
+    radii (|x|, rho, |y|) with rho = |x - y|, which is all the weight, the
+    profile and the kernel read.  The near piece pairs |x| uniform in the
+    ball of radius 1.5x the support with rho <= diam, the ball's diameter,
+    drawn from the singularity-cancelling density ~ rho^(2-n-2s), weighted by
+    the balance heuristic over the two symmetric generation routes; the far
+    piece (rho > diam, where the partner is guaranteed outside the support)
+    is doubled to cover its mirror region.  Reproducible per seed.
     """
-    if hasattr(u, "support") and math.isfinite(getattr(u, "support")):
-        support = float(u.support)
-    elif box is not None:
-        support = None
-    else:
-        raise ValueError("profile support unknown; pass an explicit box radius")
-    r_box = float(box) if box is not None else 1.5 * support
-    r_tail = support if support is not None else r_box
-    diam = 2.0 * r_box
-
+    support = float(getattr(u, "support", math.inf))
+    if not math.isfinite(support):
+        raise ValueError("seminorm_mc needs a profile with a finite support; see as_profile")
+    r_ball = 1.5 * support
+    diam = 2.0 * r_ball
+    wfun, _ = _weight_fns(w)
     sig = sphere_surface(n)
-    v_box = _ball_volume(n, r_box)
-    v_tail = _ball_volume(n, r_tail)
     two_s = 2.0 * s
-
     m = max(N // MC_BATCHES, 16)
     m_near = (3 * m) // 4
     m_tail = m - m_near
-    children = np.random.SeedSequence(seed).spawn(MC_BATCHES)
-    batch_vals = np.empty(MC_BATCHES)
+    c_near = 2.0 * _ball_volume(n, r_ball) * sig * diam ** (2.0 - two_s) / (2.0 - two_s)
+    c_far = 2.0 * _ball_volume(n, support) * sig / (two_s * diam**two_s)
 
-    for b in range(MC_BATCHES):
-        rng = np.random.default_rng(children[b])
+    def draw(rng):
+        # near piece: rho <= diam
+        rx = r_ball * rng.random(m_near) ** (1.0 / n)
+        rho = np.maximum(diam * rng.random(m_near) ** (1.0 / (2.0 - two_s)), diam * 1e-9)
+        ry = _partner_radius(rng, rx, rho, n)
+        du = u.radial_value(rx) - u.radial_value(ry)
+        near = 0.5 * (wfun(rx) + wfun(ry)) * du**2 / (rho**2 * (1.0 + (ry <= r_ball)))
+        # far piece: rho > diam, partner outside the support
+        rxt = support * rng.random(m_tail) ** (1.0 / n)
+        rho_t = diam * np.maximum(rng.random(m_tail), 1e-16) ** (-1.0 / two_s)
+        far = 0.5 * (wfun(rxt) + wfun(_partner_radius(rng, rxt, rho_t, n))) * u.radial_value(rxt) ** 2
+        return c_near * near.mean() + c_far * far.mean()
 
-        # near piece: |z| <= diam
-        x = _sample_ball(rng, m_near, n, r_box)
-        dirs = _sample_dirs(rng, m_near, n)
-        u01 = rng.random(m_near)
-        rho = np.maximum(diam * u01 ** (1.0 / (2.0 - two_s)), diam * 1e-9)
-        y = x + dirs * rho[:, None]
-        g = (2.0 - two_s) / (sig * diam ** (2.0 - two_s)) * rho ** (2.0 - n - two_s)
-        rx, ry = _radii(x), _radii(y)
-        wbar = 0.5 * (_weight_points(w, rx) + _weight_points(w, ry))
-        du = _point_eval(u, x, rx) - _point_eval(u, y, ry)
-        F = wbar * du**2 * rho ** (-(n + two_s))
-        in_box = (ry <= r_box).astype(float)
-        w_near = 2.0 * F * v_box / (g * (1.0 + in_box))
-
-        # far piece: |z| > diam, partner point outside the support
-        xt = _sample_ball(rng, m_tail, n, r_tail)
-        dirt = _sample_dirs(rng, m_tail, n)
-        u01t = np.maximum(rng.random(m_tail), 1e-16)
-        rho_t = diam * u01t ** (-1.0 / two_s)
-        yt = xt + dirt * rho_t[:, None]
-        h = two_s * diam**two_s / sig * rho_t ** (-(n + two_s))
-        rxt = _radii(xt)
-        wbar_t = 0.5 * (_weight_points(w, rxt) + _weight_points(w, _radii(yt)))
-        Ft = wbar_t * _point_eval(u, xt, rxt) ** 2 * rho_t ** (-(n + two_s))
-        w_far = 2.0 * Ft * v_tail / h
-
-        batch_vals[b] = w_near.mean() + w_far.mean()
-
-    value = float(batch_vals.mean())
-    se = float(batch_vals.std(ddof=1) / math.sqrt(MC_BATCHES))
+    value, se = _batched(draw, seed)
     if value != 0.0 and se > 0.2 * abs(value):
         warnings.warn(
             f"Monte Carlo variance overflow: relative standard error {se / abs(value):.1%} exceeds 20%",

@@ -1,8 +1,12 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad as spquad
 
+from fracvar.constants import sphere_surface
 from fracvar.problem import (
     ConfigError,
     ProblemParams,
@@ -63,6 +67,26 @@ def test_validate_rejections():
     assert "E_DOMAIN" in codes
 
 
+# the error code of each float field's range check
+_RANGE_CODES = {"s": "E_ORDER", "k": "E_GROWTH", "kappa": "E_AMPLITUDE", "lam": "E_PERTURBATION",
+                "q": "E_EXPONENT", "p0": "E_WEIGHT_MIN", "eta": "E_CUTOFF", "R": "E_DOMAIN"}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", [f.name for f in fields(ProblemParams) if f.type == "float"])
+def test_validate_rejects_non_finite(field, value):
+    rep = validate(replace(ProblemParams(n=6, s=0.5, lam=1.0), **{field: value}))
+    assert not rep.ok
+    assert _RANGE_CODES[field] in {c for c, _ in rep.errors}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kappa", 0.0), ("k", 2.0), ("q", 2.0), ("lam", -1e300), ("p0", 1e-300), ("eta", 1e-300), ("R", 5.0),
+])
+def test_validate_keeps_finite_range_edges(field, value):
+    assert validate(replace(ProblemParams(n=6, s=0.5, lam=1.0), **{field: value})).ok
+
+
 def test_validate_boundary_warns_not_fails():
     # growth exponent at the admissibility edge k = n - 4s
     rep = validate(ProblemParams(n=6, s=0.5, k=4.0, lam=1.0))
@@ -115,10 +139,6 @@ def test_weight_tail_mass_closed_form():
     # int (p - p0) over R^n: closed form vs 1D quadrature
     w = WeightModel(n=6, p0=1.0, kappa=0.4, k=2, eta=1.0)
     closed = w.excess_mass()
-    from scipy.integrate import quad as spquad
-
-    from fracvar.constants import sphere_surface
-
     inner, _ = spquad(lambda r: 0.4 * r**2 * r**5, 0.0, 4.0, epsrel=1e-12)
     outer, _ = spquad(lambda r: 0.4 * 4.0**2 * (4.0 / r) ** 7 * r**5, 4.0, np.inf, epsrel=1e-12)
     assert closed == pytest.approx(sphere_surface(6) * (inner + outer), rel=1e-10)
@@ -207,7 +227,7 @@ def test_config_weight_table_needs_tabulated_variant(variant):
 @pytest.mark.parametrize("value", ["nan", "-inf"])
 @pytest.mark.parametrize("key", ["s", "k", "kappa", "lambda", "q", "p0", "eta", "R"])
 def test_config_non_finite_number_is_rejected(key, value):
-    # float() parses both; a NaN passes every range check of validate()
+    # float() parses both
     with pytest.raises(ConfigError, match=f"key '{key}'"):
         parse_config_text("".join(f"{k} = {v}\n" for k, v in {"n": "6", "s": "0.5", key: value}.items()))
 
@@ -217,3 +237,63 @@ def test_weight_from_params_matches_fields():
     w = weight_from_params(p)
     assert w.radial(1.0) == pytest.approx(1.0 + 0.3 * 1.0, rel=1e-15)
     assert math.isfinite(w.excess_mass())
+
+
+# Property tests: derandomized and without an example database, so that every
+# run draws the same examples.
+_props = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+_weights = st.builds(
+    WeightModel,
+    n=st.integers(3, 12),
+    p0=st.floats(1e-3, 1e3),
+    kappa=st.floats(0.0, 1e2),
+    k=st.floats(2.0, 8.0),
+    eta=st.floats(0.1, 10.0),
+)
+
+
+@_props
+@given(_weights, st.floats(0.0, 1e4))
+def test_weight_floor_center_and_junction(w, r):
+    assert w.radial(r) >= w.p0
+    assert w.radial(0.0) == w.p0
+    r4 = 4.0 * w.eta
+    assert w.radial(np.nextafter(r4, np.inf)) == pytest.approx(float(w.radial(r4)), rel=1e-12)
+    assert w.radial(np.nextafter(r4, 0.0)) == pytest.approx(float(w.radial(r4)), rel=1e-12)
+
+
+@_props
+@given(_weights)
+def test_excess_mass_matches_radial_quadrature(w):
+    r4 = 4.0 * w.eta
+    # p - p0, read off the same bump at p0 = 0: subtracting p0 from p would
+    # cancel all the digits of the tail where the bump is below p0's ulp
+    bump = replace(w, p0=0.0)
+
+    def excess(r):
+        return float(bump.radial(r)) * r ** (w.n - 1)
+
+    inner, _ = spquad(excess, 0.0, r4, epsrel=1e-12)
+    outer, _ = spquad(excess, r4, np.inf, epsrel=1e-12)
+    assert w.excess_mass() == pytest.approx(sphere_surface(w.n) * (inner + outer), rel=1e-8, abs=1e-300)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@_props
+@given(
+    st.fixed_dictionaries({"n": st.integers(3, 40), "s": _finite, "k": _finite, "kappa": _finite,
+                           "lambda": _finite, "q": _finite, "p0": _finite, "eta": _finite, "R": _finite,
+                           "seed": st.integers(0, 2**64 - 1)}),
+    st.randoms(use_true_random=False),
+)
+def test_config_text_round_trips(values, rnd):
+    items = list(values.items())
+    rnd.shuffle(items)
+    cfg = parse_config_text("# generated\n" + "".join(f"{k} = {v!r}\n" for k, v in items))
+    p = cfg.params
+    assert (p.n, p.s, p.k, p.kappa, p.lam, p.q, p.p0, p.eta, p.R, cfg.seed) == tuple(
+        values[k] for k in ("n", "s", "k", "kappa", "lambda", "q", "p0", "eta", "R", "seed"))
+    assert cfg.raw == tuple((k, repr(v)) for k, v in items)
+    assert parse_config_text(cfg.raw_text()) == cfg
