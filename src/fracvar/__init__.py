@@ -53,7 +53,6 @@ from .problem import (
     weight_from_params,
 )
 from .quad import (
-    QuadratureError,
     SeminormEstimate,
     bilinear_radial,
     mc_reference_ks,
@@ -94,9 +93,8 @@ __all__ = [
     # bubble
     "Bubble", "TruncatedBubble", "lq_norm", "truncated_bubble",
     # quad
-    "QuadratureError", "SeminormEstimate", "bilinear_radial",
-    "mc_reference_ks", "radial_power_integral", "seminorm_mc",
-    "seminorm_radial",
+    "SeminormEstimate", "bilinear_radial", "mc_reference_ks",
+    "radial_power_integral", "seminorm_mc", "seminorm_radial",
     # asymptotics
     "DEFAULT_EPS_GRID", "DeltaLemmaResult", "SweepReport", "check_delta_lemma",
     "fit_rate", "sweep_A", "sweep_bubble_norms", "sweep_energy",

@@ -27,7 +27,7 @@ from ._panels import geometric_refine, panel_nodes
 from .bubble import Bubble, Cutoff, lq_norm, truncated_bubble
 from .constants import bubble_constants, sphere_surface
 from .problem import ProblemParams, weight_from_params
-from .quad import ball_restricted_form, bilinear_radial, default_r_breaks
+from .quad import _partner_radius, ball_restricted_form, bilinear_radial, default_r_breaks
 
 DEFAULT_EPS_GRID = (0.4, 0.28, 0.2, 0.14, 0.1, 0.07, 0.05)
 SLOPE_TOL = 0.3
@@ -313,39 +313,29 @@ class DeltaLemmaResult:
     trials: int
 
 
-def check_delta_lemma(k: float, R: float, trials: int = 100_000, seed: int = 0, *, gamma: float | None = None) -> DeltaLemmaResult:
+def check_delta_lemma(k: float, R: float, trials: int = 100_000, seed: int = 0) -> DeltaLemmaResult:
     """Sampled check of ||x|^{k/2} - |y|^{k/2}|^2 <= delta |x-y|^2.
 
-    Pairs of points in R^3 are drawn with |x|, |y| <= R and |x - y| < gamma
-    (default R/2); delta = 2^{k-4} k^2 R^{k-2}.  Returns the worst observed
-    ratio against the bound (1.0 means the bound is attained).
+    Pairs in R^3 are drawn as radii: |x| uniform in the ball of radius R,
+    |x - y| uniform in the ball of radius R/2 and |y| from
+    :func:`fracvar.quad._partner_radius`, keeping the pairs with |y| <= R;
+    delta = 2^{k-4} k^2 R^{k-2}.  Returns the worst observed ratio against
+    the bound (1.0 means the bound is attained).
     """
     if k < 2.0 or R <= 0.0:
         raise ValueError("need k >= 2 and R > 0")
-    gam = R / 2.0 if gamma is None else float(gamma)
-    if not 0.0 < gam < R:
-        raise ValueError("need 0 < gamma < R")
     delta = 2.0 ** (k - 4.0) * k**2 * R ** (k - 2.0)
     rng = np.random.default_rng(seed)
     worst = 0.0
     remaining = trials
     while remaining > 0:
         m = min(remaining * 2, 200_000)
-        x = rng.standard_normal((m, 3))
-        x *= (R * rng.random(m) ** (1.0 / 3) / np.linalg.norm(x, axis=1))[:, None]
-        v = rng.standard_normal((m, 3))
-        v *= (gam * rng.random(m) ** (1.0 / 3) / np.linalg.norm(v, axis=1))[:, None]
-        y = x + v
-        keep = np.linalg.norm(y, axis=1) <= R
-        x, y = x[keep], y[keep]
-        if len(x) == 0:
-            continue
-        x, y = x[: min(len(x), remaining)], y[: min(len(y), remaining)]
-        remaining -= len(x)
-        dx = np.linalg.norm(x - y, axis=1)
-        nz = dx > 0.0
-        num = (np.linalg.norm(x, axis=1) ** (k / 2.0) - np.linalg.norm(y, axis=1) ** (k / 2.0)) ** 2
-        ratio = num[nz] / (delta * dx[nz] ** 2)
-        if len(ratio):
-            worst = max(worst, float(ratio.max()))
+        rx = R * rng.random(m) ** (1.0 / 3)
+        rho = 0.5 * R * rng.random(m) ** (1.0 / 3)
+        ry = _partner_radius(rng, rx, rho, 3)
+        keep = (ry <= R) & (rho > 0.0)
+        rx, rho, ry = rx[keep][:remaining], rho[keep][:remaining], ry[keep][:remaining]
+        remaining -= len(rx)
+        if len(rx):
+            worst = max(worst, float(np.max((rx ** (k / 2.0) - ry ** (k / 2.0)) ** 2 / (delta * rho**2))))
     return DeltaLemmaResult(passed=worst <= 1.0 + 1e-12, worst_ratio=worst, delta=delta, trials=trials)

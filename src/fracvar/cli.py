@@ -14,10 +14,13 @@ exactly.
 
 Exit codes: 0 on success; 2 when a check fails, when validation rejects the
 input (a ``ValueError`` other than ``ConfigError``), or on a known numeric
-failure (``QuadratureError``, ``SolverError``, ``MountainPassError``); 1 on
-usage, configuration or I/O errors, including any flag the command does not
-read.  Any other exception is a programming error and escapes with its
-traceback.  Importing this module already loads numpy (through the package
+failure (``SolverError``, ``MountainPassError``); 1 on usage, configuration
+or I/O errors, including any flag the command does not read.  Every command
+that loads ``--config`` runs :func:`fracvar.problem.validate` on it first,
+and exits 2, before computing, with the error codes on stderr when it
+reports any; regime admissibility is judged by ``validate`` alone.  Any
+other exception is a programming error and escapes with its traceback.
+Importing this module already loads numpy (through the package
 ``__init__``), so to cap the BLAS threads of the process set
 ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` in the
 environment before launch.
@@ -38,7 +41,6 @@ import numpy as np
 from . import asymptotics, bubble, constants, mountainpass, problem, quad, solver, verifysuite
 from .mountainpass import MountainPassError
 from .problem import ConfigError
-from .quad import QuadratureError
 from .solver import SolverError
 
 
@@ -79,8 +81,12 @@ def _csv_bytes(header: list[str], rows) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _load_config(path: str, seed: int | None):
+def _load_config(path: str, seed: int | None, command: str):
+    """The config at ``path``, with ``seed`` if given; only ``validate`` takes invalid parameters."""
     cfg = problem.load_config(path)
+    errors = () if command == "validate" else problem.validate(cfg.params).errors
+    if errors:
+        raise ValueError("invalid config: " + "; ".join(f"{c}: {m}" for c, m in errors))
     return cfg if seed is None else replace(cfg, seed=seed)
 
 
@@ -358,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _load_config(args.config, getattr(args, "seed", None)) \
+        cfg = _load_config(args.config, getattr(args, "seed", None), args.command) \
             if "config" in args else None
         payload, artifacts, code = _COMMANDS[args.command][0](args, cfg)
         if artifacts:
@@ -376,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (ValueError, QuadratureError, SolverError, MountainPassError) as exc:
+    except (ValueError, SolverError, MountainPassError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1 if isinstance(exc, ConfigError) else 2
 

@@ -43,16 +43,12 @@ def ns_admissible(n: int, s: float) -> bool:
     """
     if not (0.0 < s < 1.0):
         return False
-    if n == 3:
-        return s < 0.25
-    if n == 4:
-        return s < 0.5
-    if n == 5:
-        return s < 0.75
-    return n >= 6
+    bound = _ns_boundary(n)
+    return n >= 6 if bound is None else s < bound
 
 
 def _ns_boundary(n: int) -> float | None:
+    """The open upper bound on s for n = 3, 4, 5; None for every other n."""
     return {3: 0.25, 4: 0.5, 5: 0.75}.get(n)
 
 

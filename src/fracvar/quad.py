@@ -30,14 +30,14 @@ radial panels and reports the shift as its error; :func:`bilinear_radial` and
 Every profile and weight is radial about the origin, and
 :func:`radial_power_integral` is the one power sum of a profile.
 
-The Monte Carlo path is an independent oracle.  Every factor of the
-integrand is radial, so a pair is drawn as the radii (|x|, |z|, |y|) of
-y = x + z: |x| as for x ~ uniform(ball), |z| from the density proportional
-to |z|^(2-n-2s) (cancelling the kernel singularity against the quadratic
-difference) and |y| from the law of the angle between x and z.  It is
-combined with a balance-heuristic weight over the two symmetric generation
-routes, plus a zero-variance-in-|z| far piece for |z| beyond the ball's
-diameter.
+The Monte Carlo path is an independent oracle, one pair estimator
+(:func:`_pair_mc`) with two callers.  Every factor of the integrand is
+radial, so a pair is drawn as the radii (|x|, |z|, |y|) of y = x + z: |x|
+from the caller's proposal, |z| from the density proportional to
+|z|^(2-n-2s) below a pivot (cancelling the kernel singularity against the
+quadratic difference) or to |z|^-(n+2s) above it, and |y| from the law of
+the angle between x and z.  Each pair carries a balance-heuristic weight
+over the two symmetric generation routes.
 
 Neither kernel table of the pair form depends on the weight or the profile,
 so each is built once.  The core's tau row (nodes, ``tw * tau^(n-1) * K``
@@ -63,10 +63,6 @@ from scipy.interpolate import CubicSpline
 from ._panels import geometric_refine, panel_nodes
 from .bubble import Bubble, TruncatedBubble
 from .constants import kernel_batch, sphere_surface
-
-
-class QuadratureError(RuntimeError):
-    """Panel refinement failed to stabilize to the requested tolerance."""
 
 
 # DELTA is the width of the |tau - 1| band that the sliver models; T_FLOOR
@@ -367,8 +363,7 @@ def _breaks_to(r_breaks, r_hi: float, *profiles) -> np.ndarray:
     return breaks
 
 
-def seminorm_radial(u, w, n: int, s: float, r_max: float, *, r_breaks=None,
-                    tol: float | None = None) -> SeminormEstimate:
+def seminorm_radial(u, w, n: int, s: float, r_max: float, *, r_breaks=None) -> SeminormEstimate:
     """Deterministic weighted Gagliardo seminorm of a radial profile, with its error.
 
     ``u`` is a radial profile (or callable, treated as supported in
@@ -376,9 +371,8 @@ def seminorm_radial(u, w, n: int, s: float, r_max: float, *, r_breaks=None,
     limit ``far``, or None for the unit weight.  ``r_breaks`` overrides the
     profile-adapted radial panels.  The form is computed on the panels and
     again with each one halved: the value is the finer pass, and
-    ``abs_error`` the shift between the two.  A shift above
-    ``tol`` (absolute) raises :class:`QuadratureError`.  The single-pass value
-    on the same panels is ``bilinear_radial(u, u, ...)``.
+    ``abs_error`` the shift between the two.  The single-pass value on the
+    same panels is ``bilinear_radial(u, u, ...)``.
     """
     prof = as_profile(u, r_max)
     r_hi = min(r_max, prof.support) if math.isfinite(prof.support) else r_max
@@ -386,12 +380,7 @@ def seminorm_radial(u, w, n: int, s: float, r_max: float, *, r_breaks=None,
     breaks = _breaks_to(r_breaks, r_hi, prof)
     coarse = _pair_form(prof, prof, wfun, wfar, n, s, breaks, r_hi=r_hi, include_outer=True)
     fine = _pair_form(prof, prof, wfun, wfar, n, s, _halved(breaks), r_hi=r_hi, include_outer=True)
-    err = abs(fine - coarse)
-    if tol is not None and err > tol:
-        raise QuadratureError(
-            f"panel halving moved the value by {err:.3e}, above the requested tolerance {tol:.3e}"
-        )
-    return SeminormEstimate(value=fine, abs_error=err, method="RadialDeterministic",
+    return SeminormEstimate(value=fine, abs_error=abs(fine - coarse), method="RadialDeterministic",
                             samples_or_panels=2 * (len(breaks) - 1))
 
 
@@ -411,16 +400,15 @@ def bilinear_radial(u, v, w, n: int, s: float, r_max: float, *, r_breaks=None) -
                       include_outer=True)
 
 
-def ball_restricted_form(u, weight_fn, n: int, s: float, r_hi: float, *, r_breaks=None) -> float:
+def ball_restricted_form(u, weight_fn, n: int, s: float, r_hi: float) -> float:
     """Pair form restricted to both points in the ball of radius r_hi, in one pass.
 
     ``weight_fn`` is an arbitrary radial factor (e.g. r^k); it is
     symmetrized across the pair exactly like a weight model.  No outer
-    fold: pairs leaving the ball are excluded by definition.  ``r_breaks``
-    overrides the profile-adapted radial panels.
+    fold: pairs leaving the ball are excluded by definition.
     """
     prof = as_profile(u, math.inf)
-    return _pair_form(prof, prof, weight_fn, 0.0, n, s, _breaks_to(r_breaks, r_hi, prof), r_hi=r_hi,
+    return _pair_form(prof, prof, weight_fn, 0.0, n, s, _breaks_to(None, r_hi, prof), r_hi=r_hi,
                       include_outer=False)
 
 
@@ -449,10 +437,6 @@ def radial_power_integral(u, expo: float, n: int, *, r_max: float | None = None)
 # Monte Carlo estimator
 # ---------------------------------------------------------------------------
 
-def _ball_volume(n: int, R: float) -> float:
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * R**n
-
-
 def _partner_radius(rng, rx: np.ndarray, rho: np.ndarray, n: int) -> np.ndarray:
     """|y| for y = x + rho d, d uniform on the sphere, from |x| = rx.
 
@@ -473,99 +457,86 @@ def _batched(draw, seed: int) -> tuple[float, float]:
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(MC_BATCHES))
 
 
-def mc_reference_ks(n: int, s: float, N: int = 1_000_000, seed: int = 0) -> SeminormEstimate:
-    """Monte Carlo estimate of Ks: the full-space seminorm of the unit bubble.
+def _pair_mc(u, wfun, n: int, s: float, D: float, near, far, seed: int) -> SeminormEstimate:
+    """Monte Carlo estimate of iint wbar |u(x) - u(y)|^2 / |x - y|^(n+2s) over pair radii.
 
-    Independent of the deterministic radial path.  Because the unit bubble
-    has unbounded support, |x| is drawn over all of R^n with a half-Cauchy
-    radius (heavy enough to cover both the core and the algebraic tail),
-    while |x - y| uses the same singularity-cancelling split as
-    :func:`seminorm_mc` at pivot 4.  The per-pair density is symmetrized
-    over which endpoint was drawn first (balance heuristic): without this,
-    pairs whose sampled endpoint sits far out while the partner lands on
-    the bubble core carry weights with an infinite-variance Pareto tail.
+    ``u`` and the weight ``wfun`` (wbar is its endpoint mean) are radial.
+    ``near`` and ``far`` are ``(m, draw, density)``: a batch draws m radii
+    |x| by ``draw(rng, m)``, whose law over R^n has the radial ``density``.
+    The near piece pairs them with rho = |x - y| <= D from the density
+    ~ rho^(2-n-2s), the far piece with rho > D from ~ rho^-(n+2s), and |y|
+    comes from :func:`_partner_radius`.  Each pair is weighted by the mean
+    of its two endpoint densities (the balance heuristic), so the estimate
+    is unbiased wherever the densities cover the integrand.
     """
     sig = sphere_surface(n)
     two_s = 2.0 * s
-    D = 4.0
-    m = max(N // MC_BATCHES, 16)
-    m_far = max(m // 4, 8)
     c_near = sig * D ** (2.0 - two_s) / (2.0 - two_s)
     c_far = sig / (two_s * D**two_s)
 
-    def u(r):
-        return (1.0 + r * r) ** (-(n - two_s) / 2.0)
+    def piece(rng, m, draw, density, is_near):
+        rx = draw(rng, m)
+        if is_near:
+            rho = np.maximum(D * rng.random(m) ** (1.0 / (2.0 - two_s)), D * 1e-9)
+        else:
+            rho = D * np.maximum(rng.random(m), 1e-16) ** (-1.0 / two_s)
+        ry = _partner_radius(rng, rx, rho, n)
+        val = 0.5 * (wfun(rx) + wfun(ry)) * (u(rx) - u(ry)) ** 2 / (0.5 * (density(rx) + density(ry)))
+        # the rho density cancels the kernel up to rho^-2 (near) or exactly (far)
+        return np.mean(val / rho**2 if is_near else val)
 
-    def fx(r):
+    value, se = _batched(lambda rng: c_near * piece(rng, *near, True) + c_far * piece(rng, *far, False), seed)
+    return SeminormEstimate(value=value, abs_error=se, method="MonteCarlo",
+                            samples_or_panels=MC_BATCHES * (near[0] + far[0]), seed=seed)
+
+
+def mc_reference_ks(n: int, s: float, N: int = 1_000_000, seed: int = 0) -> SeminormEstimate:
+    """Monte Carlo estimate of Ks: the full-space seminorm of the unit bubble.
+
+    Independent of the deterministic radial path.  The unit bubble has
+    unbounded support, so both pieces of :func:`_pair_mc` (pivot 4) draw |x|
+    over all of R^n from a half-Cauchy radius, which covers the core and the
+    algebraic tail.
+    """
+    sig = sphere_surface(n)
+    m = max(N // MC_BATCHES, 16)
+
+    def u(r):
+        return (1.0 + r * r) ** (-(n - 2.0 * s) / 2.0)
+
+    def draw(rng, k):
+        return np.tan(0.5 * math.pi * np.clip(rng.random(k), 1e-12, 1.0 - 1e-12))
+
+    def density(r):
         r = np.maximum(r, 1e-12)
         return (2.0 / math.pi) / (1.0 + r * r) / (sig * r ** (n - 1.0))
 
-    def draw(rng):
-        rx = np.tan(0.5 * math.pi * np.clip(rng.random(m), 1e-12, 1.0 - 1e-12))
-        # near piece: |z| <= D with density ~ |z|^(2-n-2s)
-        rz = np.maximum(D * np.maximum(rng.random(m), 1e-18) ** (1.0 / (2.0 - two_s)), D * 1e-9)
-        ry = _partner_radius(rng, rx, rz, n)
-        near = (u(rx) - u(ry)) ** 2 / (rz**2 * 0.5 * (fx(rx) + fx(ry)))
-        # far piece: |z| > D with density ~ |z|^-(n+2s), from the first m_far of the |x|
-        rxf = rx[:m_far]
-        rzf = D * np.maximum(rng.random(m_far), 1e-16) ** (-1.0 / two_s)
-        ryf = _partner_radius(rng, rxf, rzf, n)
-        far = (u(rxf) - u(ryf)) ** 2 / (0.5 * (fx(rxf) + fx(ryf)))
-        return c_near * near.mean() + c_far * far.mean()
-
-    value, se = _batched(draw, seed)
-    return SeminormEstimate(
-        value=value, abs_error=se, method="MonteCarlo", samples_or_panels=MC_BATCHES * (m + m_far), seed=seed
-    )
+    return _pair_mc(u, _unit_weight, n, s, 4.0, (m, draw, density), (max(m // 4, 8), draw, density), seed)
 
 
 def seminorm_mc(u, w, n: int, s: float, N: int = 200_000, seed: int = 0) -> SeminormEstimate:
     """Unbiased Monte Carlo estimate of the weighted Gagliardo seminorm.
 
-    ``u`` is a radial profile with a finite ``support`` and ``radial_value``
-    (:func:`as_profile` wraps a radial callable).  A pair is drawn as the
-    radii (|x|, rho, |y|) with rho = |x - y|, which is all the weight, the
-    profile and the kernel read.  The near piece pairs |x| uniform in the
-    ball of radius 1.5x the support with rho <= diam, the ball's diameter,
-    drawn from the singularity-cancelling density ~ rho^(2-n-2s), weighted by
-    the balance heuristic over the two symmetric generation routes; the far
-    piece (rho > diam, where the partner is guaranteed outside the support)
-    is doubled to cover its mirror region.  Reproducible per seed.
+    ``u`` is a radial profile with ``radial_value`` that vanishes beyond a
+    finite ``support`` (:func:`as_profile` wraps a radial callable).  It is
+    :func:`_pair_mc` with pivot D = 3x the support.  The near piece (3/4 of
+    the pairs) draws |x| uniform in the ball of radius 1.5x the support; the
+    far piece draws |x| uniform in the support, so its partner lies outside
+    it.  Reproducible per seed.
     """
     support = float(getattr(u, "support", math.inf))
     if not math.isfinite(support):
         raise ValueError("seminorm_mc needs a profile with a finite support; see as_profile")
-    r_ball = 1.5 * support
-    diam = 2.0 * r_ball
-    wfun, _ = _weight_fns(w)
-    sig = sphere_surface(n)
-    two_s = 2.0 * s
     m = max(N // MC_BATCHES, 16)
     m_near = (3 * m) // 4
-    m_tail = m - m_near
-    c_near = 2.0 * _ball_volume(n, r_ball) * sig * diam ** (2.0 - two_s) / (2.0 - two_s)
-    c_far = 2.0 * _ball_volume(n, support) * sig / (two_s * diam**two_s)
 
-    def draw(rng):
-        # near piece: rho <= diam
-        rx = r_ball * rng.random(m_near) ** (1.0 / n)
-        rho = np.maximum(diam * rng.random(m_near) ** (1.0 / (2.0 - two_s)), diam * 1e-9)
-        ry = _partner_radius(rng, rx, rho, n)
-        du = u.radial_value(rx) - u.radial_value(ry)
-        near = 0.5 * (wfun(rx) + wfun(ry)) * du**2 / (rho**2 * (1.0 + (ry <= r_ball)))
-        # far piece: rho > diam, partner outside the support
-        rxt = support * rng.random(m_tail) ** (1.0 / n)
-        rho_t = diam * np.maximum(rng.random(m_tail), 1e-16) ** (-1.0 / two_s)
-        far = 0.5 * (wfun(rxt) + wfun(_partner_radius(rng, rxt, rho_t, n))) * u.radial_value(rxt) ** 2
-        return c_near * near.mean() + c_far * far.mean()
+    def uniform(m_piece, R):
+        vol = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * R**n
+        return m_piece, lambda rng, k: R * rng.random(k) ** (1.0 / n), lambda r: (r <= R) / vol
 
-    value, se = _batched(draw, seed)
-    if value != 0.0 and se > 0.2 * abs(value):
-        warnings.warn(
-            f"Monte Carlo variance overflow: relative standard error {se / abs(value):.1%} exceeds 20%",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return SeminormEstimate(
-        value=value, abs_error=se, method="MonteCarlo", samples_or_panels=MC_BATCHES * m, seed=seed
-    )
+    est = _pair_mc(u.radial_value, _weight_fns(w)[0], n, s, 3.0 * support,
+                   uniform(m_near, 1.5 * support), uniform(m - m_near, support), seed)
+    if est.value != 0.0 and est.abs_error > 0.2 * abs(est.value):
+        warnings.warn(f"Monte Carlo variance overflow: relative standard error "
+                      f"{est.abs_error / abs(est.value):.1%} exceeds 20%", RuntimeWarning, stacklevel=2)
+    return est

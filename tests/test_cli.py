@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 import fracvar.constants
+import fracvar.quad
+import fracvar.solver
 import fracvar.verifysuite
 from fracvar.cli import _build_parser, main
 from fracvar.constants import bubble_constants
 from fracvar.mountainpass import MountainPassError
 from fracvar.problem import ConfigError, load_config
-from fracvar.quad import QuadratureError
 from fracvar.solver import SolverError, assemble, first_eigenvalue
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -129,6 +130,28 @@ def test_weight_variants_the_commands_ignore_exit_1(tmp_path, capsys, weight_lin
         rc, out, err = run(capsys, command, "--config", str(cfg), *rest)
         assert (rc, out) == (1, "")
         assert "ConfigError" in err and "TruncatedPower" in err
+
+
+@pytest.mark.parametrize("line, code", [
+    ("R = 2.0", "E_DOMAIN"), ("q = 3.5", "E_EXPONENT"), ("p0 = -1.0", "E_WEIGHT_MIN"),
+], ids=["R", "q", "p0"])
+@pytest.mark.parametrize("command", [
+    ("eigen", "--grid", "32"), ("minimize", "--grid", "32"), ("seminorm", "--eps", "0.5"),
+    ("mountain-pass", "--grid", "32"),
+], ids=lambda argv: argv[0])
+def test_invalid_config_exits_2_before_computing(tmp_path, capsys, monkeypatch, command, line, code):
+    # validate's errors stop every command that loads the config, not only validate
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("".join(ln for ln in Path(DEFAULT_CFG).read_text().splitlines(keepends=True)
+                           if ln.split("=")[0].strip() != line.split("=")[0].strip()) + line + "\n")
+    for name in ("assemble", "first_eigenvalue", "minimize_S"):
+        monkeypatch.setattr(fracvar.solver, name, None)  # any computation raises TypeError
+    monkeypatch.setattr(fracvar.quad, "seminorm_radial", None)
+    out = tmp_path / "out"
+    rc, stdout, err = run(capsys, *command, "--config", str(cfg), "--out", str(out))
+    assert (rc, stdout) == (2, "")
+    assert code in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -352,12 +375,12 @@ def test_programming_errors_escape_with_their_traceback(capsys, monkeypatch, mod
         main(list(argv))
 
 
+# the ids are fixed, so that a case keeps its name when another is added or removed
 @pytest.mark.parametrize("exc, code", [
-    (ValueError("bad input"), 2),
-    (QuadratureError("no convergence"), 2),
-    (SolverError("no convergence"), 2),
-    (MountainPassError("no convergence"), 2),
-    (ConfigError("bad key"), 1),
+    pytest.param(ValueError("bad input"), 2, id="exc0-2"),
+    pytest.param(SolverError("no convergence"), 2, id="exc2-2"),
+    pytest.param(MountainPassError("no convergence"), 2, id="exc3-2"),
+    pytest.param(ConfigError("bad key"), 1, id="exc4-1"),
 ])
 def test_known_failures_map_to_exit_codes(capsys, monkeypatch, exc, code):
     def failing(*args, **kwargs):
@@ -402,9 +425,9 @@ GOLDEN = {
     "verify-estimates-delta": (
         ("verify-estimates", "--config", DEFAULT_CFG, "--suite", "delta", "--seed", "5",
          "--out", OUT), 0,
-        {"delta": {"pass": True, "worst_ratio": 0.999953904413}},
-        {"estimates_delta.csv": "45e0d476f9198184f9fd906ebb6aa3e7a70caac338e9eef1c4fad0d67e2f71ae",
-         "estimates_summary.json": "e1c596ce5e35e25a3bff66ae49d2d60430ad57c39f97be3a52fe4683a308f656"}),
+        {"delta": {"pass": True, "worst_ratio": 0.999998823031}},
+        {"estimates_delta.csv": "be180087e174fc322b40789b2fff35acbdee3241eeb128bc9a87c5c1fbb3a804",
+         "estimates_summary.json": "20a65713ba86e5a606d335905e8395ad9140c3590c04a103334f96bcd3409fa8"}),
     "verify-estimates-norms": (
         ("verify-estimates", "--config", DEFAULT_CFG, "--suite", "norms", "--out", OUT), 0,
         {"norms_deficit": {"claimed_rate": 6.0, "fit_slope": 5.83211623745, "pass": True},
