@@ -39,23 +39,25 @@ quadratic difference) or to |z|^-(n+2s) above it, and |y| from the law of
 the angle between x and z.  Each pair carries a balance-heuristic weight
 over the two symmetric generation routes.
 
-Neither kernel table of the pair form depends on the weight or the profile,
-so each is built once.  The core's tau row (nodes, ``tw * tau^(n-1) * K``
-and the sliver's band factor) is cached per quadrature rule.  The outer
-fold's table K(t) on its (inner radius, t) grid is cached per geometry in
-one slot tied to the profile last passed in, by weak reference: the
-seminorms of one profile under several weights, and its bilinear form,
-share it, and a call with another profile, or the profile's collection,
-drops it.
+The core's tau row (nodes, ``tw * tau^(n-1) * K`` and the sliver's band
+factor) depends on neither the weight nor the profile, so it is cached per
+quadrature rule.  A row of the outer fold depends on its inner radius, the
+weight and the geometry (n, s, r_hi, n_t), not on the profile, and it is
+computed on its own.  So the rows of the unit weight and of a
+:class:`~fracvar.problem.WeightModel` are memoized by exact radius, per
+weight (by value) and geometry (:func:`_fold_rows`): profiles whose panels
+share radii, the coarse and fine passes, and the nested grids of
+:mod:`fracvar.solver` share rows, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import warnings
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -63,6 +65,7 @@ from scipy.interpolate import CubicSpline
 from ._panels import geometric_refine, panel_nodes
 from .bubble import Bubble, TruncatedBubble
 from .constants import kernel_batch, sphere_surface
+from .problem import WeightModel
 
 
 # DELTA is the width of the |tau - 1| band that the sliver models; T_FLOOR
@@ -170,7 +173,7 @@ def _kernel_interp(n: int, s: float):
     Two charts: K vs log(tau) below 0.5 (K is flat toward 0), log(K) vs
     log(1 - tau) above (where K ~ (1-tau)^(-1-2s), so the chart is nearly
     linear).  It fills the outer fold's kernel table, about 10^6 queries on
-    a fine pass, once per profile geometry (see :func:`_fold_kernel`); a
+    a fine pass, for each fold row the memo of :func:`_fold_rows` lacks; a
     direct evaluation would dominate the runtime.
     """
     xl = np.linspace(math.log(1e-13), math.log(0.62), 1600)
@@ -221,55 +224,7 @@ def _rel_outer_rule(n_t: int):
     return float(rel[0]), reln, relw
 
 
-def _fold_kernel(n: int, s: float, rn: np.ndarray, *, r_hi: float, n_t: int) -> np.ndarray:
-    """The outer fold's kernel table K(t) at t = min(rn/r_hi, 1-DELTA) * rel node, read-only.
-
-    It depends on the geometry only, not on the weight or the profile.
-    """
-    _, reln, _ = _rel_outer_rule(n_t)
-    kvT = _kernel_interp(n, float(s))(np.minimum(rn / r_hi, 1.0 - DELTA)[:, None] * reln[None, :])
-    kvT.flags.writeable = False
-    return kvT
-
-
-# The fold tables of the profile last passed to a pair form, by geometry, at
-# most _FOLD_TABLES of them (a coarse and a fine pass).  The slot holds that
-# profile by weak reference, so the tables live no longer than it does: a call
-# with another profile empties the slot, and so does the profile's
-# collection, through the callback below.
-_FOLD_TABLES = 2
-_fold_slot: list = [None, {}]
-
-
-def _drop_fold_tables(ref) -> None:
-    if _fold_slot[0] is ref:
-        _fold_slot[:] = [None, {}]
-
-
-def _profile_fold_kernel(profile, n: int, s: float, rn: np.ndarray, *, r_hi: float, n_t: int) -> np.ndarray:
-    """:func:`_fold_kernel`, kept in the slot of ``profile`` for its lifetime.
-
-    A profile that takes no weak reference gets a table for the call only.
-    """
-    ref, tables = _fold_slot
-    if ref is None or ref() is not profile:
-        try:
-            ref = weakref.ref(profile, _drop_fold_tables)
-        except TypeError:
-            return _fold_kernel(n, s, rn, r_hi=r_hi, n_t=n_t)
-        tables = {}
-        _fold_slot[:] = [ref, tables]
-    key = (n, float(s), r_hi, rn.tobytes(), n_t)
-    kvT = tables.get(key)
-    if kvT is None:
-        if len(tables) == _FOLD_TABLES:
-            del tables[next(iter(tables))]
-        kvT = tables[key] = _fold_kernel(n, s, rn, r_hi=r_hi, n_t=n_t)
-    return kvT
-
-
-def _outer_fold(rn: np.ndarray, wfun, wfar: float, n: int, s: float, kvT: np.ndarray, *,
-                r_hi: float, n_t: int) -> np.ndarray:
+def _outer_fold(rn: np.ndarray, wfun, wfar: float, n: int, s: float, *, r_hi: float, n_t: int) -> np.ndarray:
     """Tail factor for pairs whose larger radius exceeds r_hi.
 
     For each inner radius ``rn[i]`` this is the exact t = r/rho fold of the
@@ -278,10 +233,9 @@ def _outer_fold(rn: np.ndarray, wfun, wfar: float, n: int, s: float, kvT: np.nda
     the weight's far-field limit.  Contract against
     ``rw * u(rn) * v(rn) * rn**(n-1-2s)`` to recover the outer contribution.
 
-    ``kvT`` is the kernel table of :func:`_fold_kernel` on the same
-    geometry.  The caller owns its lifetime: the profile quadrature keeps it
-    as long as the profile lives (:func:`_profile_fold_kernel`), and an
-    assembly builds it for its one call.
+    Every step is elementwise and each row is summed on its own, so a row's
+    value does not depend on the other radii passed with it; the pair forms
+    and the assembly reach it through :func:`_fold_rows`.
     """
     two_s = 2.0 * s
     sig = sphere_surface(n)
@@ -293,7 +247,7 @@ def _outer_fold(rn: np.ndarray, wfun, wfar: float, n: int, s: float, kvT: np.nda
         wbo = wfun(rn[:, None] / np.maximum(T, 1e-300)) + wr[:, None]
     # wbo * K(T) * T^(2s-1) * t_hi * relw, in that order, in place
     wbo *= 0.5
-    wbo *= kvT
+    wbo *= _kernel_interp(n, float(s))(T)
     T **= two_s - 1.0
     wbo *= T
     np.multiply(t_hi[:, None], relw[None, :], out=T)
@@ -306,9 +260,51 @@ def _outer_fold(rn: np.ndarray, wfun, wfar: float, n: int, s: float, kvT: np.nda
     return fold
 
 
-def _pair_form(pa, pb, wfun, wfar: float, n: int, s: float, r_breaks: np.ndarray, *, r_hi: float,
-               include_outer: bool) -> float:
+# The memo of fold rows: per (weight, n, s, r_hi, n_t), the sorted radii
+# seen so far and their fold values.  At most _FOLD_KEYS keys are kept, the
+# least recently used dropped first, and a key past _FOLD_ROWS radii starts
+# afresh; missing radii are folded _FOLD_BLOCK at a time, which bounds the
+# working tables.  The lock makes each update whole under threads.
+_FOLD_KEYS = 16
+_FOLD_ROWS = 1 << 15
+_FOLD_BLOCK = 256
+_fold_memo: dict = {}
+_fold_lock = threading.Lock()
+
+
+def _fold_rows(w, n: int, s: float, rn: np.ndarray, *, r_hi: float, n_t: int) -> np.ndarray:
+    """:func:`_outer_fold` at radii ``rn`` for weight ``w``, bit for bit, from the memo where it can.
+
+    Only the unit weight (None) and a :class:`WeightModel`, which is frozen
+    and compared by value, are memoized; any other weight object could
+    change between calls, so its rows are always computed afresh.
+    """
+    wfun, wfar = _weight_fns(w)
+
+    def fold(r):
+        return np.concatenate([_outer_fold(r[i:i + _FOLD_BLOCK], wfun, wfar, n, s, r_hi=r_hi, n_t=n_t)
+                               for i in range(0, len(r), _FOLD_BLOCK)])
+
+    if w is not None and type(w) is not WeightModel:
+        return fold(rn)
+    key = (w, n, float(s), float(r_hi), n_t)
+    with _fold_lock:
+        radii, vals = _fold_memo.pop(key, (np.empty(0), np.empty(0)))
+        if len(radii) > _FOLD_ROWS:
+            radii, vals = np.empty(0), np.empty(0)
+        new = np.setdiff1d(rn, radii)
+        if len(new):
+            at = np.searchsorted(radii, new)
+            radii, vals = np.insert(radii, at, new), np.insert(vals, at, fold(new))
+        _fold_memo[key] = radii, vals
+        if len(_fold_memo) > _FOLD_KEYS:
+            del _fold_memo[next(iter(_fold_memo))]
+    return vals[np.searchsorted(radii, rn)]
+
+
+def _pair_form(pa, pb, w, n: int, s: float, r_breaks: np.ndarray, *, r_hi: float, include_outer: bool) -> float:
     two_s = 2.0 * s
+    wfun, _ = _weight_fns(w)
     sig = sphere_surface(n)
 
     # Gauss-Legendre nodes are interior, so every rn > 0
@@ -339,8 +335,7 @@ def _pair_form(pa, pb, wfun, wfar: float, n: int, s: float, r_breaks: np.ndarray
 
     # --- outer --------------------------------------------------------
     if include_outer:
-        geom = dict(r_hi=r_hi, n_t=N_T)
-        fold = _outer_fold(rn, wfun, wfar, n, s, _profile_fold_kernel(pa, n, s, rn, **geom), **geom)
+        fold = _fold_rows(w, n, s, rn, r_hi=r_hi, n_t=N_T)
         total += float(np.sum(rw * ua * ub * rn ** (n - 1.0 - two_s) * fold))
 
     return 2.0 * sig * total
@@ -376,10 +371,9 @@ def seminorm_radial(u, w, n: int, s: float, r_max: float, *, r_breaks=None) -> S
     """
     prof = as_profile(u, r_max)
     r_hi = min(r_max, prof.support) if math.isfinite(prof.support) else r_max
-    wfun, wfar = _weight_fns(w)
     breaks = _breaks_to(r_breaks, r_hi, prof)
-    coarse = _pair_form(prof, prof, wfun, wfar, n, s, breaks, r_hi=r_hi, include_outer=True)
-    fine = _pair_form(prof, prof, wfun, wfar, n, s, _halved(breaks), r_hi=r_hi, include_outer=True)
+    coarse = _pair_form(prof, prof, w, n, s, breaks, r_hi=r_hi, include_outer=True)
+    fine = _pair_form(prof, prof, w, n, s, _halved(breaks), r_hi=r_hi, include_outer=True)
     return SeminormEstimate(value=fine, abs_error=abs(fine - coarse), method="RadialDeterministic",
                             samples_or_panels=2 * (len(breaks) - 1))
 
@@ -395,9 +389,7 @@ def bilinear_radial(u, v, w, n: int, s: float, r_max: float, *, r_breaks=None) -
     pu = as_profile(u, r_max)
     pv = pu if v is u else as_profile(v, r_max)
     r_hi = min(r_max, max(p.support if math.isfinite(p.support) else r_max for p in (pu, pv)))
-    wfun, wfar = _weight_fns(w)
-    return _pair_form(pu, pv, wfun, wfar, n, s, _breaks_to(r_breaks, r_hi, pu, pv), r_hi=r_hi,
-                      include_outer=True)
+    return _pair_form(pu, pv, w, n, s, _breaks_to(r_breaks, r_hi, pu, pv), r_hi=r_hi, include_outer=True)
 
 
 def ball_restricted_form(u, weight_fn, n: int, s: float, r_hi: float) -> float:
@@ -408,8 +400,8 @@ def ball_restricted_form(u, weight_fn, n: int, s: float, r_hi: float) -> float:
     fold: pairs leaving the ball are excluded by definition.
     """
     prof = as_profile(u, math.inf)
-    return _pair_form(prof, prof, weight_fn, 0.0, n, s, _breaks_to(None, r_hi, prof), r_hi=r_hi,
-                      include_outer=False)
+    return _pair_form(prof, prof, SimpleNamespace(radial=weight_fn, far=0.0), n, s, _breaks_to(None, r_hi, prof),
+                      r_hi=r_hi, include_outer=False)
 
 
 # ---------------------------------------------------------------------------

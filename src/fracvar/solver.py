@@ -51,7 +51,7 @@ from ._panels import gl_rule, panel_nodes
 from .bubble import truncated_bubble
 from .constants import bubble_constants, sphere_surface
 from .problem import ProblemParams, critical_exponent, weight_from_params
-from .quad import _fold_kernel, _kernel_row, _outer_fold, _weight_fns
+from .quad import _fold_rows, _kernel_row
 
 
 class SolverError(RuntimeError):
@@ -247,7 +247,8 @@ def _stiffness_rows(params: ProblemParams, nodes: np.ndarray):
     n, s = params.n, params.s
     n_t = GRID_N_T
     two_s = 2.0 * s
-    wfun, wfar = _weight_fns(weight_from_params(params))
+    weight = weight_from_params(params)
+    wfun = weight.radial
 
     rn, rw = panel_nodes(nodes, GRID_N_R)
     ia0, va0, ia1, va1 = _hat_at(nodes, rn)
@@ -274,8 +275,7 @@ def _stiffness_rows(params: ProblemParams, nodes: np.ndarray):
     yield [j, np.where(j + 1 < M, j + 1, 0)], [-inv_h * sq_sl, np.where(j + 1 < M, inv_h, 0.0) * sq_sl]
 
     # outer rows: pairs whose far radius exceeds R, where the field vanishes
-    geom = dict(r_hi=nodes[-1], n_t=n_t)
-    fold = _outer_fold(rn, wfun, wfar, n, s, _fold_kernel(n, s, rn, **geom), **geom)
+    fold = _fold_rows(weight, n, s, rn, r_hi=nodes[-1], n_t=n_t)
     sq_out = np.sqrt(radial * fold)
     yield [ia0, ia1], [va0 * sq_out, va1 * sq_out]
 

@@ -1,13 +1,14 @@
-import gc
 import math
+import sys
+import threading
 import warnings
-import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from fracvar._panels import panel_nodes
 from fracvar.bubble import Bubble, truncated_bubble
 from fracvar.constants import bubble_constants, sphere_surface
 from fracvar import quad
@@ -20,6 +21,7 @@ from fracvar.quad import (
     seminorm_mc,
     seminorm_radial,
 )
+from fracvar.solver import GRID_N_R, GRID_N_T, make_grid
 
 N6, S6 = 6, 0.5
 
@@ -252,49 +254,129 @@ def test_callable_power_integral_exact_value():
     assert got == ["0x1.1c8e2cfdb522dp+1", "0x1.2e62bf7f08ad7p+1"]
 
 
-def test_spline_surrogate_runs_once_per_geometry(monkeypatch):
-    # three weights x (coarse + fine) and the bilinear form share the
-    # coarse and the fine fold tables of one profile
-    queries = []
+def _pass_radii(breaks):
+    """The pair form's radii of a seminorm on ``breaks``: its coarse and its fine pass."""
+    return np.concatenate([panel_nodes(b, quad.N_R)[0] for b in (breaks, quad._halved(breaks))])
+
+
+def test_second_bubble_folds_only_its_new_radii(monkeypatch):
+    # truncated bubbles share every radial panel but the few deepest, and
+    # the fold rows are shared across profiles by radius
+    quad._fold_memo.clear()
+    ub1, ub2, ub3 = (truncated_bubble(e, S6, N6, 1.0) for e in (0.3, 0.05, 0.2))
+    b1, b2, b3 = (default_r_breaks(u, u.support) for u in (ub1, ub2, ub3))
+    w = _CONTINUUM_WEIGHTS[1]
+    seminorm_radial(ub1, w, N6, S6, ub1.support)
+    rows = []  # radii per spline query: the kernel table has one row per radius
     real = quad._kernel_interp
 
     def counting(n, s):
         ev = real(n, s)
-
-        def counted(t):
-            queries.append(np.size(t))
-            return ev(t)
-
-        return counted
+        return lambda t: rows.append(len(t)) or ev(t)
 
     monkeypatch.setattr(quad, "_kernel_interp", counting)
-    _bubble_pass(truncated_bubble(0.3, S6, N6, 1.0))
-    assert len(queries) == 2
+    seminorm_radial(ub2, w, N6, S6, ub2.support)
+    new = np.setdiff1d(_pass_radii(b2), _pass_radii(b1))
+    assert 0 < len(new) < len(np.unique(_pass_radii(b2))) // 2
+    assert sum(rows) == len(new)
+    assert max(rows) <= quad._FOLD_BLOCK
+    rows.clear()
+    # a bubble with equal breaks takes every row from the memo
+    assert b3.tobytes() == b1.tobytes()
+    seminorm_radial(ub3, w, N6, S6, ub3.support)
+    assert rows == []
 
 
-def test_fold_table_dies_with_its_profile():
+def test_fold_memo_stays_bounded(monkeypatch):
+    rn = np.linspace(0.1, 0.9, 7)
+    for i in range(quad._FOLD_KEYS + 5):
+        quad._fold_rows(None, N6, S6, rn, r_hi=1.0 + i / 64, n_t=quad.N_T)
+        assert len(quad._fold_memo) <= quad._FOLD_KEYS
+    assert len(quad._fold_memo) == quad._FOLD_KEYS
+    # a key holds at most _FOLD_ROWS radii before the radii of one call
+    monkeypatch.setattr(quad, "_FOLD_ROWS", 20)
+    for i in range(6):
+        quad._fold_rows(None, N6, S6, rn + i / 8, r_hi=2.0, n_t=quad.N_T)
+        radii, vals = quad._fold_memo[(None, N6, S6, 2.0, quad.N_T)]
+        assert len(radii) == len(vals) <= 20 + len(rn)
+    assert len(radii) < 6 * len(rn)
+
+
+def _hex(a):
+    return [float(x).hex() for x in a]
+
+
+def test_fold_memo_under_threads():
+    # more threads than cores share the memo while its keys are evicted and
+    # refilled; a torn update would raise or return another key's rows
+    rn = np.linspace(0.05, 0.95, 9)
+    wfun, wfar = quad._weight_fns(None)
+    r_his = [1.0 + i / 64 for i in range(quad._FOLD_KEYS + 4)]
+    ref = {r: _hex(quad._outer_fold(rn, wfun, wfar, N6, S6, r_hi=r, n_t=quad.N_T)) for r in r_his}
+    errors = []
+
+    def work(j):
+        try:
+            for i in range(400):
+                r_hi, lo = r_his[(i + 5 * j) % len(r_his)], i % 3
+                got = quad._fold_rows(None, N6, S6, rn[lo:], r_hi=r_hi, n_t=quad.N_T)
+                assert _hex(got) == ref[r_hi][lo:]
+        except Exception as exc:  # reported below, from the main thread
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(quad._fold_memo) <= quad._FOLD_KEYS
+
+
+@pytest.mark.parametrize("w", [None, _CONTINUUM_WEIGHTS[2]], ids=["unit", "kappa1"])
+def test_fold_memo_rows_equal_one_fold_of_all_radii(w):
+    # rows are computed in blocks and taken from the memo; each must equal
+    # the row of one _outer_fold call on the whole radius array, bit for bit
+    wfun, wfar = quad._weight_fns(w)
+    ub = truncated_bubble(0.05, S6, N6, 1.0)
+    breaks = default_r_breaks(ub, ub.support)
+    pair = [panel_nodes(b, quad.N_R)[0] for b in (breaks, quad._halved(breaks))]
+    grids = [panel_nodes(make_grid(5.0, m), GRID_N_R)[0] for m in (128, 256)]
+    cases = [(rn, ub.support, quad.N_T) for rn in pair] + [(rn, 5.0, GRID_N_T) for rn in grids]
+    quad._fold_memo.clear()
+    for rn, r_hi, n_t in cases + cases:  # a cold memo, then a warm one
+        got = quad._fold_rows(w, N6, S6, rn, r_hi=r_hi, n_t=n_t)
+        assert _hex(got) == _hex(quad._outer_fold(rn, wfun, wfar, N6, S6, r_hi=r_hi, n_t=n_t))
+    # the M = 256 grid refines only the first interval of the M = 128 grid
+    assert len(grids[0]) > quad._FOLD_BLOCK and np.isin(grids[0][GRID_N_R:], grids[1]).all()
+
+
+class _DuckWeight:
+    def __init__(self, p0):
+        self.p0 = p0
+
+    @property
+    def far(self):
+        return self.p0
+
+    def radial(self, r):
+        return self.p0 + 0.5 * np.exp(-np.asarray(r, dtype=float))
+
+
+def test_mutable_duck_weight_is_never_memoized():
     ub = truncated_bubble(0.3, S6, N6, 1.0)
-    seminorm_radial(ub, None, N6, S6, ub.support)
-    tables = quad._fold_slot[1]
-    assert len(tables) == 2
-    table = weakref.ref(next(iter(tables.values())))
-    del ub, tables
-    gc.collect()
-    assert table() is None
-    assert quad._fold_slot[0] is None
-
-
-def test_stale_profile_collection_keeps_current_tables():
-    ub1, ub2 = truncated_bubble(0.3, S6, N6, 1.0), truncated_bubble(0.2, S6, N6, 1.0)
-    seminorm_radial(ub1, None, N6, S6, ub1.support)
-    stale = quad._fold_slot[0]  # keeps ub1's callback armed
-    seminorm_radial(ub2, None, N6, S6, ub2.support)
-    current = quad._fold_slot[:]
-    del ub1
-    gc.collect()
-    assert stale() is None
-    assert quad._fold_slot[0] is current[0] and quad._fold_slot[1] is current[1]
-    assert len(current[1]) == 2
+    w = _DuckWeight(1.0)
+    first = seminorm_radial(ub, w, N6, S6, ub.support).value
+    w.p0 = 2.0
+    second = seminorm_radial(ub, w, N6, S6, ub.support).value
+    assert second.hex() == seminorm_radial(ub, _DuckWeight(2.0), N6, S6, ub.support).value.hex()
+    assert second != first
 
 
 def test_profile_switch_matches_fresh_calls():
@@ -309,16 +391,6 @@ def test_profile_switch_matches_fresh_calls():
         (e.value.hex(), e.abs_error.hex()) for e in fresh
     ]
     assert seq[0].value != seq[1].value
-
-
-def test_fold_tables_stay_bounded_for_one_profile():
-    # one long-lived profile over many radial geometries keeps a coarse and
-    # a fine table, not one per geometry
-    ub = truncated_bubble(0.3, S6, N6, 1.0)
-    for r_max in (1.5, 1.75, 2.0):
-        seminorm_radial(ub, None, N6, S6, r_max)
-    assert quad._fold_slot[0]() is ub
-    assert len(quad._fold_slot[1]) == 2
 
 
 class _SlottedProfile:

@@ -150,6 +150,22 @@ def test_assembly_traced_peak_memory():
     assert peak <= 48 * 2**20
 
 
+def test_cold_outer_fold_traced_peak_memory():
+    # missing fold rows are computed quad._FOLD_BLOCK radii at a time; one
+    # table of all 2048 radii at M = 512 peaked at 53 MiB, 51 of them the fold
+    from fracvar import quad
+
+    assemble(P, 32)
+    quad._fold_memo.clear()
+    tracemalloc.start()
+    try:
+        assemble(P, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * 2**20
+
+
 def test_assemblies_share_one_kernel_row(monkeypatch):
     from fracvar import quad, solver
 
