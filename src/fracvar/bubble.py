@@ -31,18 +31,6 @@ def _psi(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _psi_deriv(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    mid = (t > 0.0) & (t < 1.0)
-    tm = t[mid]
-    with np.errstate(over="ignore", under="ignore"):
-        a = np.exp(-1.0 / (1.0 - tm))
-        b = np.exp(-1.0 / tm)
-        out[mid] = -a * b * (1.0 / (1.0 - tm) ** 2 + 1.0 / tm**2) / (a + b) ** 2
-    return out
-
-
 @dataclass(frozen=True)
 class Bubble:
     """U_{eps,s}, radially decreasing about the origin, positive everywhere."""
@@ -68,11 +56,6 @@ class Bubble:
         m = self.exponent
         return (self.eps / (self.eps**2 + r**2)) ** m
 
-    def radial_deriv(self, r):
-        r = np.asarray(r, dtype=float)
-        m = self.exponent
-        return -2.0 * m * r * self.eps**m * (self.eps**2 + r**2) ** (-(m + 1.0))
-
 
 @dataclass(frozen=True)
 class Cutoff:
@@ -92,10 +75,6 @@ class Cutoff:
         r = np.asarray(r, dtype=float)
         return _psi((r - self.eta) / self.eta)
 
-    def radial_deriv(self, r):
-        r = np.asarray(r, dtype=float)
-        return _psi_deriv((r - self.eta) / self.eta) / self.eta
-
 
 @dataclass(frozen=True)
 class TruncatedBubble:
@@ -114,12 +93,6 @@ class TruncatedBubble:
         inside = ~(r >= self.support)
         out[inside] = self.bubble.radial_value(r[inside]) * self.cutoff.radial_value(r[inside])
         return out
-
-    def radial_deriv(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.bubble.radial_deriv(r) * self.cutoff.radial_value(r) + self.bubble.radial_value(
-            r
-        ) * self.cutoff.radial_deriv(r)
 
 
 def truncated_bubble(eps: float, s: float, n: int, eta: float) -> TruncatedBubble:

@@ -147,6 +147,8 @@ def _constants(args, cfg):
 
 
 def _bubble(args, cfg):
+    if not (math.isfinite(args.x) and args.x >= 0.0):
+        raise ValueError(f"--x must be a finite radius >= 0, got {args.x}")
     tb = bubble.truncated_bubble(args.eps, args.s, args.n, args.eta)
     return {"eps": args.eps, "x": args.x,
             "U": float(tb.bubble.radial_value(args.x)),

@@ -367,14 +367,14 @@ def mp_level(params: ProblemParams, op: StiffnessOperator, m: int = 21) -> PathS
     qs = critical_exponent(params.n, params.s)
     lam, q = params.lam, params.q
 
-    def ray_to_nehari(dofs: np.ndarray) -> np.ndarray | None:
+    def ray_to_nehari(dofs: np.ndarray) -> tuple[np.ndarray, float] | None:
         # on the ray t u, <grad Phi(t u), t u> = 0 reads t^2 P = lam t^q Q + t^qs T;
         # divided by t^2 T it is the fiber equation with X = P/T, sub_mass = Q/T
         P, Q, T = _phi_scalars(params, op, dofs)
         if P <= 0.0 or T <= 0.0:  # pragma: no cover - zero field
             return None
         t = _fiber_root(P / T, Q / T, lam, q, qs)
-        return None if t is None else t * dofs
+        return None if t is None else (t * dofs, _phi_ray(params, P, Q, T, t))
 
     def stop(w: np.ndarray, g: np.ndarray, g_tan: np.ndarray) -> bool:
         return float(np.linalg.norm(g)) <= NEHARI_TOL * float(np.linalg.norm(op.A @ w))
@@ -383,13 +383,11 @@ def mp_level(params: ProblemParams, op: StiffnessOperator, m: int = 21) -> PathS
     for eps in START_EPS:
         start = interpolate_field(truncated_bubble(eps, params.s, params.n, eta=params.eta),
                                   op.nodes)
-        w = ray_to_nehari(start.dofs)
-        if w is None:
+        on_set = ray_to_nehari(start.dofs)
+        if on_set is None:
             raise MountainPassError(f"the ray through the eps = {eps} start has no interior maximum")
-        runs.append(_projected_descent(
-            op.solve, w, lambda v: _phi_ray(params, *_phi_scalars(params, op, v)),
-            lambda v: _phi_grad(params, op, v), stop, ray_to_nehari, NEHARI_MAX_ITER,
-        ))
+        runs.append(_projected_descent(op.solve, on_set, lambda v: _phi_grad(params, op, v), stop,
+                                       ray_to_nehari, NEHARI_MAX_ITER))
     w, level, _, _, history = min(runs, key=lambda run: run[1])
 
     scalars = _phi_scalars(params, op, w)

@@ -6,20 +6,21 @@ For radial u supported in [0, r_hi] the double integral
 
 collapses, via x = r x', y = rho y' and the angular kernel K(tau), to
 
-    N_p(u) = 2 sigma(S^{n-1}) * ( core + sliver + outer ),
+    N_p(u) = 2 sigma(S^{n-1}) * ( core + outer ),
 
-    core   = int_0^{r_hi} r^{n-1-2s} int_0^{1-delta} wbar(r, tau r)
-             |u(r) - u(tau r)|^2 K(tau) tau^{n-1} dtau dr,
-    sliver = int_0^{r_hi} wbar(r, r) u'(r)^2 r^{n+1-2s} dr
-             * K(1-delta) delta^{1+2s} * delta^{2-2s} / (2-2s),
-    outer  = int_0^{r_hi} u(rho)^2 rho^{n-1-2s}
-             int_0^{min(rho/r_hi, 1-delta)} wbar(rho/t, rho) K(t) t^{2s-1} dt drho,
+    core  = int_0^{r_hi} r^{n-1-2s} int_0^{1-delta} wbar(r, tau r)
+            |u(r) - u(tau r)|^2 K(tau) tau^{n-1} dtau dr
+            + (the band |tau - 1| < delta: one more tau node at 1 - delta),
+    outer = int_0^{r_hi} u(rho)^2 rho^{n-1-2s}
+            int_0^{min(rho/r_hi, 1-delta)} wbar(rho/t, rho) K(t) t^{2s-1} dt drho,
 
-where wbar is the symmetrized weight (p(r) + p(rho))/2, the sliver models the
-|tau - 1| < delta band through the local Lipschitz expansion |u(r) - u(rho)|^2
-~ u'(r)^2 (rho - r)^2 (the kernel there behaves like (1-tau)^(-1-2s), so the
-band contributes delta^(2-2s)), and the outer fold accounts exactly for the
-pairs whose larger radius exceeds r_hi, where u vanishes.  The prefactor
+where wbar is the symmetrized weight (p(r) + p(rho))/2.  On the band the
+kernel behaves like (1-tau)^(-1-2s), and the Lipschitz model |u(r) - u(tau r)|^2
+~ u'(r)^2 r^2 (1-tau)^2 gives it u'(r)^2 r^2 times band = K(1-delta)
+delta^(1+2s) delta^(2-2s) / (2-2s).  Its node has weight band / delta^2, so
+the node's term reads u' off the secant across the band and a profile is
+read by value only.  The outer fold accounts exactly for the pairs whose
+larger radius exceeds r_hi, where u vanishes.  The prefactor
 2 sigma(S^{n-1}) collects the ordered-pair doubling and the x'-sphere measure.
 The band width delta = ``DELTA``, the floor ``T_FLOOR`` of the tau-panels at
 the origin and the Gauss-Legendre points per radial and tau panel (``N_R``,
@@ -39,8 +40,8 @@ quadratic difference) or to |z|^-(n+2s) above it, and |y| from the law of
 the angle between x and z.  Each pair carries a balance-heuristic weight
 over the two symmetric generation routes.
 
-The core's tau row (nodes, ``tw * tau^(n-1) * K`` and the sliver's band
-factor) depends on neither the weight nor the profile, so it is cached per
+The core's tau row (nodes, ``tw * tau^(n-1) * K`` and the band factor)
+depends on neither the weight nor the profile, so it is cached per
 quadrature rule.  A row of the outer fold depends on its inner radius, the
 weight and the geometry (n, s, r_hi, n_t), not on the profile, and it is
 computed on its own.  So the rows of the unit weight and of a
@@ -68,7 +69,7 @@ from .constants import kernel_batch, sphere_surface
 from .problem import WeightModel
 
 
-# DELTA is the width of the |tau - 1| band that the sliver models; T_FLOOR
+# DELTA is the width of the |tau - 1| band of the Lipschitz model; T_FLOOR
 # bounds the t-panel next to the origin, in the core's tau rule and in the
 # outer fold's relative rule.  N_R and N_T are the pair form's Gauss-Legendre
 # points per radial panel and per tau-panel.
@@ -94,7 +95,7 @@ class SeminormEstimate:
 # ---------------------------------------------------------------------------
 
 class _CallableProfile:
-    """Adapter giving a plain radial callable the profile interface."""
+    """A plain radial callable as a profile: ``radial_value`` and ``support``."""
 
     def __init__(self, fn, support: float):
         self._fn = fn
@@ -103,14 +104,10 @@ class _CallableProfile:
     def radial_value(self, r):
         return np.asarray(self._fn(np.asarray(r, dtype=float)), dtype=float)
 
-    def radial_deriv(self, r):
-        r = np.asarray(r, dtype=float)
-        h = 1e-6 * np.maximum(r, 1.0)
-        return (self._fn(r + h) - self._fn(np.maximum(r - h, 0.0))) / (h + np.minimum(r, h))
-
 
 def as_profile(u, support: float):
-    if hasattr(u, "radial_value") and hasattr(u, "radial_deriv"):
+    """``u`` if it is a profile (``radial_value`` and ``support``), else the callable ``u`` on ``support``."""
+    if hasattr(u, "radial_value"):
         return u
     if callable(u):
         return _CallableProfile(u, support)
@@ -146,12 +143,14 @@ def default_r_breaks(profile, r_hi: float) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _kernel_row(n: int, s: float, n_t: int):
-    """The core's tau rule and the sliver's band factor, read-only.
+    """The core's tau rule and the band factor, read-only.
 
     The tau-panels on (0, 1 - DELTA) are graded toward both endpoints.
     Returns their nodes ``tn``, ``tau_fac = tw * tn**(n-1) * K(tn)`` and
     ``band = K(1 - DELTA) DELTA^(1+2s) DELTA^(2-2s) / (2-2s)``, the factor of
-    the sliver's Lipschitz model.  None depends on the weight, the profile or
+    the |tau - 1| < DELTA band's Lipschitz model: the pair form weighs its
+    tau node at 1 - DELTA by band / DELTA^2, and the assembly's sliver rows
+    take it with the hat slopes.  None depends on the weight, the profile or
     the radial panels, so every pair form and every assembly on the same
     rule shares one row.
     """
@@ -310,8 +309,10 @@ def _pair_form(pa, pb, w, n: int, s: float, r_breaks: np.ndarray, *, r_hi: float
     # Gauss-Legendre nodes are interior, so every rn > 0
     rn, rw = panel_nodes(r_breaks, N_R)
 
-    # --- core ---------------------------------------------------------
+    # --- core, with the band's node at 1 - DELTA last -------------------
     tn, tau_fac, band = _kernel_row(n, s, N_T)
+    tn = np.append(tn, 1.0 - DELTA)
+    tau_fac = np.append(tau_fac, band / DELTA**2)
     inner_r = rn[:, None] * tn[None, :]
     ua = pa.radial_value(rn)
     ub = ua if pb is pa else pb.radial_value(rn)
@@ -324,14 +325,7 @@ def _pair_form(pa, pb, w, n: int, s: float, r_breaks: np.ndarray, *, r_hi: float
     wb *= db
     wb *= tau_fac
     r_fac = rw * rn ** (n - 1.0 - two_s)
-    core = float(np.einsum("i,ij->", r_fac, wb))
-
-    # --- sliver -------------------------------------------------------
-    sliver = band * float(
-        np.sum(rw * wfun(rn) * pa.radial_deriv(rn) * pb.radial_deriv(rn) * rn ** (n + 1.0 - two_s))
-    )
-
-    total = core + sliver
+    total = float(np.einsum("i,ij->", r_fac, wb))
 
     # --- outer --------------------------------------------------------
     if include_outer:
@@ -514,8 +508,11 @@ def seminorm_mc(u, w, n: int, s: float, N: int = 200_000, seed: int = 0) -> Semi
     :func:`_pair_mc` with pivot D = 3x the support.  The near piece (3/4 of
     the pairs) draws |x| uniform in the ball of radius 1.5x the support; the
     far piece draws |x| uniform in the support, so its partner lies outside
-    it.  Reproducible per seed.
+    it.  ``N`` >= 1 is the requested number of pairs; each batch draws at
+    least 16.  Reproducible per seed.
     """
+    if N < 1:
+        raise ValueError(f"seminorm_mc needs N >= 1 pairs, got {N}")
     support = float(getattr(u, "support", math.inf))
     if not math.isfinite(support):
         raise ValueError("seminorm_mc needs a profile with a finite support; see as_profile")

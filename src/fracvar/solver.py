@@ -2,9 +2,10 @@
 
 Fields are continuous piecewise-linear radial functions on a graded grid
 0 = r_0 < ... < r_M = R, extended by zero beyond R.  The weighted Gagliardo
-form of two such fields reduces, exactly like the profile quadrature in
-:mod:`fracvar.quad`, to core / sliver / outer pieces; each quadrature node
-of that reduction touches at most four hat coefficients.  Each node is one
+form of two such fields reduces, like the profile quadrature in
+:mod:`fracvar.quad`, to core / sliver / outer pieces, the sliver being the
+|tau - 1| < delta band taken exactly from the hat slopes; each quadrature
+node of that reduction touches at most four hat coefficients.  Each node is one
 row of a factor X (its square-rooted, nonnegative contribution on those
 coefficients), and the stiffness matrix is the Gram matrix X^T X, which
 keeps A symmetric positive semidefinite by construction and exactly
@@ -67,9 +68,9 @@ class RadialField:
     """Continuous piecewise-linear radial function, zero at and beyond R.
 
     ``values[i]`` is the value at ``nodes[i]``; the last value must be
-    exactly zero (Dirichlet exterior condition).  The object quacks like a
-    radial profile (``radial_value`` / ``radial_deriv`` / ``support``), so
-    the continuum quadratures accept it directly.
+    exactly zero (Dirichlet exterior condition).  The object is a radial
+    profile (``radial_value`` and ``support``), so the continuum quadratures
+    accept it directly.
     """
 
     nodes: np.ndarray
@@ -103,12 +104,6 @@ class RadialField:
     def radial_value(self, r):
         r = np.asarray(r, dtype=float)
         return np.interp(r, self.nodes, self.values, right=0.0)
-
-    def radial_deriv(self, r):
-        r = np.asarray(r, dtype=float)
-        slopes = np.diff(self.values) / np.diff(self.nodes)
-        j = np.clip(np.searchsorted(self.nodes, r, side="right") - 1, 0, len(slopes) - 1)
-        return np.where((r >= self.nodes[0]) & (r < self.nodes[-1]), slopes[j], 0.0)
 
     def __call__(self, r):
         return self.radial_value(r)
@@ -422,29 +417,31 @@ class MinimizeResult:
     status: str
 
 
-def _projected_descent(solve, u, energy, gradients, stop, retract, max_iter: int,
+def _projected_descent(solve, start, gradients, stop, retract, max_iter: int,
                        floor_energy: float = -math.inf):
-    """Minimize ``energy`` on a constraint set by projected gradient descent.
+    """Minimize an energy on a constraint set by projected gradient descent.
 
-    ``u`` starts on the set.  ``gradients(u)`` returns the energy gradient g
-    and the constraint gradient c.  The descent direction is the Riemannian
-    gradient in the metric of the SPD matrix whose inverse ``solve``
-    applies: g and c are both preconditioned, by one two-column ``solve``,
-    before the tangential projection, so stiff high-frequency components
-    do not leak back in through the projector.  If that is not a descent direction, the
-    Euclidean tangential gradient g_tan takes its place.  c never vanishes
-    on the sets in use (<c, u> is nonzero on the sphere and on the Nehari
-    set), so the projections need no guard.
+    ``start`` is a point u on the set with its energy, as ``(u, E)``.
+    ``retract(v)`` maps a point back onto the set and returns ``(u, E)``
+    there, or None when it cannot, so the energy is computed from what the
+    retraction evaluates.  ``gradients(u)`` returns the
+    energy gradient g and the constraint gradient c.  The descent direction
+    is the Riemannian gradient in the metric of the SPD matrix whose inverse
+    ``solve`` applies: g and c are both preconditioned, by one two-column
+    ``solve``, before the tangential projection, so stiff high-frequency
+    components do not leak back in through the projector.  If that is not a
+    descent direction, the Euclidean tangential gradient g_tan takes its
+    place.  c never vanishes on the sets in use (<c, u> is nonzero on the
+    sphere and on the Nehari set), so the projections need no guard.
 
     ``stop(u, g, g_tan)`` declares convergence.  Each trial step is mapped
-    back onto the set by ``retract`` (None when it cannot be) and accepted
-    under monotone Armijo backtracking.  Returns (u, energy, iterations,
-    status, history) with status ``converged``, ``stalled`` (no step
-    accepted), ``indefinite_regime`` (energy below ``floor_energy``) or
-    ``max_iter``, and ``history`` the energies of the start and of every
-    accepted step.
+    back onto the set by ``retract`` and accepted under monotone Armijo
+    backtracking.  Returns (u, energy, iterations, status, history) with
+    status ``converged``, ``stalled`` (no step accepted),
+    ``indefinite_regime`` (energy below ``floor_energy``) or ``max_iter``,
+    and ``history`` the energies of the start and of every accepted step.
     """
-    E = energy(u)
+    u, E = start
     history = [E]
     alpha = 1.0
     status = "max_iter"
@@ -464,13 +461,11 @@ def _projected_descent(solve, u, energy, gradients, stop, retract, max_iter: int
         a = alpha
         for _ in range(MAX_BACKTRACKS):
             trial = retract(u - a * d)
-            if trial is not None:
-                E_t = energy(trial)
-                if E_t <= E - ARMIJO * a * slope:
-                    u, E = trial, E_t
-                    history.append(E)
-                    alpha = a * GROW if a == alpha else a
-                    break
+            if trial is not None and trial[1] <= E - ARMIJO * a * slope:
+                u, E = trial
+                history.append(E)
+                alpha = a * GROW if a == alpha else a
+                break
             a *= SHRINK
         else:
             status = "stalled"
@@ -505,15 +500,17 @@ def _min_form_on_sphere(
     def stop(v: np.ndarray, g: np.ndarray, g_tan: np.ndarray) -> bool:
         return float(np.linalg.norm(g_tan)) <= opts.tol * (2.0 * float(np.linalg.norm(op.A @ v)))
 
-    def retract(v: np.ndarray) -> np.ndarray | None:
+    def retract(v: np.ndarray) -> tuple[np.ndarray, float] | None:
         nrm = rule.integral(rule.interpolate(v), expo) ** (1.0 / expo)
-        return v / nrm if nrm > 0.0 and math.isfinite(nrm) else None
+        if not (nrm > 0.0 and math.isfinite(nrm)):
+            return None
+        w = v / nrm
+        return w, float(w @ Q @ w)
 
-    u = retract(np.asarray(u0, dtype=float))
-    if u is None:
+    start = retract(np.asarray(u0, dtype=float))
+    if start is None:
         raise ValueError("initial field must be nonzero with a finite constraint norm")
-    return _projected_descent(op.solve, u, lambda v: float(v @ Q @ v), gradients, stop, retract,
-                              opts.max_iter, floor_energy)[:4]
+    return _projected_descent(op.solve, start, gradients, stop, retract, opts.max_iter, floor_energy)[:4]
 
 
 def minimize_S(

@@ -32,14 +32,6 @@ def test_bubble_requires_positive_width():
         Bubble(eps=0.0, s=0.5, n=6)
 
 
-def test_bubble_derivative_matches_finite_difference():
-    b = Bubble(eps=0.4, s=0.5, n=6)
-    rr = np.array([0.05, 0.3, 0.9, 2.5])
-    h = 1e-6
-    fd = (b.radial_value(rr + h) - b.radial_value(rr - h)) / (2 * h)
-    np.testing.assert_allclose(b.radial_deriv(rr), fd, rtol=1e-8)
-
-
 def test_cutoff_plateau_support_and_smoothness():
     c = Cutoff(eta=1.0)
     rr_in = np.linspace(0.0, 1.0, 11)
@@ -54,23 +46,11 @@ def test_cutoff_plateau_support_and_smoothness():
     np.testing.assert_allclose(vals, 1.0, atol=1e-14)
 
 
-def test_cutoff_derivative_matches_finite_difference():
-    c = Cutoff(eta=1.0)
-    rr = np.array([1.1, 1.5, 1.9])
-    h = 1e-7
-    fd = (c.radial_value(rr + h) - c.radial_value(rr - h)) / (2 * h)
-    np.testing.assert_allclose(c.radial_deriv(rr), fd, rtol=1e-6, atol=1e-12)
-
-
 def test_truncated_bubble_support_and_product_rule():
     tb = truncated_bubble(0.2, 0.5, 6, 1.0)
     assert tb.support == 2.0
     assert tb.radial_value(2.0) == 0.0 and tb.radial_value(2.5) == 0.0
     assert tb.radial_value(0.5) == pytest.approx(tb.bubble.radial_value(0.5), rel=1e-15)
-    rr = np.array([0.2, 0.8, 1.3, 1.7])
-    h = 1e-6
-    fd = (tb.radial_value(rr + h) - tb.radial_value(rr - h)) / (2 * h)
-    np.testing.assert_allclose(tb.radial_deriv(rr), fd, rtol=1e-6)
     x = np.zeros(6)
     x[0] = 0.8
     assert tb.radial_value(np.linalg.norm(x)) == pytest.approx(tb.radial_value(0.8))

@@ -168,6 +168,22 @@ def test_non_finite_widths_exit_2(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("bubble", "--eps", "0.2", "--x", "nan"),
+    ("bubble", "--eps", "0.2", "--x", "-1"),
+    ("bubble", "--eps", "0.2", "--x", "inf"),
+    ("seminorm", "--config", DEFAULT_CFG, "--method", "mc", "--eps", "1.0", "--samples", "0"),
+    ("seminorm", "--config", DEFAULT_CFG, "--method", "mc", "--eps", "1.0", "--samples", "-5"),
+], ids=["x-nan", "x-negative", "x-inf", "samples-0", "samples-negative"])
+def test_bad_radius_or_sample_count_exits_2(tmp_path, capsys, argv):
+    # a radius is finite and >= 0, and Monte Carlo needs at least one pair
+    out = tmp_path / "out"
+    rc, stdout, err = run(capsys, *argv, *(("--out", str(out)) if argv[0] != "bubble" else ()))
+    assert (rc, stdout) == (2, "")
+    assert "ValueError" in err
+    assert not out.exists()
+
+
 def test_bubble_point_values(capsys):
     # --x is the radius; the cutoff is 1 up to eta = 1 and 0 from 2 eta on
     def point(x):
@@ -405,17 +421,17 @@ GOLDEN = {
     "constants": (
         ("constants", "--n", "6", "--s", "0.5", "--q", "2.2", "--out", OUT), 0,
         {"K2s": 1.29192819501, "Kq_s": 0.787460995055, "Kqs": 0.516771278005,
-         "Ks": 85.4568172969, "Ss": 148.13740789, "q_s": 2.4},
-        {"constants.json": "47c413183954f7ebfba7a915da6ea1039e2513acd41e6340c4e4f0f957624921"}),
+         "Ks": 85.4568172972, "Ss": 148.137407891, "q_s": 2.4},
+        {"constants.json": "8f63d7d2156ecefd7ad58754e7c7a6de57dcaa2893c64322a910509d4b4eff30"}),
     "bubble-norms": (
         ("bubble-norms", "--q", "2.4", "--eps-grid", "0.2,0.1", "--out", OUT), 0,
         {"csv": "bubble_norms.csv", "q": 2.4, "rows": 2},
         {"bubble_norms.csv": "9054343646135ef9c22ed68be45e506eb320e4005483a279a962f647f232be74"}),
     "seminorm-radial": (
         ("seminorm", "--config", DEFAULT_CFG, "--eps", "0.5", "--out", OUT), 0,
-        {"abs_error": 2.55937493421e-10, "method": "RadialDeterministic",
-         "samples_or_panels": 72, "value": 90.7602353525},
-        {"seminorm.json": "b295ee7c8eda131f552014aeea156b2d6a2f4a87eebe842b419f03139f021040"}),
+        {"abs_error": 2.56065391113e-10, "method": "RadialDeterministic",
+         "samples_or_panels": 72, "value": 90.7602353528},
+        {"seminorm.json": "a28b962d223a9f12db5374e075ff09ef0c7c8d15c0244194f3b54de458ee3613"}),
     "seminorm-mc": (
         ("seminorm", "--config", DEFAULT_CFG, "--method", "mc", "--eps", "1.0",
          "--samples", "20000", "--seed", "9", "--out", OUT), 0,
@@ -449,14 +465,14 @@ GOLDEN = {
         {"eigen.json": "32c2d8a556a715efcc54e421e6788b442b691656a7ec9b2f2f975a072c394e8b"}),
     "fiber": (
         ("fiber", "--config", DEFAULT_CFG, "--eps-grid", "0.2", "0.1", "--out", OUT), 0,
-        {"csv": "fiber.csv", "final_limit_gap": 13457.2804899, "rows": 2},
-        {"fiber.csv": "3970616a1e0ff00aac6bf0011a1abe0a1226dadfc856f799cb78d3c19d4ef6a4"}),
+        {"csv": "fiber.csv", "final_limit_gap": 13457.28049, "rows": 2},
+        {"fiber.csv": "047de6301c386ed605eebea02c4fdd15aaf0d00488ed3dc990cac802ef23f7fd"}),
     "mountain-pass": (
         ("mountain-pass", "--config", DEFAULT_CFG, "--grid", "64", "--path-points", "11",
          "--out", OUT), 0,
-        {"beta": 13619800421.7, "bound": 880657829424.0, "converged": True,
-         "iterations": 126, "level": 141827166822.0, "rho": 572219.121494},
-        {"mountain_pass.json": "b6a8a60c13c41bfdad98f2b95f1fa48212224423b6649d5a0d2c802a58b9e467",
+        {"beta": 13619800422.0, "bound": 880657829443.0, "converged": True,
+         "iterations": 126, "level": 141827166822.0, "rho": 572219.1215},
+        {"mountain_pass.json": "bacc050600a173c596f8b24c5bf273e70c9d5c76a48549f5638fff3c2817565b",
          "mountain_pass_path.csv": "aba743040f3e9e808525e6fc075848bafa476d800725c5169f18235cca437495"}),
     "empty-eps-grid": (("fiber", "--config", DEFAULT_CFG, "--eps-grid", ",", "--out", OUT), 1, None, {}),
     "missing-config-file": (("eigen", "--config", "/nonexistent/x.cfg", "--out", OUT), 1, None, {}),

@@ -467,4 +467,4 @@ def test_grid_descents_exact_values():
                          capture_output=True, text=True, timeout=300, check=True)
     energy, iterations, level, mp_iterations = json.loads(out.stdout)
     assert (energy, iterations) == ("0x1.b511b0871eb6ap+6", 52)
-    assert (level, mp_iterations) == ("0x1.c47be5391ff40p+38", 424)
+    assert (level, mp_iterations) == ("0x1.c47be5391ff30p+38", 424)

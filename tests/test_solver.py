@@ -77,8 +77,6 @@ def test_field_interpolates_and_vanishes_outside():
     mid = 0.5 * (nodes[4] + nodes[5])
     assert f(mid) == pytest.approx(0.5 * (vals[4] + vals[5]))
     assert f(2.5) == 0.0
-    assert f.radial_deriv(2.5) == 0.0
-    assert f.radial_deriv(mid) == pytest.approx((vals[5] - vals[4]) / (nodes[5] - nodes[4]))
 
 
 def test_stiffness_symmetric(op128):
