@@ -19,8 +19,6 @@ from .asymptotics import (
 from .bubble import Bubble, TruncatedBubble, lq_norm, truncated_bubble
 from .constants import (
     ConstantSet,
-    SingularityError,
-    angular_kernel_K,
     bubble_constants,
     lebesgue_power_integral,
     lebesgue_power_quadrature,
@@ -61,7 +59,6 @@ from .quad import (
     seminorm_radial,
 )
 from .solver import (
-    MinimizeOptions,
     MinimizeResult,
     RadialField,
     SolverError,
@@ -88,8 +85,8 @@ __all__ = [
     "WeightModel", "critical_exponent", "load_config", "ns_admissible",
     "parse_config_text", "validate", "weight_from_params",
     # constants
-    "ConstantSet", "SingularityError", "angular_kernel_K", "bubble_constants",
-    "lebesgue_power_integral", "lebesgue_power_quadrature", "sphere_surface",
+    "ConstantSet", "bubble_constants", "lebesgue_power_integral",
+    "lebesgue_power_quadrature", "sphere_surface",
     # bubble
     "Bubble", "TruncatedBubble", "lq_norm", "truncated_bubble",
     # quad
@@ -100,10 +97,10 @@ __all__ = [
     "fit_rate", "sweep_A", "sweep_bubble_norms", "sweep_energy",
     "sweep_weighted_seminorm",
     # solver
-    "MinimizeOptions", "MinimizeResult", "RadialField", "SolverError",
-    "StiffnessOperator", "assemble", "euler_residual", "first_eigenvalue",
-    "interpolate_field", "make_grid", "minimize_S", "power_gradient",
-    "power_integral", "refinement_check",
+    "MinimizeResult", "RadialField", "SolverError", "StiffnessOperator",
+    "assemble", "euler_residual", "first_eigenvalue", "interpolate_field",
+    "make_grid", "minimize_S", "power_gradient", "power_integral",
+    "refinement_check",
     # mountainpass
     "FiberResult", "MountainPassError", "PathState", "PSReport",
     "fiber_sweep", "level_bound", "mp_geometry", "mp_level",

@@ -2,20 +2,17 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.special import roots_legendre
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@lru_cache(maxsize=None)
 def gl_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
     """Cached Gauss-Legendre nodes/weights on [-1, 1]."""
-    rule = _GL_CACHE.get(npts)
-    if rule is None:
-        x, w = roots_legendre(npts)
-        rule = (np.asarray(x), np.asarray(w))
-        _GL_CACHE[npts] = rule
-    return rule
+    x, w = roots_legendre(npts)
+    return np.asarray(x), np.asarray(w)
 
 
 def panel_nodes(breaks: np.ndarray, npts: int) -> tuple[np.ndarray, np.ndarray]:
@@ -33,21 +30,22 @@ def panel_nodes(breaks: np.ndarray, npts: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes.ravel(), weights.ravel()
 
 
-def geometric_refine(a: float, b: float, toward: float, ratio: float = 0.5, floor: float = 1e-12) -> np.ndarray:
+def geometric_refine(a: float, b: float, toward: float, floor: float) -> np.ndarray:
     """Panel breakpoints on [a, b] accumulating geometrically toward one endpoint.
 
-    ``toward`` must equal ``a`` or ``b``.  Successive panel widths shrink by
-    ``ratio`` approaching that endpoint; subdivision stops once the panel
-    adjacent to it is shorter than ``floor`` (the endpoint itself is always
-    included, so the last panel has width <= floor).
+    ``toward`` must equal ``a`` or ``b``.  Successive panel widths halve
+    approaching that endpoint, and halving stops before a panel would be
+    ``floor`` or shorter, so the panel at the endpoint is as wide as its
+    neighbour, each in (floor, 2 floor] (or the whole interval when
+    (b - a) / 2 <= floor).
     """
     if not b > a:
         raise ValueError("need b > a")
     length = b - a
     cuts = [0.0]
     d = length
-    while d * ratio > floor:
-        d *= ratio
+    while d * 0.5 > floor:
+        d *= 0.5
         cuts.append(length - d)
     cuts.append(length)
     offsets = np.array(cuts)

@@ -39,9 +39,9 @@ EPS_FLOOR = 0.01
 class SweepReport:
     """Fitted power law for one swept quantity.
 
-    ``passed`` realizes the pass flag: |fit_slope - claimed_rate| <= tolerance
-    and fit_r2 >= 0.98, conjoined with any sweep-specific side conditions
-    (recorded in ``extras``).
+    ``passed`` realizes the pass flag: |fit_slope - claimed_rate| <=
+    ``SLOPE_TOL`` and fit_r2 >= ``R2_FLOOR``, conjoined with any
+    sweep-specific side conditions (recorded in ``extras``).
     """
 
     quantity: str
@@ -52,7 +52,6 @@ class SweepReport:
     fit_r2: float
     claimed_rate: float
     passed: bool
-    tolerance: float
     extras: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -101,7 +100,6 @@ def _fit_report(quantity, grid, values, fit_values, claimed, extras=None, side_o
         fit_r2=r2,
         claimed_rate=claimed,
         passed=passed,
-        tolerance=SLOPE_TOL,
         extras=extras or {},
     )
 
@@ -156,7 +154,7 @@ def _matched_seminorms(params: ProblemParams, eps: float):
     w = weight_from_params(params)
     ub = truncated_bubble(eps, s, n, eta)
     bub = Bubble(eps=eps, s=s, n=n)
-    tail = geometric_refine(2.0 * eta, r_big, toward=2.0 * eta, ratio=0.5, floor=0.25)
+    tail = geometric_refine(2.0 * eta, r_big, toward=2.0 * eta, floor=0.25)
     full = np.union1d(default_r_breaks(ub, 2.0 * eta), tail)
     wval = bilinear_radial(ub, ub, w, n, s, 2.0 * eta)
     ks_matched = bilinear_radial(bub, bub, None, n, s, r_big, r_breaks=full)
@@ -267,7 +265,7 @@ def _critical_mass_deficit(eps: float, s: float, n: int, eta: float) -> float:
         np.concatenate(
             [
                 np.linspace(eta, 2.0 * eta, 17),
-                geometric_refine(2.0 * eta, r_tail, toward=2.0 * eta, ratio=0.5, floor=0.5),
+                geometric_refine(2.0 * eta, r_tail, toward=2.0 * eta, floor=0.5),
             ]
         )
     )
@@ -310,15 +308,18 @@ class DeltaLemmaResult:
     passed: bool
     worst_ratio: float
     delta: float
-    trials: int
 
 
-def check_delta_lemma(k: float, R: float, trials: int = 100_000, seed: int = 0) -> DeltaLemmaResult:
+DELTA_TRIALS = 100_000
+
+
+def check_delta_lemma(k: float, R: float, seed: int = 0) -> DeltaLemmaResult:
     """Sampled check of ||x|^{k/2} - |y|^{k/2}|^2 <= delta |x-y|^2.
 
     Pairs in R^3 are drawn as radii: |x| uniform in the ball of radius R,
     |x - y| uniform in the ball of radius R/2 and |y| from
-    :func:`fracvar.quad._partner_radius`, keeping the pairs with |y| <= R;
+    :func:`fracvar.quad._partner_radius`, keeping ``DELTA_TRIALS`` pairs
+    with |y| <= R (a module constant read at call time);
     delta = 2^{k-4} k^2 R^{k-2}.  Returns the worst observed ratio against
     the bound (1.0 means the bound is attained).
     """
@@ -327,7 +328,7 @@ def check_delta_lemma(k: float, R: float, trials: int = 100_000, seed: int = 0) 
     delta = 2.0 ** (k - 4.0) * k**2 * R ** (k - 2.0)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    remaining = trials
+    remaining = DELTA_TRIALS
     while remaining > 0:
         m = min(remaining * 2, 200_000)
         rx = R * rng.random(m) ** (1.0 / 3)
@@ -338,4 +339,4 @@ def check_delta_lemma(k: float, R: float, trials: int = 100_000, seed: int = 0) 
         remaining -= len(rx)
         if len(rx):
             worst = max(worst, float(np.max((rx ** (k / 2.0) - ry ** (k / 2.0)) ** 2 / (delta * rho**2))))
-    return DeltaLemmaResult(passed=worst <= 1.0 + 1e-12, worst_ratio=worst, delta=delta, trials=trials)
+    return DeltaLemmaResult(worst <= 1.0 + 1e-12, worst, delta)

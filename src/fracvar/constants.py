@@ -19,13 +19,6 @@ import numpy as np
 
 from ._panels import geometric_refine, gl_rule, panel_nodes
 
-#: smallest |tau - 1| accepted by the angular kernel (graded panels must stop here)
-TAU_FLOOR = 1e-6
-
-
-class SingularityError(ValueError):
-    """Angular kernel evaluated too close to the diagonal tau = 1."""
-
 
 def sphere_surface(n: int) -> float:
     """Surface measure of the unit sphere S^{n-1} in R^n."""
@@ -63,7 +56,7 @@ def lebesgue_power_quadrature(n: int, alpha: float) -> float:
     breaks = np.concatenate(
         [
             np.linspace(0.0, 1.0, 9),
-            geometric_refine(1.0, math.pi / 2.0 - h, toward=math.pi / 2.0 - h, ratio=0.5, floor=1e-7),
+            geometric_refine(1.0, math.pi / 2.0 - h, toward=math.pi / 2.0 - h, floor=1e-7),
         ]
     )
     phi, w = panel_nodes(np.unique(breaks), 16)
@@ -88,6 +81,9 @@ def kernel_batch(n: int, s: float, taus: np.ndarray) -> np.ndarray:
     theta-panels [0, w], [w, 2w], ... doubling up to pi with w = max(|1-tau|,
     1e-8).  The taus are bucketed by panel count so each bucket evaluates as
     one broadcasted 20-point Gauss-Legendre sum.
+
+    K(0) = sigma(S^{n-1}) and K(1/xi) = xi^(n+2s) K(xi).  K diverges at
+    tau = 1, where the pair forms of :mod:`fracvar.quad` model a band instead.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if np.any(taus < 0.0):
@@ -118,22 +114,6 @@ def kernel_batch(n: int, s: float, taus: np.ndarray) -> np.ndarray:
         vals = np.sin(theta) ** (n - 2) * dist2**expo
         out[idx] = np.sum(vals * (dtheta * w01[None, None, :]), axis=(1, 2))
     return sig * out
-
-
-def angular_kernel_K(n: int, s: float, tau: float) -> float:
-    """Angular kernel K(tau) for a single ratio, by :func:`kernel_batch`.
-
-    Satisfies K(0) = sigma(S^{n-1}), the inversion identity
-    K(1/xi) = xi^(n+2s) K(xi), and K(tau) ~ sigma(S^{n-1}) tau^-(n+2s) at
-    infinity.  Divergent at tau = 1; a :class:`SingularityError` is raised
-    for |tau - 1| below ``TAU_FLOOR`` (integrate in tau with graded panels
-    instead of evaluating there).
-    """
-    if tau < 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    if abs(tau - 1.0) < TAU_FLOOR:
-        raise SingularityError(f"kernel singular at tau = 1: |tau - 1| = {abs(tau - 1.0):.3e} < {TAU_FLOOR:.1e}")
-    return float(kernel_batch(n, s, np.array([tau]))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .constants import bubble_constants
 from .problem import ProblemParams, critical_exponent, weight_from_params
 from .quad import radial_power_integral, seminorm_radial
 from .solver import (
-    MinimizeOptions,
     RadialField,
     StiffnessOperator,
     _min_form_on_sphere,
@@ -269,7 +268,8 @@ def _alpha_q(params: ProblemParams, op: StiffnessOperator) -> float:
 
     For q = 2 this is the first eigenvalue; for q > 2 it is computed by the
     same sphere-constrained descent as the ground-state problem, started
-    from a moderate bubble.
+    from a moderate bubble, with a tighter stop (1e-8) and a longer budget
+    (4000 steps) than :func:`fracvar.solver.minimize_S`.
     """
     if params.q == 2.0:
         lam1, _ = first_eigenvalue(op)
@@ -277,8 +277,7 @@ def _alpha_q(params: ProblemParams, op: StiffnessOperator) -> float:
     init = interpolate_field(
         truncated_bubble(0.2, params.s, params.n, eta=params.eta), op.nodes
     )
-    opts = MinimizeOptions(tol=1e-8, max_iter=4000)
-    _, E, _, status = _min_form_on_sphere(op.A, op, params.q, init.dofs, opts)
+    _, E, _, status = _min_form_on_sphere(op.A, op, params.q, init.dofs, 1e-8, 4000)
     if status not in ("converged", "max_iter"):  # pragma: no cover - defensive
         raise MountainPassError(f"embedding-constant descent ended with status {status!r}")
     return E

@@ -72,14 +72,6 @@ class ProblemParams:
     R: float = 5.0
 
     @property
-    def q_s(self) -> float:
-        return critical_exponent(self.n, self.s)
-
-    @property
-    def ns_admissible(self) -> bool:
-        return ns_admissible(self.n, self.s)
-
-    @property
     def k_admissible(self) -> bool:
         """Weight growth exponent constraint 2 <= k < n - 4s (open at the top)."""
         return 2.0 <= self.k < self.n - 4.0 * self.s
@@ -140,7 +132,7 @@ def validate(params: ProblemParams) -> ValidityReport:
     ns_ok = False
     k_ok = False
     if not errors or all(code not in ("E_DIMENSION", "E_ORDER") for code, _ in errors):
-        ns_ok = params.ns_admissible
+        ns_ok = ns_admissible(params.n, params.s)
         k_ok = params.k_admissible
 
         bound = _ns_boundary(params.n)
@@ -162,11 +154,8 @@ def validate(params: ProblemParams) -> ValidityReport:
                 "treated as inadmissible (strict inequality required)"
             )
 
-        try:
-            qs = params.q_s
-        except ValueError:
-            qs = None
-        if qs is not None and not (2.0 <= params.q < qs):
+        qs = critical_exponent(params.n, params.s)  # n and s passed their checks above
+        if not 2.0 <= params.q < qs:
             errors.append(("E_EXPONENT", f"subcritical exponent q must lie in [2, q_s = {qs}), got {params.q}"))
 
     if params.lam < 0.0:

@@ -87,7 +87,6 @@ class SeminormEstimate:
     abs_error: float
     method: str  # "RadialDeterministic" | "MonteCarlo"
     samples_or_panels: int
-    seed: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -120,19 +119,19 @@ def default_r_breaks(profile, r_hi: float) -> np.ndarray:
     if isinstance(profile, TruncatedBubble):
         eps = profile.bubble.eps
         eta = profile.cutoff.eta
-        pieces.append(geometric_refine(0.0, min(eta, r_hi), toward=0.0, ratio=0.5, floor=max(eps * 1e-8, 1e-14)))
+        pieces.append(geometric_refine(0.0, min(eta, r_hi), toward=0.0, floor=max(eps * 1e-8, 1e-14)))
         if r_hi > eta:
             pieces.append(np.linspace(eta, min(2.0 * eta, r_hi), 9))
         if r_hi > 2.0 * eta:
-            pieces.append(geometric_refine(2.0 * eta, r_hi, toward=2.0 * eta, ratio=0.5, floor=0.1))
+            pieces.append(geometric_refine(2.0 * eta, r_hi, toward=2.0 * eta, floor=0.1))
     elif isinstance(profile, Bubble):
         eps = profile.eps
         top = min(max(1.0, eps), r_hi)
-        pieces.append(geometric_refine(0.0, top, toward=0.0, ratio=0.5, floor=max(eps * 1e-8, 1e-14)))
+        pieces.append(geometric_refine(0.0, top, toward=0.0, floor=max(eps * 1e-8, 1e-14)))
         if r_hi > top:
-            pieces.append(geometric_refine(top, r_hi, toward=top, ratio=0.5, floor=0.1))
+            pieces.append(geometric_refine(top, r_hi, toward=top, floor=0.1))
     else:
-        pieces.append(geometric_refine(0.0, r_hi, toward=0.0, ratio=0.5, floor=r_hi * 1e-10))
+        pieces.append(geometric_refine(0.0, r_hi, toward=0.0, floor=r_hi * 1e-10))
         pieces.append(np.linspace(0.0, r_hi, 33))
     return np.unique(np.concatenate(pieces))
 
@@ -154,8 +153,8 @@ def _kernel_row(n: int, s: float, n_t: int):
     the radial panels, so every pair form and every assembly on the same
     rule shares one row.
     """
-    lo = geometric_refine(0.0, 0.5, toward=0.0, ratio=0.5, floor=T_FLOOR)
-    hi = geometric_refine(0.5, 1.0 - DELTA, toward=1.0 - DELTA, ratio=0.5, floor=DELTA)
+    lo = geometric_refine(0.0, 0.5, toward=0.0, floor=T_FLOOR)
+    hi = geometric_refine(0.5, 1.0 - DELTA, toward=1.0 - DELTA, floor=DELTA)
     tn, tw = panel_nodes(np.unique(np.concatenate([lo, hi])), n_t)
     tau_fac = tw * tn ** (n - 1) * kernel_batch(n, s, tn)
     k_edge = float(kernel_batch(n, s, np.array([1.0 - DELTA]))[0])
@@ -212,11 +211,10 @@ def _weight_fns(w):
 
 @lru_cache(maxsize=8)
 def _rel_outer_rule(n_t: int):
-    """(first break, nodes, weights) of the outer fold's relative t-panels, read-only."""
-    lo = geometric_refine(0.0, 0.5, toward=0.0, ratio=0.5, floor=T_FLOOR)
-    hi = geometric_refine(0.5, 1.0, toward=1.0, ratio=0.5, floor=1e-7)
-    rel = np.unique(np.concatenate([lo, hi]))
-    rel = rel[rel > 0.0] if rel[0] == 0.0 else rel
+    """(first break, nodes, weights) of the outer fold's relative t-panels past 0, read-only."""
+    lo = geometric_refine(0.0, 0.5, toward=0.0, floor=T_FLOOR)
+    hi = geometric_refine(0.5, 1.0, toward=1.0, floor=1e-7)
+    rel = np.unique(np.concatenate([lo, hi]))[1:]
     reln, relw = panel_nodes(rel, n_t)
     reln.flags.writeable = False
     relw.flags.writeable = False
@@ -473,7 +471,7 @@ def _pair_mc(u, wfun, n: int, s: float, D: float, near, far, seed: int) -> Semin
 
     value, se = _batched(lambda rng: c_near * piece(rng, *near, True) + c_far * piece(rng, *far, False), seed)
     return SeminormEstimate(value=value, abs_error=se, method="MonteCarlo",
-                            samples_or_panels=MC_BATCHES * (near[0] + far[0]), seed=seed)
+                            samples_or_panels=MC_BATCHES * (near[0] + far[0]))
 
 
 def mc_reference_ks(n: int, s: float, N: int = 1_000_000, seed: int = 0) -> SeminormEstimate:

@@ -105,9 +105,6 @@ class RadialField:
         r = np.asarray(r, dtype=float)
         return np.interp(r, self.nodes, self.values, right=0.0)
 
-    def __call__(self, r):
-        return self.radial_value(r)
-
 
 def make_grid(R: float, M: int = 128) -> np.ndarray:
     """Radial nodes 0, R*1.05^(1-M), ..., R: geometric clustering toward 0."""
@@ -118,10 +115,9 @@ def make_grid(R: float, M: int = 128) -> np.ndarray:
 
 
 def interpolate_field(profile, nodes: np.ndarray) -> RadialField:
-    """Sample a radial profile (or callable) at the nodes; pins the outer node to 0."""
+    """Sample a radial profile (``radial_value``) at the nodes; pins the outer node to 0."""
     nodes = np.asarray(nodes, dtype=float)
-    fn = profile.radial_value if hasattr(profile, "radial_value") else profile
-    values = np.asarray(fn(nodes), dtype=float).copy()
+    values = np.asarray(profile.radial_value(nodes), dtype=float).copy()
     values[-1] = 0.0
     return RadialField(nodes, values)
 
@@ -155,7 +151,8 @@ class StiffnessOperator:
     seminorm of the interpolant and u^T Mq u its squared L^2 norm.  ``cho``
     is the Cholesky factor of A in :func:`scipy.linalg.cho_factor` form,
     checked finite once here so that :meth:`solve` checks only its
-    right-hand side.  ``rule`` is the grid's power-integral rule.
+    right-hand side.  ``rule`` is the grid's power-integral rule, and
+    ``meta`` records the row count of the factor X, ``quadrature_rows``.
     """
 
     A: np.ndarray
@@ -307,8 +304,8 @@ def assemble(params: ProblemParams, grid) -> StiffnessOperator:
             raise SolverError(f"{name} matrix is not positive definite: quadrature under-resolved") from exc
     # the mass factor only certifies positive definiteness; A's is kept
 
-    meta = {"intervals": float(M), "quadrature_rows": float(n_rows)}
-    return StiffnessOperator(A=A, Mq=Mq, cho=factors[0], rule=grid_rule(nodes, n), nodes=nodes, meta=meta)
+    return StiffnessOperator(A=A, Mq=Mq, cho=factors[0], rule=grid_rule(nodes, n), nodes=nodes,
+                             meta={"quadrature_rows": float(n_rows)})
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +396,8 @@ MAX_BACKTRACKS = 60
 # An energy this fraction below p0 * Ss counts as below the threshold.
 MARGIN_FRAC = 0.02
 
-
-@dataclass(frozen=True)
-class MinimizeOptions:
-    tol: float = 1e-6
-    max_iter: int = 2000
+MINIMIZE_TOL = 1e-6
+MINIMIZE_MAX_ITER = 2000
 
 
 @dataclass(frozen=True)
@@ -481,16 +475,18 @@ def _min_form_on_sphere(
     op: StiffnessOperator,
     expo: float,
     u0: np.ndarray,
-    opts: MinimizeOptions,
+    tol: float,
+    max_iter: int,
     floor_energy: float = -math.inf,
 ):
     """Minimize v^T Q v over the sphere (integral of |I v|^expo) = 1.
 
     :func:`_projected_descent` in the metric of the stiffness matrix A of
-    ``op``, retracting by renormalization.  Converged once the tangential
-    gradient drops below ``opts.tol`` relative to ||2 A v||.  The
-    constraint is integrated by the operator's grid rule.  Returns
-    (v, energy, iterations, status).
+    ``op``, retracting by renormalization, for at most ``max_iter`` steps
+    (its two callers, :func:`minimize_S` and ``mountainpass._alpha_q``, pass
+    different ones).  Converged once the tangential gradient drops below
+    ``tol`` relative to ||2 A v||.  The constraint is integrated by the
+    operator's grid rule.  Returns (v, energy, iterations, status).
     """
     rule = op.rule
 
@@ -498,7 +494,7 @@ def _min_form_on_sphere(
         return 2.0 * (Q @ v), rule.gradient(rule.interpolate(v), expo)
 
     def stop(v: np.ndarray, g: np.ndarray, g_tan: np.ndarray) -> bool:
-        return float(np.linalg.norm(g_tan)) <= opts.tol * (2.0 * float(np.linalg.norm(op.A @ v)))
+        return float(np.linalg.norm(g_tan)) <= tol * (2.0 * float(np.linalg.norm(op.A @ v)))
 
     def retract(v: np.ndarray) -> tuple[np.ndarray, float] | None:
         nrm = rule.integral(rule.interpolate(v), expo) ** (1.0 / expo)
@@ -510,14 +506,10 @@ def _min_form_on_sphere(
     start = retract(np.asarray(u0, dtype=float))
     if start is None:
         raise ValueError("initial field must be nonzero with a finite constraint norm")
-    return _projected_descent(op.solve, start, gradients, stop, retract, opts.max_iter, floor_energy)[:4]
+    return _projected_descent(op.solve, start, gradients, stop, retract, max_iter, floor_energy)[:4]
 
 
-def minimize_S(
-    params: ProblemParams,
-    op: StiffnessOperator,
-    opts: MinimizeOptions | None = None,
-) -> MinimizeResult:
+def minimize_S(params: ProblemParams, op: StiffnessOperator) -> MinimizeResult:
     """Projected-gradient minimization of u^T A u - lam u^T Mq u on the q_s sphere.
 
     The descent starts from the interpolant of the truncated bubble of
@@ -525,13 +517,14 @@ def minimize_S(
     preconditioned by the stiffness factorization; Armijo backtracking on
     the renormalized iterate keeps the energy monotone across accepted
     steps.  Convergence is declared when the projected gradient drops below
-    ``tol`` relative to ||2 A u||.  An energy below -10 p0 Ss stops the
+    ``MINIMIZE_TOL`` relative to ||2 A u||; the descent stops with status
+    ``max_iter`` after ``MINIMIZE_MAX_ITER`` steps.  Both are module
+    constants read at call time.  An energy below -10 p0 Ss stops the
     descent with status ``indefinite_regime`` (lam at or beyond the first
     eigenvalue, where the infimum is not a ground state).
     """
     if params.q != 2.0:
         raise ValueError("the constrained minimization is the q = 2 Rayleigh problem")
-    opts = opts or MinimizeOptions()
     qs = critical_exponent(params.n, params.s)
     level = params.p0 * bubble_constants(params.n, params.s).Ss
     nodes = op.nodes
@@ -539,7 +532,7 @@ def minimize_S(
     init = interpolate_field(truncated_bubble(0.2, params.s, params.n, eta=params.eta), nodes)
     u, E, it, status = _min_form_on_sphere(
         op.A - params.lam * op.Mq, op, qs, init.dofs,
-        opts, floor_energy=-10.0 * level,
+        MINIMIZE_TOL, MINIMIZE_MAX_ITER, floor_energy=-10.0 * level,
     )
 
     field = _with_dofs(nodes, u)
@@ -567,21 +560,23 @@ def refinement_check(params: ProblemParams, M: int = 128) -> tuple[float, float,
 # ---------------------------------------------------------------------------
 
 EIGEN_TOL = 1e-8
+EIGEN_MAX_ITER = 200
 
 
-def first_eigenvalue(op: StiffnessOperator, *, max_iter: int = 200) -> tuple[float, RadialField]:
+def first_eigenvalue(op: StiffnessOperator) -> tuple[float, RadialField]:
     """Smallest lam with A u = lam Mq u by inverse power iteration.
 
     Each iteration solves against the operator's stiffness factor.  Raises
     :class:`SolverError` if the eigen-residual is still above ``EIGEN_TOL``
-    (relative to ||A u||) after ``max_iter`` iterations.  The eigenfield is
-    Mq-normalized with its largest coefficient positive.
+    (relative to ||A u||) after ``EIGEN_MAX_ITER`` iterations, module
+    constants read at call time.  The eigenfield is Mq-normalized with its
+    largest coefficient positive.
     """
     A, Mq = op.A, op.Mq
     v = np.ones(op.size)
     v /= math.sqrt(v @ Mq @ v)
     Mv = Mq @ v
-    for _ in range(max_iter):
+    for _ in range(EIGEN_MAX_ITER):
         v = op.solve(Mv)
         v /= math.sqrt(v @ Mq @ v)
         Av = A @ v
@@ -590,7 +585,7 @@ def first_eigenvalue(op: StiffnessOperator, *, max_iter: int = 200) -> tuple[flo
         if np.linalg.norm(Av - lam * Mv) <= EIGEN_TOL * np.linalg.norm(Av):
             break
     else:
-        raise SolverError(f"inverse iteration missed tolerance {EIGEN_TOL:.1e} after {max_iter} iterations")
+        raise SolverError(f"inverse iteration missed tolerance {EIGEN_TOL:.1e} after {EIGEN_MAX_ITER} iterations")
     if v[np.argmax(np.abs(v))] < 0.0:
         v = -v
     return lam, _with_dofs(op.nodes, v)

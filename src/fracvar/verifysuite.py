@@ -30,6 +30,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from . import asymptotics
 from .asymptotics import (
     check_delta_lemma,
     sweep_A,
@@ -183,10 +184,10 @@ def check_power_gap(base: ProblemParams, seed: int) -> tuple[bool, dict]:
     worst = 0.0
     ok = True
     for i, (k, R) in enumerate((k, R) for k in (2, 3, 4) for R in (1.0, 2.0)):
-        res = check_delta_lemma(k, R, trials=100_000, seed=seed + 17 * (i + 1))
+        res = check_delta_lemma(k, R, seed=seed + 17 * (i + 1))
         ok = ok and res.passed
         worst = max(worst, res.worst_ratio)
-    return ok, {"worst_ratio": worst, "cells": 6, "trials_per_cell": 100_000}
+    return ok, {"worst_ratio": worst, "cells": 6, "trials_per_cell": asymptotics.DELTA_TRIALS}
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +386,7 @@ def _determinism_probe(base: ProblemParams, seed: int) -> bytes:
         n = int(rng.integers(3, 11))
         alpha = float(rng.uniform(n / 2.0 + 0.2, n / 2.0 + 4.0))
         draws.append(lebesgue_power_quadrature(n, alpha))
-    cell = check_delta_lemma(2, 1.0, trials=100_000, seed=seed + 17)
+    cell = check_delta_lemma(2, 1.0, seed=seed + 17)
     w = weight_from_params(replace(base, kappa=0.0, lam=0.0, q=2.0))
     ub = truncated_bubble(1.0, base.s, base.n, base.eta)
     mc = seminorm_mc(ub, w, base.n, base.s, N=100_000, seed=seed + 911)

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from fracvar import asymptotics
 from fracvar.asymptotics import (
     DEFAULT_EPS_GRID,
+    SLOPE_TOL,
     SweepReport,
     ball_weighted_form,
     check_delta_lemma,
@@ -50,16 +52,16 @@ def test_fit_rate_degenerate_inputs():
 
 def test_sweep_report_invariants():
     with pytest.raises(ValueError):
-        SweepReport("x", (0.4, 0.2, 0.1), (1.0, 2.0, 3.0), 1, 0, 1, 1, True, 0.3)
+        SweepReport("x", (0.4, 0.2, 0.1), (1.0, 2.0, 3.0), 1, 0, 1, 1, True)
     with pytest.raises(ValueError):
-        SweepReport("x", (0.1, 0.2, 0.3, 0.4), (1.0, 2.0, 3.0, 4.0), 1, 0, 1, 1, True, 0.3)
+        SweepReport("x", (0.1, 0.2, 0.3, 0.4), (1.0, 2.0, 3.0, 4.0), 1, 0, 1, 1, True)
 
 
 def test_ball_form_bounded_multiple_of_rate():
     rep = sweep_A(P)
     assert rep.passed
     assert rep.extras["scaled_ratio"] <= 10.0
-    assert rep.fit_slope >= 2.0 * P.s - rep.tolerance
+    assert rep.fit_slope >= 2.0 * P.s - SLOPE_TOL
     assert rep.fit_r2 >= 0.98
 
 
@@ -173,16 +175,21 @@ def test_small_eps_needs_budget():
         sweep_A(P, eps_grid=(0.4, 0.2, 0.1, 0.005))
 
 
+@pytest.fixture
+def few_trials(monkeypatch):
+    monkeypatch.setattr(asymptotics, "DELTA_TRIALS", 20_000)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("R", [1.0, 2.0])
-def test_delta_lemma_grid(k, R):
-    res = check_delta_lemma(k, R, trials=20_000, seed=5)
+def test_delta_lemma_grid(k, R, few_trials):
+    res = check_delta_lemma(k, R, seed=5)
     assert res.passed
     assert res.delta == pytest.approx(2.0 ** (k - 4.0) * k**2 * R ** (k - 2.0))
 
 
-def test_delta_lemma_k2_is_triangle_inequality():
-    res = check_delta_lemma(2, 1.0, trials=20_000, seed=1)
+def test_delta_lemma_k2_is_triangle_inequality(few_trials):
+    res = check_delta_lemma(2, 1.0, seed=1)
     assert res.delta == pytest.approx(1.0)
     # the bound is attained (colinear pairs) but never strictly violated
     assert res.worst_ratio <= 1.0 + 1e-12
@@ -190,9 +197,9 @@ def test_delta_lemma_k2_is_triangle_inequality():
     assert res.worst_ratio >= 1.0 - 1e-3
 
 
-def test_delta_lemma_exact_bits():
+def test_delta_lemma_exact_bits(few_trials):
     # pairs sampled in R^3 as radii, bit for bit
-    assert check_delta_lemma(3, 2.0, trials=20_000, seed=5).worst_ratio.hex() == "0x1.cdf2e61454fffp-2"
+    assert check_delta_lemma(3, 2.0, seed=5).worst_ratio.hex() == "0x1.cdf2e61454fffp-2"
 
 
 def test_delta_lemma_input_validation():

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from fracvar.constants import (
-    SingularityError,
-    angular_kernel_K,
     bubble_constants,
+    kernel_batch,
     lebesgue_power_integral,
     lebesgue_power_quadrature,
     sharp_constant_reference,
@@ -42,36 +41,22 @@ def test_lebesgue_matches_radial_quadrature():
 
 def test_kernel_at_zero_is_sphere_measure():
     for n, s in [(6, 0.5), (5, 0.3), (3, 0.2)]:
-        assert angular_kernel_K(n, s, 0.0) == pytest.approx(sphere_surface(n), rel=1e-11)
+        assert kernel_batch(n, s, np.array([0.0]))[0] == pytest.approx(sphere_surface(n), rel=1e-11)
 
 
 def test_kernel_inversion_identity():
-    # K(1/xi) = xi^(n+2s) K(xi) at xi=2, n=6, s=0.5
-    n, s, xi = 6, 0.5, 2.0
-    lhs = angular_kernel_K(n, s, 1.0 / xi)
-    rhs = xi ** (n + 2 * s) * angular_kernel_K(n, s, xi)
-    assert lhs == pytest.approx(rhs, rel=1e-8)
-    # and at a second point with different (n, s)
-    n, s, xi = 5, 0.3, 3.5
-    assert angular_kernel_K(n, s, 1.0 / xi) == pytest.approx(
-        xi ** (n + 2 * s) * angular_kernel_K(n, s, xi), rel=1e-8
-    )
+    # K(1/xi) = xi^(n+2s) K(xi) at xi=2, n=6, s=0.5, and at a second point with different (n, s)
+    for n, s, xi in [(6, 0.5, 2.0), (5, 0.3, 3.5)]:
+        lhs, rhs = kernel_batch(n, s, np.array([1.0 / xi, xi]))
+        assert lhs == pytest.approx(xi ** (n + 2 * s) * rhs, rel=1e-8)
 
 
 def test_kernel_far_field_scaling():
     # K(tau) * tau^(n+2s) -> sigma(S^{n-1}) as tau -> infinity
     n, s = 6, 0.5
-    for tau in (1e3, 1e4):
-        assert angular_kernel_K(n, s, tau) * tau ** (n + 2 * s) == pytest.approx(
-            sphere_surface(n), rel=1e-5
-        )
-
-
-def test_kernel_singularity_floor():
-    with pytest.raises(SingularityError):
-        angular_kernel_K(6, 0.5, 1.0 + 1e-7)
-    with pytest.raises(SingularityError):
-        angular_kernel_K(6, 0.5, 1.0 - 1e-8)
+    taus = np.array([1e3, 1e4])
+    for scaled in kernel_batch(n, s, taus) * taus ** (n + 2 * s):
+        assert scaled == pytest.approx(sphere_surface(n), rel=1e-5)
 
 
 def test_bubble_constants_6_05():

@@ -28,7 +28,6 @@ from fracvar.mountainpass import (
 )
 from fracvar.problem import ProblemParams, critical_exponent
 from fracvar.solver import (
-    MinimizeOptions,
     _min_form_on_sphere,
     _with_dofs,
     assemble,
@@ -286,8 +285,7 @@ def test_alpha_q_dual_route_at_two(op_gs):
     init = interpolate_field(ub, op_gs.nodes)
     d0 = init.dofs / power_integral(init, 2.0, 6) ** 0.5
     _, val, _, status = _min_form_on_sphere(
-        op_gs.A, op_gs, 2.0, d0.copy(),
-        MinimizeOptions(tol=1e-8, max_iter=4000),
+        op_gs.A, op_gs, 2.0, d0.copy(), 1e-8, 4000,
     )
     lam1, _ = first_eigenvalue(op_gs)
     assert status == "converged"

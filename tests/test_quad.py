@@ -71,7 +71,7 @@ def test_cross_method_truncated_weighted():
 def test_mc_zero_profile():
     est = seminorm_mc(quad.as_profile(lambda r: np.zeros_like(r), 2.0), None, N6, S6, N=10_000, seed=1)
     assert est.value == 0.0 and est.abs_error == 0.0
-    assert est.method == "MonteCarlo" and est.seed == 1
+    assert est.method == "MonteCarlo"
 
 
 def test_mc_needs_a_finite_support():
@@ -215,7 +215,6 @@ def test_deterministic_estimate_reports_panels():
     tb = truncated_bubble(0.5, S6, N6, 1.0)
     est = seminorm_radial(tb, None, N6, S6, tb.support)
     assert est.samples_or_panels > 10
-    assert est.seed is None
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from fracvar.constants import bubble_constants, sphere_surface
 from fracvar.problem import ProblemParams, critical_exponent, weight_from_params
 from fracvar.quad import bilinear_radial
 from fracvar.solver import (
-    MinimizeOptions,
     RadialField,
     SolverError,
     StiffnessOperator,
@@ -73,10 +72,10 @@ def test_field_interpolates_and_vanishes_outside():
     vals = np.exp(-nodes)
     vals[-1] = 0.0
     f = RadialField(nodes, vals)
-    assert f(nodes[3]) == pytest.approx(vals[3])
+    assert f.radial_value(nodes[3]) == pytest.approx(vals[3])
     mid = 0.5 * (nodes[4] + nodes[5])
-    assert f(mid) == pytest.approx(0.5 * (vals[4] + vals[5]))
-    assert f(2.5) == 0.0
+    assert f.radial_value(mid) == pytest.approx(0.5 * (vals[4] + vals[5]))
+    assert f.radial_value(2.5) == 0.0
 
 
 def test_stiffness_symmetric(op128):
@@ -327,16 +326,18 @@ def test_minimizer_nonnegative_from_nonnegative_init(ground):
     assert ground.field.values.min() >= -1e-8
 
 
-def test_energy_monotone_in_iteration_budget(op128):
-    energies = [
-        minimize_S(P, op128, opts=MinimizeOptions(max_iter=k)).energy for k in (5, 15, 30, 60)
-    ]
+def test_energy_monotone_in_iteration_budget(op128, monkeypatch):
+    energies = []
+    for k in (5, 15, 30, 60):
+        monkeypatch.setattr(solver, "MINIMIZE_MAX_ITER", k)
+        energies.append(minimize_S(P, op128).energy)
     assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
 
 
-def test_no_minimizer_at_lambda_zero():
+def test_no_minimizer_at_lambda_zero(monkeypatch):
     op = assemble(P_FREE, 96)
-    res = minimize_S(P_FREE, op, opts=MinimizeOptions(max_iter=3000))
+    monkeypatch.setattr(solver, "MINIMIZE_MAX_ITER", 3000)
+    res = minimize_S(P_FREE, op)
     assert res.energy >= P_FREE.p0 * LEVEL * (1.0 - 1e-3)
     assert res.energy <= P_FREE.p0 * LEVEL * (1.0 + 1e-2)
     assert not res.below_threshold
@@ -353,16 +354,18 @@ def test_descent_solves_once_per_iteration(op128, monkeypatch):
         return real(self, b)
 
     monkeypatch.setattr(StiffnessOperator, "solve", counting)
-    res = minimize_S(P, op128, opts=MinimizeOptions(max_iter=25))
+    monkeypatch.setattr(solver, "MINIMIZE_MAX_ITER", 25)
+    res = minimize_S(P, op128)
     assert res.iterations == 25 and res.status == "max_iter"
     assert shapes == [(op128.size, 2)] * 25
 
 
-def test_concentration_sharpens_under_refinement():
+def test_concentration_sharpens_under_refinement(monkeypatch):
+    monkeypatch.setattr(solver, "MINIMIZE_MAX_ITER", 4000)
     tops = []
     for M in (64, 160):
         op = assemble(P_FREE, M)
-        res = minimize_S(P_FREE, op, opts=MinimizeOptions(max_iter=4000))
+        res = minimize_S(P_FREE, op)
         tops.append(np.abs(res.field.values).max())
     assert tops[1] > 1.2 * tops[0]
 
@@ -375,9 +378,10 @@ def test_indefinite_regime_detected(op128):
     assert not res.converged
 
 
-def test_eigen_solve_raises_when_it_misses_its_tolerance(op128):
+def test_eigen_solve_raises_when_it_misses_its_tolerance(op128, monkeypatch):
+    monkeypatch.setattr(solver, "EIGEN_MAX_ITER", 1)
     with pytest.raises(SolverError):
-        first_eigenvalue(op128, max_iter=1)
+        first_eigenvalue(op128)
 
 
 def test_minimize_requires_q2(op128):

@@ -42,7 +42,6 @@ ORACLES = {
     "mc_reference_ks": "Monte Carlo Ks, the independent route for the unit bubble's seminorm",
     "ps_diagnostics": "critical-point identity, the tests' reference for the Nehari level",
     "refinement_check": "the M against 2M energy change of the grid size",
-    "angular_kernel_K": "the scalar angular kernel with its singularity guard",
 }
 
 
