@@ -10,9 +10,11 @@ from scipy.special import roots_legendre
 
 @lru_cache(maxsize=None)
 def gl_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached Gauss-Legendre nodes/weights on [-1, 1]."""
+    """Cached Gauss-Legendre nodes/weights on [-1, 1], read-only: every caller shares them."""
     x, w = roots_legendre(npts)
-    return np.asarray(x), np.asarray(w)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def panel_nodes(breaks: np.ndarray, npts: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,8 +18,13 @@ failure (``SolverError``, ``MountainPassError``); 1 on usage, configuration
 or I/O errors, including any flag the command does not read.  Every command
 that loads ``--config`` runs :func:`fracvar.problem.validate` on it first,
 and exits 2, before computing, with the error codes on stderr when it
-reports any; regime admissibility is judged by ``validate`` alone.  Any
-other exception is a programming error and escapes with its traceback.
+reports any; regime admissibility is judged by ``validate`` alone.  The
+shape flags exit 2 before computing when out of range: ``--n`` (an integer
+>= 3) and ``--s`` (in (0, 1)) as for :func:`fracvar.problem.critical_exponent`,
+and a ``--q`` that is not finite or where the command's integral diverges
+(q < 1 for ``bubble-norms``, q (n - 2s)/2 <= n/2 for ``constants``).  So
+does a ``verify --tol`` that is not finite and >= 0.  Any other exception
+is a programming error and escapes with its traceback.
 Importing this module already loads numpy (through the package
 ``__init__``), so to cap the BLAS threads of the process set
 ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` in the
@@ -107,6 +112,14 @@ def _eps_grid(items: list[str]) -> list[float]:
     return grid
 
 
+def _check_shape(args) -> None:
+    """``--n`` and ``--s`` by the rule of :func:`fracvar.problem.critical_exponent`."""
+    if args.n < 3:
+        raise ValueError(f"--n must be an integer >= 3, got {args.n}")
+    if not 0.0 < args.s < 1.0:
+        raise ValueError(f"--s must lie in (0, 1), got {args.s}")
+
+
 # ---------------------------------------------------------------------------
 # Command handlers: handler(args, cfg) -> (payload, {artifact: bytes}, exit code)
 # ---------------------------------------------------------------------------
@@ -140,6 +153,10 @@ def _validate(args, cfg):
 
 
 def _constants(args, cfg):
+    _check_shape(args)
+    # K_{q,s} is the power integral with exponent q (n - 2s)/2, finite above n/2
+    if args.q is not None and not (math.isfinite(args.q) and args.q * (args.n - 2.0 * args.s) > args.n):
+        raise ValueError(f"--q must be finite with q (n - 2s)/2 > n/2, got {args.q}")
     cs = constants.bubble_constants(args.n, args.s, args.q)
     payload = {"q_s": cs.q_s, "Kqs": cs.Kqs, "Kq_s": cs.Kq_s,
                "K2s": cs.K2s, "Ks": cs.Ks, "Ss": cs.Ss}
@@ -149,6 +166,7 @@ def _constants(args, cfg):
 def _bubble(args, cfg):
     if not (math.isfinite(args.x) and args.x >= 0.0):
         raise ValueError(f"--x must be a finite radius >= 0, got {args.x}")
+    _check_shape(args)
     tb = bubble.truncated_bubble(args.eps, args.s, args.n, args.eta)
     return {"eps": args.eps, "x": args.x,
             "U": float(tb.bubble.radial_value(args.x)),
@@ -156,6 +174,9 @@ def _bubble(args, cfg):
 
 
 def _bubble_norms(args, cfg):
+    _check_shape(args)
+    if not 1.0 <= args.q < math.inf:  # lq_norm's rule, finite
+        raise ValueError(f"--q must be finite and >= 1, got {args.q}")
     rows = []
     for eps in _eps_grid(args.eps_grid):
         tb = bubble.truncated_bubble(eps, args.s, args.n, args.eta)
@@ -274,6 +295,8 @@ def _mountain_pass(args, cfg):
 
 
 def _verify(args, cfg):
+    if not 0.0 <= args.tol < math.inf:
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     report = verifysuite.run_all(cfg, tol=args.tol)
     results = _json_bytes({
         "checks": [

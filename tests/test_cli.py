@@ -184,6 +184,31 @@ def test_bad_radius_or_sample_count_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("bubble", "--eps", "0.2", "--x", "0.5", "--s", "nan"), "--s"),
+    (("bubble", "--eps", "0.2", "--x", "0.5", "--n", "0"), "--n"),
+    (("bubble-norms", "--q", "nan", "--eps-grid", "0.2"), "--q"),
+    (("bubble-norms", "--q", "2.4", "--s", "5", "--eps-grid", "0.2"), "--s"),
+    (("constants", "--n", "6", "--s", "0.5", "--q", "nan"), "--q"),
+    (("constants", "--n", "6", "--s", "nan"), "--s"),
+    (("constants", "--n", "6", "--s", "0.5", "--q", "0.5"), "--q"),
+    (("constants", "--n", "2", "--s", "0.5"), "--n"),
+    (("verify", "--config", DEFAULT_CFG, "--tol", "nan"), "--tol"),
+    (("verify", "--config", DEFAULT_CFG, "--tol=-1e300"), "--tol"),
+], ids=["bubble-s-nan", "bubble-n-0", "norms-q-nan", "norms-s-5", "constants-q-nan",
+        "constants-s-nan", "constants-q-diverges", "constants-n-2", "verify-tol-nan",
+        "verify-tol-negative"])
+def test_bad_shape_flags_exit_2(tmp_path, capsys, monkeypatch, argv, flag):
+    # n >= 3 and 0 < s < 1 as in critical_exponent, q where the command's integral
+    # converges, tol finite and >= 0; the battery must not start
+    monkeypatch.setattr(fracvar.verifysuite, "run_all", None)
+    out = tmp_path / "out"
+    rc, stdout, err = run(capsys, *argv, *(("--out", str(out)) if argv[0] != "bubble" else ()))
+    assert (rc, stdout) == (2, "")
+    assert f"ValueError: {flag} " in err
+    assert not out.exists()
+
+
 def test_bubble_point_values(capsys):
     # --x is the radius; the cutoff is 1 up to eta = 1 and 0 from 2 eta on
     def point(x):

@@ -1,6 +1,7 @@
 """Static checks on the package source, with the standard library's ``ast``."""
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -105,3 +106,57 @@ def test_unreached_check_sees_reads():
         "__init__": ast.parse("from .a import recursive\n"),
     }
     assert _unreached(trees, {"benched"}) == ["a.recursive"]
+
+
+# Defaulted parameters of public functions that no call in ``src`` or
+# ``perfbench`` passes, kept because tests set them.
+TEST_OPTIONS = {
+    "mc_reference_ks.N": "tests draw more pairs than the default to tighten the Ks oracle",
+    "mc_reference_ks.seed": "tests draw the Ks oracle at a seed of their own",
+    "refinement_check.M": "tests refine from a coarser grid than the default",
+    "seminorm_radial.r_breaks": "the test seam that puts a profile on chosen panels",
+    "sweep_bubble_norms.eps_grid": "tests sweep other windows than DEFAULT_EPS_GRID",
+    "sweep_energy.eps_grid": "tests sweep other windows than DEFAULT_EPS_GRID",
+}
+
+
+def _unpassed_options(trees: dict[str, ast.Module], callers: list[ast.AST]) -> list[str]:
+    """``function.parameter`` for each defaulted parameter of a public top-level function in
+    ``trees`` that no call in ``callers`` passes, by position or by keyword.
+
+    Calls are matched by the bare or attribute name of the callee; ``*args`` passes every
+    positional parameter and ``**kwargs`` every keyword.
+    """
+    n_pos, keywords = {}, {}
+    for call in (node for tree in callers for node in ast.walk(tree) if isinstance(node, ast.Call)):
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+        n_pos[name] = max(n_pos.get(name, 0), math.inf if starred else len(call.args))
+        keywords.setdefault(name, set()).update(k.arg for k in call.keywords)  # None for **kwargs
+    found = []
+    for tree in trees.values():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args
+            first = len(params) - len(args.defaults)
+            defaulted = [(i, p.arg) for i, p in enumerate(params[first:], first)]
+            defaulted += [(math.inf, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            kws = keywords.get(node.name, set())
+            found += [f"{node.name}.{arg}" for i, arg in defaulted
+                      if i >= n_pos.get(node.name, 0) and arg not in kws and None not in kws]
+    return found
+
+
+def test_every_option_is_passed_by_a_caller():
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    bench = [ast.parse(p.read_text()) for p in (SRC.parents[1] / "perfbench").glob("*.py")]
+    assert sorted(_unpassed_options(trees, [*trees.values(), *bench])) == sorted(TEST_OPTIONS)
+
+
+def test_unpassed_option_check_sees_calls():
+    tree = ast.parse("def f(a, b=1, *, c=2):\n    pass\ndef g(x=0, y=1):\n    pass\n"
+                     "def h(z=0):\n    pass\ndef k(*, w=0):\n    pass\ndef _private(v=0):\n    pass\n")
+    caller = ast.parse("f(0, 1)\nm.g(y=3)\nh(*args)\nk(**opts)\n")
+    assert _unpassed_options({"a": tree}, [caller]) == ["f.c", "g.x"]
