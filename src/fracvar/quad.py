@@ -40,9 +40,11 @@ quadratic difference) or to |z|^-(n+2s) above it, and |y| from the law of
 the angle between x and z.  Each pair carries a balance-heuristic weight
 over the two symmetric generation routes.
 
-The core's tau row (nodes, ``tw * tau^(n-1) * K`` and the band factor)
-depends on neither the weight nor the profile, so it is cached per
-quadrature rule.  A row of the outer fold depends on its inner radius, the
+The core's tau row (:func:`_kernel_row`, the band's node last) depends on
+neither the weight nor the profile, so it is cached per quadrature rule.
+The FE stiffness of :mod:`fracvar.solver` is this pair form on the hat
+basis, on the same row, so the band |tau - 1| < delta is modelled in this
+module only.  A row of the outer fold depends on its inner radius, the
 weight and the geometry (n, s, r_hi, n_t), not on the profile, and it is
 computed on its own.  So the rows of the unit weight and of a
 :class:`~fracvar.problem.WeightModel` are memoized by exact radius, per
@@ -142,16 +144,14 @@ def default_r_breaks(profile, r_hi: float) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _kernel_row(n: int, s: float, n_t: int):
-    """The core's tau rule and the band factor, read-only.
+    """The core's tau rule (``tn``, ``tau_fac = tw * tn**(n-1) * K(tn)``), read-only.
 
-    The tau-panels on (0, 1 - DELTA) are graded toward both endpoints.
-    Returns their nodes ``tn``, ``tau_fac = tw * tn**(n-1) * K(tn)`` and
-    ``band = K(1 - DELTA) DELTA^(1+2s) DELTA^(2-2s) / (2-2s)``, the factor of
-    the |tau - 1| < DELTA band's Lipschitz model: the pair form weighs its
-    tau node at 1 - DELTA by band / DELTA^2, and the assembly's sliver rows
-    take it with the hat slopes.  None depends on the weight, the profile or
-    the radial panels, so every pair form and every assembly on the same
-    rule shares one row.
+    The tau-panels on (0, 1 - DELTA) are graded toward both endpoints, and
+    the band's node comes last: at 1 - DELTA, of weight band / DELTA^2, with
+    ``band = K(1 - DELTA) DELTA^(1+2s) DELTA^(2-2s) / (2-2s)`` from the band's
+    Lipschitz model.  The row depends on neither the weight, the profile nor
+    the radial panels, so every pair form and every assembly on the same rule
+    shares it.
     """
     lo = geometric_refine(0.0, 0.5, toward=0.0, floor=T_FLOOR)
     hi = geometric_refine(0.5, 1.0 - DELTA, toward=1.0 - DELTA, floor=DELTA)
@@ -159,9 +159,11 @@ def _kernel_row(n: int, s: float, n_t: int):
     tau_fac = tw * tn ** (n - 1) * kernel_batch(n, s, tn)
     k_edge = float(kernel_batch(n, s, np.array([1.0 - DELTA]))[0])
     band = k_edge * DELTA ** (1.0 + 2.0 * s) * DELTA ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+    tn = np.append(tn, 1.0 - DELTA)
+    tau_fac = np.append(tau_fac, band / DELTA**2)
     tn.flags.writeable = False
     tau_fac.flags.writeable = False
-    return tn, tau_fac, band
+    return tn, tau_fac
 
 
 @lru_cache(maxsize=8)
@@ -307,10 +309,8 @@ def _pair_form(pa, pb, w, n: int, s: float, r_breaks: np.ndarray, *, r_hi: float
     # Gauss-Legendre nodes are interior, so every rn > 0
     rn, rw = panel_nodes(r_breaks, N_R)
 
-    # --- core, with the band's node at 1 - DELTA last -------------------
-    tn, tau_fac, band = _kernel_row(n, s, N_T)
-    tn = np.append(tn, 1.0 - DELTA)
-    tau_fac = np.append(tau_fac, band / DELTA**2)
+    # --- core, the band's node at 1 - DELTA last ----------------------
+    tn, tau_fac = _kernel_row(n, s, N_T)
     inner_r = rn[:, None] * tn[None, :]
     ua = pa.radial_value(rn)
     ub = ua if pb is pa else pb.radial_value(rn)

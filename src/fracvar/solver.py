@@ -1,26 +1,23 @@
 """Discrete minimization of the weighted Rayleigh problem on radial grids.
 
 Fields are continuous piecewise-linear radial functions on a graded grid
-0 = r_0 < ... < r_M = R, extended by zero beyond R.  The weighted Gagliardo
-form of two such fields reduces, like the profile quadrature in
-:mod:`fracvar.quad`, to core / sliver / outer pieces, the sliver being the
-|tau - 1| < delta band taken exactly from the hat slopes; each quadrature
-node of that reduction touches at most four hat coefficients.  Each node is one
-row of a factor X (its square-rooted, nonnegative contribution on those
-coefficients), and the stiffness matrix is the Gram matrix X^T X, which
-keeps A symmetric positive semidefinite by construction and exactly
-linear in the weight.  X is never stored whole: its rows are built a block
-at a time, and each row's 4 x 4 outer product is added into the dense
-matrix in row order (:func:`_gram`), so the working set is a block,
-not the million rows of a fine grid.  The mass matrix is the Gram matrix
-of its quadrature rows, added by the same routine.  The assembled operator
-carries the Cholesky factor of A, computed once by :func:`assemble`; every
-solve against A in the package reuses it.  It also owns the grid's
-power-integral rule (:class:`GridRule`: per-interval Gauss-Legendre
-weights, the Jacobian r^(n-1) and the hat values at the panel nodes),
-built once beside the factor, so the descents below interpolate a dof
-vector and integrate its powers without rebuilding the rule or a validated
-field at every step.
+0 = r_0 < ... < r_M = R, extended by zero beyond R.  The stiffness matrix A
+is the pair form of :mod:`fracvar.quad` on the hat basis, on its own rule:
+core rows, one per (r, tau) node, the |tau - 1| < delta band being one more
+tau node, and outer-fold rows.  Each row holds its square-rooted,
+nonnegative contribution on at most four hat coefficients, so A = X^T X for
+the factor X of all rows, symmetric positive semidefinite by construction
+and exactly linear in the weight.  X is never stored whole: scipy forms the
+Gram product of one block of rows at a time (:func:`_gram`), so the working
+set is a block, not the million rows of a fine grid.  The mass matrix is
+the Gram matrix of its quadrature rows, by the same routine.  The assembled
+operator carries the Cholesky factor of A, computed once by
+:func:`assemble`; every solve against A in the package reuses it.  It also
+owns the grid's power-integral rule (:class:`GridRule`: per-interval
+Gauss-Legendre weights, the Jacobian r^(n-1) and the hat values at the
+panel nodes), built once beside the factor, so the descents below
+interpolate a dof vector and integrate its powers without rebuilding the
+rule or a validated field at every step.
 
 The constrained infimum
 
@@ -47,6 +44,7 @@ from typing import Mapping
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.sparse import csr_array
 
 from ._panels import gl_rule, panel_nodes
 from .bubble import truncated_bubble
@@ -193,82 +191,58 @@ def _gram(M: int, blocks) -> tuple[np.ndarray, int]:
     """The Gram matrix X^T X of a sparse factor X given in row blocks, and X's row count.
 
     Each block is ``(cols, vals)``: ``cols[a]`` and ``vals[a]`` hold the
-    column and the value of slot a of every row of the block, and the
-    blocks come in row order.  A column repeated within a row is merged
-    into its first slot, and then every row adds its full outer product,
-    row after row: ``np.add.at`` applies its updates unbuffered in index
-    order, so each G[i, j] is the sequential sum over the rows in order,
-    the same float operations as a CSR product X^T X, and G[j, i] receives
-    the same products as G[i, j].  A zero slot (the Dirichlet node) adds
-    +-0, which changes no sum.  Blocks of one shape share the work arrays
-    of the products, so fresh memory is not paged in for every block.
+    column and the value of slot a of every row.  A block becomes one CSR
+    matrix X_b, its repeated columns within a row summed first: a band row's
+    slots nearly cancel, and only their merged difference keeps its products
+    accurate.  scipy forms X_b^T X_b, whose entries are distinct, and it is
+    added into the dense matrix in place.
     """
     G = np.zeros((M, M))
     n_rows = 0
-    work = None
     for cols, vals in blocks:
-        cols = np.array(cols)
-        vals = np.array(vals, dtype=float)
-        for a in range(1, len(cols)):
-            for b in range(a):
-                same = cols[a] == cols[b]
-                vals[b] = np.where(same, vals[b] + vals[a], vals[b])
-                vals[a] = np.where(same, 0.0, vals[a])
-        k, rows = cols.shape
+        k, rows = len(cols), len(cols[0])
+        X = csr_array((np.column_stack(vals).ravel(), np.column_stack(cols).ravel(),
+                       np.arange(0, k * rows + 1, k)), shape=(rows, M))
+        X.sum_duplicates()
+        prod = (X.T @ X).tocoo()
+        G[prod.coords] += prod.data
         n_rows += rows
-        if work is None or work[0].shape != (k, k, rows):
-            work = (np.empty((k, k, rows), dtype=np.intp), np.empty((k, k, rows)),
-                    np.empty((rows, k, k), dtype=np.intp), np.empty((rows, k, k)))
-        flat_kk, prod_kk, flat, prod = work
-        np.add(cols[:, None, :] * M, cols[None, :, :], out=flat_kk)
-        np.multiply(vals[:, None, :], vals[None, :, :], out=prod_kk)
-        flat[...] = flat_kk.transpose(2, 0, 1)  # row by row
-        prod[...] = prod_kk.transpose(2, 0, 1)
-        np.add.at(G.reshape(-1), flat.reshape(-1), prod.reshape(-1))
     return G, n_rows
 
 
 def _stiffness_rows(params: ProblemParams, nodes: np.ndarray):
-    """The rows of the stiffness factor X, as :func:`_gram` blocks in row order.
+    """The rows of the stiffness factor X, as :func:`_gram` blocks.
 
-    ``GRID_N_R`` Gauss-Legendre points per grid interval, ``GRID_N_T`` per
-    tau-panel.  The core rows come ``GRAM_BLOCK`` r-nodes at a time, then
-    the sliver rows, then the outer rows.
+    The rows are :mod:`fracvar.quad`'s pair form on the hat basis:
+    ``GRID_N_R`` Gauss-Legendre points per grid interval and
+    :func:`fracvar.quad._kernel_row` with ``GRID_N_T`` points per tau-panel,
+    the band's node included.  The core rows come ``GRAM_BLOCK`` r-nodes at
+    a time and the outer rows last, but the outer fold is computed first,
+    while no block or product is alive, which keeps the peak memory down.
     """
-    M = len(nodes) - 1
     n, s = params.n, params.s
-    n_t = GRID_N_T
-    two_s = 2.0 * s
     weight = weight_from_params(params)
-    wfun = weight.radial
 
     rn, rw = panel_nodes(nodes, GRID_N_R)
     ia0, va0, ia1, va1 = _hat_at(nodes, rn)
-    nr = len(rn)
-    radial = rw * rn ** (n - 1.0 - two_s)
-    wr = wfun(rn)
+    radial = rw * rn ** (n - 1.0 - 2.0 * s)
+
+    # outer rows: pairs whose far radius exceeds R, where the field vanishes
+    sq_out = np.sqrt(radial * _fold_rows(weight, n, s, rn, r_hi=nodes[-1], n_t=GRID_N_T))
 
     # core rows: one per (r-node, tau-node) ordered pair
-    tn, tau_fac, band = _kernel_row(n, s, n_t)
+    wr = weight.radial(rn)
+    tn, tau_fac = _kernel_row(n, s, GRID_N_T)
     nt = len(tn)
-    for lo in range(0, nr, GRAM_BLOCK):
+    for lo in range(0, len(rn), GRAM_BLOCK):
         blk = slice(lo, lo + GRAM_BLOCK)
         inner = (rn[blk, None] * tn[None, :]).ravel()
-        wb = 0.5 * (wr[blk, None] + wfun(inner).reshape(-1, nt))
+        wb = 0.5 * (wr[blk, None] + weight.radial(inner).reshape(-1, nt))
         sq = np.sqrt(radial[blk, None] * tau_fac[None, :] * wb).ravel()
         ib0, vb0, ib1, vb1 = _hat_at(nodes, inner)
         yield ([np.repeat(ia0[blk], nt), np.repeat(ia1[blk], nt), ib0, ib1],
                [np.repeat(va0[blk], nt) * sq, np.repeat(va1[blk], nt) * sq, -vb0 * sq, -vb1 * sq])
 
-    # sliver rows: the |tau - 1| < delta band through the Lipschitz model
-    sq_sl = np.sqrt(band * rw * wr * rn ** (n + 1.0 - two_s))
-    j = np.clip(np.searchsorted(nodes, rn, side="right") - 1, 0, M - 1)
-    inv_h = 1.0 / (nodes[j + 1] - nodes[j])
-    yield [j, np.where(j + 1 < M, j + 1, 0)], [-inv_h * sq_sl, np.where(j + 1 < M, inv_h, 0.0) * sq_sl]
-
-    # outer rows: pairs whose far radius exceeds R, where the field vanishes
-    fold = _fold_rows(weight, n, s, rn, r_hi=nodes[-1], n_t=n_t)
-    sq_out = np.sqrt(radial * fold)
     yield [ia0, ia1], [va0 * sq_out, va1 * sq_out]
 
 

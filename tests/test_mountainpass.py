@@ -464,5 +464,5 @@ def test_grid_descents_exact_values():
     out = subprocess.run([sys.executable, "-c", _EXACT_VALUES_CHILD], env=env,
                          capture_output=True, text=True, timeout=300, check=True)
     energy, iterations, level, mp_iterations = json.loads(out.stdout)
-    assert (energy, iterations) == ("0x1.b511b0871eb6ap+6", 52)
-    assert (level, mp_iterations) == ("0x1.c47be5391ff30p+38", 424)
+    assert (energy, iterations) == ("0x1.b511b0871fbc6p+6", 52)
+    assert (level, mp_iterations) == ("0x1.c47be5391fc78p+38", 424)

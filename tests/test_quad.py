@@ -441,10 +441,14 @@ def _truncated_slope(tb, r):
 ], ids=["bubble-0.2", "bubble-1", "truncated-0.3"])
 @pytest.mark.parametrize("w", [None, _CONTINUUM_WEIGHTS[-1]], ids=["unit", "kappa1"])
 def test_band_node_is_the_lipschitz_model(monkeypatch, profile, slope, w):
-    # with the core's own tau weights zeroed, only the band's node at
-    # 1 - DELTA is left: band * sum rw w u'^2 r^(n+1-2s), u' in closed form
-    tn, tau_fac, band = quad._kernel_row(N6, S6, quad.N_T)
-    monkeypatch.setattr(quad, "_kernel_row", lambda n, s, n_t: (tn, np.zeros_like(tau_fac), band))
+    # with every tau weight but the last zeroed, only the band's node at
+    # 1 - DELTA is left: band * sum rw w u'^2 r^(n+1-2s), u' in closed form,
+    # where the node's weight is band / DELTA^2
+    tn, tau_fac = quad._kernel_row(N6, S6, quad.N_T)
+    band = tau_fac[-1] * quad.DELTA**2
+    only_band = np.zeros_like(tau_fac)
+    only_band[-1] = tau_fac[-1]
+    monkeypatch.setattr(quad, "_kernel_row", lambda n, s, n_t: (tn, only_band))
     r_hi = 2.0
     breaks = default_r_breaks(profile, r_hi)
     got = quad._pair_form(profile, profile, w, N6, S6, breaks, r_hi=r_hi, include_outer=False)

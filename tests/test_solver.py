@@ -84,21 +84,22 @@ def test_stiffness_symmetric(op128):
 
 
 def test_assembly_exact_matrices(op128):
-    # Recorded with numpy 2.4.6 and scipy 1.17.1 before the kernel row was
-    # shared with the profile quadrature: the operator must not move a bit.
+    # Recorded with numpy 2.4.6 and scipy 1.17.1, A once the band was one
+    # more tau node of the core rows: the operator must not move a bit.
     assert hashlib.sha256(op128.A.tobytes()).hexdigest() == (
-        "c6191a8a28aa9019178694203d1c620012e925a0f12b68391cefebf876c7ce47")
+        "9b0c9d7bdf090a25ad54e9dffcbea749fa6deeb79f4b0cceedddb8ce248c35e8")
     assert hashlib.sha256(op128.Mq.tobytes()).hexdigest() == (
         "5ce22eea43a6fcbe0c09ea70f14efba3f21d638fff3faea2c9be705e305ca756")
 
 
 def test_assembly_exact_matrices_stiff_regime():
-    # recorded before the Gram matrices were accumulated in row blocks (the
-    # CSR product X^T X at the time): the blocks must not move a bit
+    # A recorded once the band was one more tau node of the core rows, and
+    # Mq before the Gram matrices were accumulated in row blocks (the CSR
+    # product X^T X at the time): neither may move a bit
     op = assemble(replace(P, kappa=1.0, p0=0.5), 512)
     assert op.meta["quadrature_rows"] == 987136.0
     assert hashlib.sha256(op.A.tobytes()).hexdigest() == (
-        "c5c5ee379ef9d14d3fae6cf5b7adfde499240961790046d622a8443427425e11")
+        "9499971ac64ae6fe41ff1a2a64e2bbbfad036c0cd2140c5ec6db2367fe93a437")
     assert hashlib.sha256(op.Mq.tobytes()).hexdigest() == (
         "908d6126b5fb734a105ec64be26bcf15f6ed259b1a88c7b250d1657d018bc62e")
 
@@ -111,17 +112,16 @@ SOLVE_WEIGHTS = ((0.0, 1.0), (0.05, 1.0), (0.2, 1.5), (1.0, 0.5))
 @pytest.mark.parametrize("kappa, p0, uniform", [(k, p, False) for k, p in SOLVE_WEIGHTS]
                          + [(0.05, 1.0, True)])
 def test_stiffness_matches_csr_gram(monkeypatch, rule, kappa, p0, uniform):
-    # the row blocks of the stiffness factor, stacked into one CSR matrix X:
-    # scipy's X^T X sums each entry over the rows in order, after merging a
-    # row's repeated columns, and the blocked accumulation must match it bit
-    # for bit.  Uniform nodes give many repeated columns; the finer rule
-    # gives blocks of another shape.
+    # the row blocks of the stiffness factor, stacked into one CSR matrix X
+    # (which sums each row's repeated columns): A is 2 sigma X^T X, up to the
+    # order in which the per-block products are added.  Uniform nodes give
+    # many repeated columns; the finer rule gives blocks of another shape.
     monkeypatch.setattr(solver, "GRID_N_R", rule[0])
     monkeypatch.setattr(solver, "GRID_N_T", rule[1])
     nodes = np.linspace(0.0, 5.0, 49) if uniform else make_grid(5.0, 48)
     params = replace(P, kappa=kappa, p0=p0)
     blocks = [(np.array(c), np.array(v)) for c, v in solver._stiffness_rows(params, nodes)]
-    assert len(blocks) > 3  # several core blocks, the sliver and the outer rows
+    assert len(blocks) > 3  # several core blocks and the outer rows
     rows, start = [], 0
     for cols, _ in blocks:
         rows.append(np.tile(np.arange(start, start + cols.shape[1]), len(cols)))
@@ -131,12 +131,14 @@ def test_stiffness_matches_csr_gram(monkeypatch, rule, kappa, p0, uniform):
                    shape=(start, 48))
     op = assemble(params, nodes)
     assert op.meta["quadrature_rows"] == start
-    assert (2.0 * sphere_surface(6) * (X.T @ X).toarray()).tobytes() == op.A.tobytes()
+    gram = 2.0 * sphere_surface(6) * (X.T @ X).toarray()
+    assert np.max(np.abs(gram - op.A)) <= 1e-14 * np.max(np.abs(op.A))
 
 
 def test_assembly_traced_peak_memory():
     # the Gram matrices are accumulated a row block at a time; the tall
-    # factor X of all rows (as a CSR product) peaked at about 137 MiB here
+    # factor X of all rows (as a CSR product) peaked at about 137 MiB here,
+    # and the per-block products peak at about 8.1 MiB
     assemble(P, 32)
     tracemalloc.start()
     try:
@@ -144,12 +146,13 @@ def test_assembly_traced_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 48 * 2**20
+    assert peak <= 12 * 2**20
 
 
 def test_cold_outer_fold_traced_peak_memory():
-    # missing fold rows are computed quad._FOLD_BLOCK radii at a time; one
-    # table of all 2048 radii at M = 512 peaked at 53 MiB, 51 of them the fold
+    # missing fold rows are computed quad._FOLD_BLOCK radii at a time, before
+    # any core block: one table of all 2048 radii at M = 512 peaked at 53 MiB,
+    # 51 of them the fold, and the blocked fold, run first, at about 10.6 MiB
     from fracvar import quad
 
     assemble(P, 32)
@@ -160,7 +163,7 @@ def test_cold_outer_fold_traced_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 30 * 2**20
+    assert peak <= 16 * 2**20
 
 
 def test_assemblies_share_one_kernel_row(monkeypatch):
@@ -192,6 +195,26 @@ def test_quadratic_form_matches_profile_quadrature(op128):
     assert qa == pytest.approx(form, rel=0.02)
     # the two quadratures agree far more tightly than the contract requires
     assert qa == pytest.approx(form, rel=5e-4)
+
+
+@pytest.mark.parametrize("field", ["eigenvector", "bubble"])
+@pytest.mark.parametrize("kappa, p0, s", [(0.0, 1.0, 0.5), (0.05, 1.0, 0.5), (1.0, 0.5, 0.5), (0.05, 1.0, 0.75)])
+def test_stiffness_is_the_pair_form_on_the_hat_basis(monkeypatch, field, kappa, p0, s):
+    # on A's own rule (its radial points per grid interval and tau points per
+    # panel), the profile quadrature of a hat field is v^T A v up to rounding:
+    # one pair form, one band model
+    from fracvar import quad
+
+    monkeypatch.setattr(quad, "N_R", solver.GRID_N_R)
+    monkeypatch.setattr(quad, "N_T", solver.GRID_N_T)
+    params = replace(P, kappa=kappa, p0=p0, s=s)
+    op = assemble(params, 128)
+    if field == "eigenvector":
+        u_h = first_eigenvalue(op)[1]
+    else:
+        u_h = interpolate_field(truncated_bubble(0.5, s, 6, eta=1.0), op.nodes)
+    form = bilinear_radial(u_h, u_h, weight_from_params(params), 6, s, 5.0, r_breaks=op.nodes)
+    assert form == pytest.approx(float(u_h.dofs @ op.A @ u_h.dofs), rel=1e-13, abs=0.0)
 
 
 def test_mass_matrix_exact_on_linear_ramp(op128):
