@@ -107,8 +107,8 @@ def lq_norm(profile, q: float, *, r_max: float | None = None) -> float:
     """
     from .quad import radial_power_integral
 
-    if q < 1.0:
-        raise ValueError(f"need q >= 1, got {q}")
+    if not 1.0 <= q < math.inf:
+        raise ValueError(f"need a finite q >= 1, got {q}")
     if not isinstance(profile, (Bubble, TruncatedBubble)):
         raise TypeError("profile must be a Bubble or TruncatedBubble")
     if isinstance(profile, Bubble) and r_max is None:

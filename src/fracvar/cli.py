@@ -38,6 +38,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -54,6 +55,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e-3" for an option name; a negative number in
+        # exponent notation is a value (no flag of this parser looks like one)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message: str) -> None:  # exit 1, not argparse's 2
         raise _UsageError(message)
 

@@ -35,8 +35,8 @@ def lebesgue_power_integral(n: int, alpha: float) -> float:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if alpha <= n / 2.0:
-        raise ValueError(f"integral diverges: need alpha > n/2 = {n / 2.0}, got alpha = {alpha}")
+    if not n / 2.0 < alpha < math.inf:
+        raise ValueError(f"need a finite alpha > n/2 = {n / 2.0} (the integral diverges below), got alpha = {alpha}")
     return math.pi ** (n / 2.0) * math.gamma(alpha - n / 2.0) / math.gamma(alpha)
 
 
@@ -49,8 +49,8 @@ def lebesgue_power_quadrature(n: int, alpha: float) -> float:
     graded panels plus a two-term analytic tail.  Used as the cross-check
     oracle for :func:`lebesgue_power_integral`; shares no code with it.
     """
-    if alpha <= n / 2.0:
-        raise ValueError(f"integral diverges: need alpha > n/2 = {n / 2.0}, got alpha = {alpha}")
+    if not n / 2.0 < alpha < math.inf:
+        raise ValueError(f"need a finite alpha > n/2 = {n / 2.0} (the integral diverges below), got alpha = {alpha}")
     beta = 2.0 * alpha - n - 1.0
     h = 1e-5
     breaks = np.concatenate(
@@ -176,12 +176,13 @@ def bubble_constants(n: int, s: float, q: float | None = None) -> ConstantSet:
     ``Kqs`` and ``K2s`` come from the closed-form power integral (the
     exponents q_s (n-2s)/2 = n and 2 (n-2s)/2 = n - 2s respectively); ``Ks``
     is measured by the deterministic seminorm quadrature; ``Ss`` is derived.
-    Divergence errors from the power integral propagate (e.g. K2s requires
-    n > 4s).
+    (n, s) follow :func:`fracvar.problem.critical_exponent`'s rule (an
+    integer n >= 3, s in (0, 1)).  Divergence errors from the power integral
+    propagate (e.g. K2s requires n > 4s, and a NaN q is rejected there).
     """
-    critical_exponent_check = 2.0 * n / (n - 2.0 * s)
-    if critical_exponent_check <= 2.0:
-        raise ValueError("need n > 2s for a critical exponent > 2")
+    from .problem import critical_exponent
+
+    critical_exponent(n, s)
     return _bubble_constants_cached(int(n), float(s), None if q is None else float(q))
 
 

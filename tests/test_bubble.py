@@ -109,6 +109,14 @@ def test_lq_norm_input_validation():
         lq_norm(lambda r: r, 2.0)
 
 
+@pytest.mark.parametrize("profile", [Bubble(eps=1.0, s=0.5, n=6), truncated_bubble(0.2, 0.5, 6, 1.0)],
+                         ids=["bubble", "truncated"])
+@pytest.mark.parametrize("q", [math.nan, math.inf], ids=["nan", "inf"])
+def test_lq_norm_needs_a_finite_q(profile, q):
+    with pytest.raises(ValueError, match="finite q"):
+        lq_norm(profile, q)
+
+
 def test_subcritical_norm_scaling_exponent():
     # int u_eps^q ~ eps^{n - q(n-2s)/2} for q in (q* window): check the
     # measured slope on a crude two-point ratio

@@ -195,12 +195,15 @@ def test_bad_radius_or_sample_count_exits_2(tmp_path, capsys, argv):
     (("constants", "--n", "2", "--s", "0.5"), "--n"),
     (("verify", "--config", DEFAULT_CFG, "--tol", "nan"), "--tol"),
     (("verify", "--config", DEFAULT_CFG, "--tol=-1e300"), "--tol"),
+    (("verify", "--config", DEFAULT_CFG, "--tol", "-1e300"), "--tol"),
+    (("bubble", "--eps", "0.2", "--x", "-1e-3"), "--x"),
 ], ids=["bubble-s-nan", "bubble-n-0", "norms-q-nan", "norms-s-5", "constants-q-nan",
         "constants-s-nan", "constants-q-diverges", "constants-n-2", "verify-tol-nan",
-        "verify-tol-negative"])
+        "verify-tol-negative", "verify-tol-negative-exponent", "bubble-x-negative-exponent"])
 def test_bad_shape_flags_exit_2(tmp_path, capsys, monkeypatch, argv, flag):
     # n >= 3 and 0 < s < 1 as in critical_exponent, q where the command's integral
-    # converges, tol finite and >= 0; the battery must not start
+    # converges, tol finite and >= 0, x >= 0; the battery must not start.  A
+    # negative value in exponent notation is a value, not an option name.
     monkeypatch.setattr(fracvar.verifysuite, "run_all", None)
     out = tmp_path / "out"
     rc, stdout, err = run(capsys, *argv, *(("--out", str(out)) if argv[0] != "bubble" else ()))

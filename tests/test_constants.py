@@ -109,3 +109,26 @@ def test_sharp_constant_closed_form_agrees():
 def test_constant_set_respects_admissibility():
     with pytest.raises(ValueError):
         bubble_constants(3, 0.9)  # K2s diverges: n - 2s <= n/2
+
+
+@pytest.mark.parametrize("n, s, match", [
+    (6, 1.2, "order s"), (6, math.nan, "order s"), (6.5, 0.5, "dimension"), (2, 0.5, "dimension"),
+], ids=["s-1.2", "s-nan", "n-6.5", "n-2"])
+def test_constant_set_follows_the_critical_exponent_rule(n, s, match):
+    # (n, s) are checked by critical_exponent itself: an integer n >= 3 and s in (0, 1)
+    with pytest.raises(ValueError, match=match):
+        bubble_constants(n, s)
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf], ids=["nan", "inf"])
+def test_constant_set_rejects_a_non_finite_q(q):
+    with pytest.raises(ValueError, match="finite alpha"):
+        bubble_constants(6, 0.5, q)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("integral", [lebesgue_power_integral, lebesgue_power_quadrature],
+                         ids=["closed-form", "quadrature"])
+def test_lebesgue_integrals_need_a_finite_alpha(integral, alpha):
+    with pytest.raises(ValueError, match="finite alpha"):
+        integral(6, alpha)
