@@ -54,7 +54,8 @@ class Bubble:
     def radial_value(self, r):
         r = np.asarray(r, dtype=float)
         m = self.exponent
-        return (self.eps / (self.eps**2 + r**2)) ** m
+        with np.errstate(over="ignore"):  # r**2 = inf far out, where U is 0
+            return (self.eps / (self.eps**2 + r**2)) ** m
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,12 @@ class Cutoff:
 
 @dataclass(frozen=True)
 class TruncatedBubble:
-    """u_{eps,s} = U * Psi, nonnegative, supported in the closed ball of radius 2 eta."""
+    """u_{eps,s} = U * Psi, nonnegative, supported in the closed ball of radius 2 eta.
+
+    Evaluated as the plain product: Psi is exactly 0 from 2 eta on and U is
+    finite and nonnegative there (U(inf) = 0), so the value is +0.0 outside
+    the support, and NaN at r = NaN.
+    """
 
     bubble: Bubble
     cutoff: Cutoff
@@ -88,11 +94,7 @@ class TruncatedBubble:
         return 2.0 * self.cutoff.eta
 
     def radial_value(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(r.shape)
-        inside = ~(r >= self.support)
-        out[inside] = self.bubble.radial_value(r[inside]) * self.cutoff.radial_value(r[inside])
-        return out
+        return self.bubble.radial_value(r) * self.cutoff.radial_value(r)
 
 
 def truncated_bubble(eps: float, s: float, n: int, eta: float) -> TruncatedBubble:

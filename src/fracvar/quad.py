@@ -50,7 +50,15 @@ computed on its own.  So the rows of the unit weight and of a
 :class:`~fracvar.problem.WeightModel` are memoized by exact radius, per
 weight (by value) and geometry (:func:`_fold_rows`): profiles whose panels
 share radii, the coarse and fine passes, and the nested grids of
-:mod:`fracvar.solver` share rows, bit for bit.
+:mod:`fracvar.solver` share rows, bit for bit.  The other half of the core,
+the profile's values and differences on the r x tau table, depends on the
+profile, the tau row and the radii, not on the weight.  So the table of a
+:class:`~fracvar.bubble.Bubble` or :class:`~fracvar.bubble.TruncatedBubble`
+(by value) is memoized per tau row and radii (:func:`_core_diffs`): the
+pair forms of one profile under several weights share its coarse and its
+halved table.  The memo holds the most recent profile only, on at most two
+radial rules, and a pair form on any other profile empties it first, so the
+tables of a profile live no longer than its run of pair forms.
 """
 
 from __future__ import annotations
@@ -301,7 +309,56 @@ def _fold_rows(w, n: int, s: float, rn: np.ndarray, *, r_hi: float, n_t: int) ->
     return vals[np.searchsorted(radii, rn)]
 
 
+# The memo of core tables: per (profile, tau row, radii), the profile's values
+# at the radii and its differences across the tau row.  It holds one profile
+# only, on at most _CORE_RULES radial rules (a seminorm's coarse and halved
+# passes), the oldest dropped first; a table of any other profile empties it
+# first, so no table outlives its profile's run of pair forms.  The lock
+# makes each update whole under threads.
+_CORE_RULES = 2
+_core_memo: dict = {}
+_core_lock = threading.Lock()
+
+
+def _core_diffs(p, rn: np.ndarray, tn: np.ndarray, inner_r: np.ndarray):
+    """``(u(rn), u(rn)[:, None] - u(inner_r))`` of profile ``p``, from the memo where it can.
+
+    ``inner_r`` is ``rn[:, None] * tn[None, :]``.  The table depends on
+    neither the weight nor the tau weights, so the pair forms of one profile
+    under several weights share it, bit for bit.  Only a :class:`Bubble` and
+    a :class:`TruncatedBubble`, which are frozen and compared by value, are
+    memoized, and their tables are read-only; any other profile object could
+    change between calls, so its table is always computed afresh.
+    """
+    def table():
+        u = p.radial_value(rn)
+        return u, u[:, None] - p.radial_value(inner_r)
+
+    memoized = type(p) is Bubble or type(p) is TruncatedBubble
+    with _core_lock:
+        if not memoized:
+            _core_memo.clear()
+        else:
+            key = (p, tn.tobytes(), rn.tobytes())
+            if key not in _core_memo:
+                if any(k[0] != p for k in _core_memo):
+                    _core_memo.clear()
+                _core_memo[key] = table()
+                for a in _core_memo[key]:
+                    a.flags.writeable = False
+                if len(_core_memo) > _CORE_RULES:
+                    del _core_memo[next(iter(_core_memo))]
+            return _core_memo[key]
+    return table()
+
+
 def _pair_form(pa, pb, w, n: int, s: float, r_breaks: np.ndarray, *, r_hi: float, include_outer: bool) -> float:
+    """2 sigma(S^{n-1}) (core + outer) of the profiles ``pa`` and ``pb`` on the radial panels ``r_breaks``.
+
+    The core's profile tables come from :func:`_core_diffs` and its outer
+    fold rows from :func:`_fold_rows`; the products are formed in one fixed
+    order, so a table or a row from a memo gives the same value, bit for bit.
+    """
     two_s = 2.0 * s
     wfun, _ = _weight_fns(w)
     sig = sphere_surface(n)
@@ -312,10 +369,8 @@ def _pair_form(pa, pb, w, n: int, s: float, r_breaks: np.ndarray, *, r_hi: float
     # --- core, the band's node at 1 - DELTA last ----------------------
     tn, tau_fac = _kernel_row(n, s, N_T)
     inner_r = rn[:, None] * tn[None, :]
-    ua = pa.radial_value(rn)
-    ub = ua if pb is pa else pb.radial_value(rn)
-    da = ua[:, None] - pa.radial_value(inner_r)
-    db = da if pb is pa else ub[:, None] - pb.radial_value(inner_r)
+    ua, da = _core_diffs(pa, rn, tn, inner_r)
+    ub, db = (ua, da) if pb is pa else _core_diffs(pb, rn, tn, inner_r)
     # wb * da * db * tau_fac, in that order, in place
     wb = wfun(rn)[:, None] + wfun(inner_r)
     wb *= 0.5

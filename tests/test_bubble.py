@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,21 @@ def test_truncated_bubble_evaluated_only_inside_support():
     for x in (0.0, 0.7, 1.0, 1.4, 2.0):
         assert np.ndim(tb.radial_value(x)) == 0
         assert tb.radial_value(x) == tb.bubble.radial_value(x) * tb.cutoff.radial_value(x)
+    # NaN in, NaN out; from 2 eta on, +0.0 and never -0.0
+    assert np.isnan(tb.radial_value(np.nan)) and np.isnan(tb.bubble.radial_value(np.nan))
+    got = tb.radial_value(np.array([0.5, np.nan, 1.0]))
+    assert np.isnan(got[1]) and not np.isnan(got[[0, 2]]).any()
+    beyond = np.concatenate([[1.4, np.nextafter(1.4, 2.0)], np.geomspace(1.5, 1e300, 40), [np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # r**2 overflows far out; U is 0 there, without a warning
+        out = tb.radial_value(beyond)
+    assert np.all(out == 0.0) and not np.signbit(out).any()
+    # a 2-D table keeps its shape and equals the product entry by entry
+    table = np.linspace(0.0, 3.0, 301)[:, None] * np.array([1e-9, 0.5, 1.0 - 1e-6, 1.0])[None, :]
+    got = tb.radial_value(table)
+    assert got.shape == table.shape
+    assert np.array_equal(got, tb.bubble.radial_value(table) * tb.cutoff.radial_value(table))
+    assert np.array_equal(got[:, 2], tb.radial_value(table[:, 2]))
 
 
 NORM_CASES = [(6, 0.5), (4, 0.3), (3, 0.2), (10, 0.7)]

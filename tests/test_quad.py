@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -10,7 +11,7 @@ import pytest
 from scipy import stats
 
 from fracvar._panels import panel_nodes
-from fracvar.bubble import Bubble, truncated_bubble
+from fracvar.bubble import Bubble, TruncatedBubble, truncated_bubble
 from fracvar.constants import bubble_constants, sphere_surface
 from fracvar import quad
 from fracvar.problem import ProblemParams, WeightModel, weight_from_params
@@ -356,6 +357,155 @@ def test_fold_memo_rows_equal_one_fold_of_all_radii(w):
         assert _hex(got) == _hex(quad._outer_fold(rn, wfun, wfar, N6, S6, r_hi=r_hi, n_t=n_t))
     # the M = 256 grid refines only the first interval of the M = 128 grid
     assert len(grids[0]) > quad._FOLD_BLOCK and np.isin(grids[0][GRID_N_R:], grids[1]).all()
+
+
+def _pass_hex(calls):
+    """``float.hex`` of each seminorm (value, error) or bilinear value, as one flat list."""
+    out = []
+    for got in calls:
+        out += [got.value.hex(), got.abs_error.hex()] if hasattr(got, "value") else [got.hex()]
+    return out
+
+
+def _bubble_calls(ub, r_max):
+    """The continuum body's pair forms on one profile: three weighted seminorms, then bilinear."""
+    return [lambda w=w: seminorm_radial(ub, w, N6, S6, r_max) for w in _CONTINUUM_WEIGHTS] + [
+        lambda: bilinear_radial(ub, ub, _CONTINUUM_WEIGHTS[-1], N6, S6, r_max)]
+
+
+@pytest.mark.parametrize("ub, r_max", [
+    (truncated_bubble(0.05, S6, N6, 1.0), 2.0),
+    (Bubble(eps=0.2, s=S6, n=N6), 3.0),
+], ids=["truncated", "free"])
+def test_core_memo_is_bit_for_bit(ub, r_max):
+    # the weights share the profile's core tables; each value equals the one
+    # computed with the memo cleared before it
+    quad._core_memo.clear()
+    warm = _pass_hex(call() for call in _bubble_calls(ub, r_max))
+    cold = []
+    for call in _bubble_calls(ub, r_max):
+        quad._core_memo.clear()
+        cold += _pass_hex([call()])
+    assert warm == cold
+    assert all(not a.flags.writeable for table in quad._core_memo.values() for a in table)
+
+
+def test_core_memo_key_covers_the_rules(monkeypatch):
+    # a table is keyed by its tau row and its radii, so changing N_T or N_R
+    # between two calls on one profile never reads a stale table
+    ub = truncated_bubble(0.1, S6, N6, 1.0)
+    w = _CONTINUUM_WEIGHTS[1]
+
+    def est():
+        got = seminorm_radial(ub, w, N6, S6, ub.support)
+        return got.value.hex(), got.abs_error.hex()
+
+    quad._core_memo.clear()
+    first = est()
+    for name, value in (("N_T", 10), ("N_R", 11)):
+        monkeypatch.setattr(quad, name, value)
+        warm = est()
+        quad._core_memo.clear()
+        assert warm == est() != first
+
+
+def test_core_memo_holds_one_profile():
+    ub1, ub2 = truncated_bubble(0.3, S6, N6, 1.0), truncated_bubble(0.05, S6, N6, 1.0)
+    w = _CONTINUUM_WEIGHTS[-1]
+    quad._core_memo.clear()
+    for ub in (ub1, ub2):
+        # one rule of a new profile: the last profile's tables are gone
+        bilinear_radial(ub, ub, w, N6, S6, ub.support, r_breaks=np.linspace(0.0, 2.0, 5))
+        assert [k[0] for k in quad._core_memo] == [ub]
+        # three rules: the oldest is dropped
+        seminorm_radial(ub, w, N6, S6, ub.support)
+        assert [k[0] for k in quad._core_memo] == [ub] * quad._CORE_RULES
+    # a profile that is never memoized empties the memo before it is read
+    seen = []
+
+    def getoor(r):
+        seen.append(len(quad._core_memo))
+        return np.maximum(1.0 - r * r, 0.0) ** S6
+
+    seminorm_radial(getoor, w, N6, S6, 1.0)
+    assert seen and set(seen) == {0} and quad._core_memo == {}
+
+
+def test_core_memo_under_threads():
+    # more threads than cores share the memo while three profiles on two
+    # rules keep evicting each other; a torn update would raise or return
+    # another key's table
+    tn, _ = quad._kernel_row(N6, S6, quad.N_T)
+    rules = [np.linspace(0.05, 1.95, 9), np.linspace(0.1, 1.9, 7)]
+    profiles = [truncated_bubble(e, S6, N6, 1.0) for e in (0.3, 0.1)] + [Bubble(eps=0.2, s=S6, n=N6)]
+    cases = [(p, rn, rn[:, None] * tn[None, :]) for p in profiles for rn in rules]
+    ref = [(p.radial_value(rn).tobytes(), (p.radial_value(rn)[:, None] - p.radial_value(inner)).tobytes())
+           for p, rn, inner in cases]
+    errors = []
+
+    def work(j):
+        try:
+            for i in range(400):
+                c = (i // 3 + j) % len(cases)  # a few calls per case, then the next
+                p, rn, inner = cases[c]
+                u, d = quad._core_diffs(p, rn, tn, inner)
+                assert (u.tobytes(), d.tobytes()) == ref[c]
+        except Exception as exc:  # reported below, from the main thread
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(quad._core_memo) <= quad._CORE_RULES
+    assert len({k[0] for k in quad._core_memo}) <= 1
+
+
+def test_one_profile_table_per_rule(monkeypatch):
+    # three weighted seminorms and a bilinear pass evaluate the profile on
+    # the r x tau table of the coarse and of the halved rule once each (they
+    # evaluated it 7 times without the core memo)
+    ub = truncated_bubble(0.05, S6, N6, 1.0)
+    ndims = []
+    real = TruncatedBubble.radial_value
+
+    def counting(self, r):
+        ndims.append(np.ndim(r))
+        return real(self, r)
+
+    monkeypatch.setattr(TruncatedBubble, "radial_value", counting)
+    quad._core_memo.clear()
+    for call in _bubble_calls(ub, ub.support):
+        call()
+    assert ndims.count(2) == 2
+
+
+def test_bubble_pass_traced_peak_memory():
+    # two bubbles' passes (three weighted seminorms and a bilinear each) with
+    # cold memos: about 34.8 MiB with each table evaluated afresh, 33.0 MiB
+    # with a memo that keeps every profile's tables, and 26.6 MiB with one
+    # profile's at a time
+    for call in _bubble_calls(truncated_bubble(0.3, S6, N6, 1.0), 2.0):
+        call()
+    quad._fold_memo.clear()
+    quad._core_memo.clear()
+    tracemalloc.start()
+    try:
+        for eps in (0.02, 0.05):
+            for call in _bubble_calls(truncated_bubble(eps, S6, N6, 1.0), 2.0):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * 2**20
 
 
 class _DuckWeight:
