@@ -53,12 +53,11 @@ share radii, the coarse and fine passes, and the nested grids of
 :mod:`fracvar.solver` share rows, bit for bit.  The other half of the core,
 the profile's values and differences on the r x tau table, depends on the
 profile, the tau row and the radii, not on the weight.  So the table of a
-:class:`~fracvar.bubble.Bubble` or :class:`~fracvar.bubble.TruncatedBubble`
-(by value) is memoized per tau row and radii (:func:`_core_diffs`): the
-pair forms of one profile under several weights share its coarse and its
-halved table.  The memo holds the most recent profile only, on at most two
-radial rules, and a pair form on any other profile empties it first, so the
-tables of a profile live no longer than its run of pair forms.
+:class:`~fracvar.bubble.TruncatedBubble` (by value) is memoized per tau row
+and radii (:func:`_core_diffs`): the pair forms of one truncated bubble
+under several weights share its coarse and its halved table.  The memo
+holds the most recent profile only, on at most two radial rules, and a pair
+form on any other profile empties it first.
 """
 
 from __future__ import annotations
@@ -312,9 +311,9 @@ def _fold_rows(w, n: int, s: float, rn: np.ndarray, *, r_hi: float, n_t: int) ->
 # The memo of core tables: per (profile, tau row, radii), the profile's values
 # at the radii and its differences across the tau row.  It holds one profile
 # only, on at most _CORE_RULES radial rules (a seminorm's coarse and halved
-# passes), the oldest dropped first; a table of any other profile empties it
-# first, so no table outlives its profile's run of pair forms.  The lock
-# makes each update whole under threads.
+# passes), the oldest dropped first; a pair form on any other profile
+# empties it first, so the tables live until the next profile's pair form.
+# The lock makes each update whole under threads.
 _CORE_RULES = 2
 _core_memo: dict = {}
 _core_lock = threading.Lock()
@@ -325,16 +324,19 @@ def _core_diffs(p, rn: np.ndarray, tn: np.ndarray, inner_r: np.ndarray):
 
     ``inner_r`` is ``rn[:, None] * tn[None, :]``.  The table depends on
     neither the weight nor the tau weights, so the pair forms of one profile
-    under several weights share it, bit for bit.  Only a :class:`Bubble` and
-    a :class:`TruncatedBubble`, which are frozen and compared by value, are
-    memoized, and their tables are read-only; any other profile object could
-    change between calls, so its table is always computed afresh.
+    under several weights share it, bit for bit.  Only a
+    :class:`TruncatedBubble`, which is frozen and compared by value, is
+    memoized, and its tables are read-only.  Any other profile object could
+    change between calls, and no caller repeats a free :class:`Bubble`'s
+    table (its tables, kept, would outlive the one seminorm of
+    :func:`fracvar.constants.bubble_constants`), so their tables are always
+    computed afresh.
     """
     def table():
         u = p.radial_value(rn)
         return u, u[:, None] - p.radial_value(inner_r)
 
-    memoized = type(p) is Bubble or type(p) is TruncatedBubble
+    memoized = type(p) is TruncatedBubble
     with _core_lock:
         if not memoized:
             _core_memo.clear()

@@ -373,17 +373,14 @@ def _bubble_calls(ub, r_max):
         lambda: bilinear_radial(ub, ub, _CONTINUUM_WEIGHTS[-1], N6, S6, r_max)]
 
 
-@pytest.mark.parametrize("ub, r_max", [
-    (truncated_bubble(0.05, S6, N6, 1.0), 2.0),
-    (Bubble(eps=0.2, s=S6, n=N6), 3.0),
-], ids=["truncated", "free"])
-def test_core_memo_is_bit_for_bit(ub, r_max):
+def test_core_memo_is_bit_for_bit():
     # the weights share the profile's core tables; each value equals the one
     # computed with the memo cleared before it
+    ub = truncated_bubble(0.05, S6, N6, 1.0)
     quad._core_memo.clear()
-    warm = _pass_hex(call() for call in _bubble_calls(ub, r_max))
+    warm = _pass_hex(call() for call in _bubble_calls(ub, ub.support))
     cold = []
-    for call in _bubble_calls(ub, r_max):
+    for call in _bubble_calls(ub, ub.support):
         quad._core_memo.clear()
         cold += _pass_hex([call()])
     assert warm == cold
@@ -429,6 +426,11 @@ def test_core_memo_holds_one_profile():
 
     seminorm_radial(getoor, w, N6, S6, 1.0)
     assert seen and set(seen) == {0} and quad._core_memo == {}
+    # so is a free bubble, whose tables no caller repeats
+    seminorm_radial(ub2, w, N6, S6, ub2.support)
+    free = Bubble(eps=0.2, s=S6, n=N6)
+    bilinear_radial(free, free, None, N6, S6, 3.0)
+    assert quad._core_memo == {}
 
 
 def test_core_memo_under_threads():
@@ -437,7 +439,7 @@ def test_core_memo_under_threads():
     # another key's table
     tn, _ = quad._kernel_row(N6, S6, quad.N_T)
     rules = [np.linspace(0.05, 1.95, 9), np.linspace(0.1, 1.9, 7)]
-    profiles = [truncated_bubble(e, S6, N6, 1.0) for e in (0.3, 0.1)] + [Bubble(eps=0.2, s=S6, n=N6)]
+    profiles = [truncated_bubble(e, S6, N6, 1.0) for e in (0.3, 0.1, 0.02)]
     cases = [(p, rn, rn[:, None] * tn[None, :]) for p in profiles for rn in rules]
     ref = [(p.radial_value(rn).tobytes(), (p.radial_value(rn)[:, None] - p.radial_value(inner)).tobytes())
            for p, rn, inner in cases]
