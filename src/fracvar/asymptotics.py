@@ -323,8 +323,8 @@ def check_delta_lemma(k: float, R: float, seed: int = 0) -> DeltaLemmaResult:
     delta = 2^{k-4} k^2 R^{k-2}.  Returns the worst observed ratio against
     the bound (1.0 means the bound is attained).
     """
-    if k < 2.0 or R <= 0.0:
-        raise ValueError("need k >= 2 and R > 0")
+    if not (2.0 <= k < math.inf and 0.0 < R < math.inf):
+        raise ValueError("need 2 <= k < inf and 0 < R < inf")
     delta = 2.0 ** (k - 4.0) * k**2 * R ** (k - 2.0)
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -144,28 +144,20 @@ class ConstantSet:
 
 
 @lru_cache(maxsize=None)
-def _ks_numeric(n: int, s: float) -> float:
-    """Gagliardo seminorm of the unit bubble by deterministic radial quadrature.
-
-    The profile decays like r^-(n-2s), so the outer truncation radius is
-    chosen to push the neglected far-far mass below ~1e-8 relative.
-    """
+def _bubble_constants_cached(n: int, s: float, q: float | None) -> ConstantSet:
+    """The constant set of :func:`bubble_constants`, cached per (n, s, q)."""
     from . import quad
     from .bubble import Bubble
 
-    r_max = max(120.0, 10.0 ** (8.0 / (n - 2.0 * s)))
-    return quad.seminorm_radial(Bubble(eps=1.0, s=s, n=n), None, n, s, r_max).value
-
-
-@lru_cache(maxsize=None)
-def _bubble_constants_cached(n: int, s: float, q: float | None) -> ConstantSet:
     qs = 2.0 * n / (n - 2.0 * s)
     Kqs = lebesgue_power_integral(n, n)  # exponent q_s (n - 2s)/2 = n
     K2s = lebesgue_power_integral(n, n - 2.0 * s)
     Kq_s = None
     if q is not None:
         Kq_s = lebesgue_power_integral(n, q * (n - 2.0 * s) / 2.0)
-    Ks = _ks_numeric(n, s)
+    # Ks truncated where the bubble's r^-(n-2s) decay leaves < ~1e-8 relative far-far mass
+    r_max = max(120.0, 10.0 ** (8.0 / (n - 2.0 * s)))
+    Ks = quad.seminorm_radial(Bubble(eps=1.0, s=s, n=n), None, n, s, r_max).value
     Ss = Ks / Kqs ** (2.0 / qs)
     return ConstantSet(n=n, s=s, q=q, Kqs=Kqs, Kq_s=Kq_s, K2s=K2s, Ks=Ks, Ss=Ss)
 

@@ -22,11 +22,11 @@ the node's term reads u' off the secant across the band and a profile is
 read by value only.  The outer fold accounts exactly for the pairs whose
 larger radius exceeds r_hi, where u vanishes.  The prefactor
 2 sigma(S^{n-1}) collects the ordered-pair doubling and the x'-sphere measure.
-The band width delta = ``DELTA``, the floor ``T_FLOOR`` of the tau-panels at
-the origin and the Gauss-Legendre points per radial and tau panel (``N_R``,
-``N_T``) are module constants.  :func:`seminorm_radial` adds a pass on halved
-radial panels and reports the shift as its error; :func:`bilinear_radial` and
-:func:`ball_restricted_form` are single passes.
+The band width delta = ``DELTA`` and the floor ``T_FLOOR`` of the tau-panels
+at the origin are module constants; the rest of the rule is one value, a
+:class:`PairRule`.  :func:`seminorm_radial` adds a pass on its rule's
+:meth:`~PairRule.refined` rule and reports the shift as its error;
+:func:`bilinear_radial` and :func:`ball_restricted_form` are single passes.
 
 Every profile and weight is radial about the origin, and
 :func:`radial_power_integral` is the one power sum of a profile.
@@ -41,22 +41,19 @@ the angle between x and z.  Each pair carries a balance-heuristic weight
 over the two symmetric generation routes.
 
 The core's tau row (:func:`_kernel_row`, the band's node last) depends on
-neither the weight nor the profile, so it is cached per quadrature rule.
-The FE stiffness of :mod:`fracvar.solver` is this pair form on the hat
-basis, on the same row, so the band |tau - 1| < delta is modelled in this
-module only.  A row of the outer fold depends on its inner radius, the
-weight and the geometry (n, s, r_hi, n_t), not on the profile, and it is
-computed on its own.  So the rows of the unit weight and of a
-:class:`~fracvar.problem.WeightModel` are memoized by exact radius, per
-weight (by value) and geometry (:func:`_fold_rows`): profiles whose panels
-share radii, the coarse and fine passes, and the nested grids of
-:mod:`fracvar.solver` share rows, bit for bit.  The other half of the core,
-the profile's values and differences on the r x tau table, depends on the
-profile, the tau row and the radii, not on the weight.  So the table of a
-:class:`~fracvar.bubble.TruncatedBubble` (by value) is memoized per tau row
-and radii (:func:`_core_diffs`): the pair forms of one truncated bubble
-under several weights share its coarse and its halved table.  The memo
-holds the most recent profile only, on at most two radial rules, and a pair
+neither the weight nor the profile, so it is cached per rule.  The FE
+stiffness of :mod:`fracvar.solver` is this pair form on the hat basis, on
+its own rule, so the band |tau - 1| < delta is modelled in this module
+only.  A row of the outer fold depends on its inner radius, the weight and
+the geometry (n, s, r_hi, n_t), not on the profile.  So the rows of the
+unit weight and of a :class:`~fracvar.problem.WeightModel` are memoized by
+exact radius, per weight (by value) and geometry (:func:`_fold_rows`):
+profiles, passes and nested grids that share radii share rows, bit for
+bit.  The core's profile table (values and differences on the r x tau
+table) depends on the profile and the rule, not on the weight.  So a
+:class:`~fracvar.bubble.TruncatedBubble`'s (by value) is memoized per rule
+(:func:`_core_diffs`), shared by its pair forms under several weights.  The
+memo holds the most recent profile only, on at most two rules, and a pair
 form on any other profile empties it first.
 """
 
@@ -68,6 +65,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -80,12 +78,9 @@ from .problem import WeightModel
 
 # DELTA is the width of the |tau - 1| band of the Lipschitz model; T_FLOOR
 # bounds the t-panel next to the origin, in the core's tau rule and in the
-# outer fold's relative rule.  N_R and N_T are the pair form's Gauss-Legendre
-# points per radial panel and per tau-panel.
+# outer fold's relative rule.
 DELTA = 1e-6
 T_FLOOR = 1e-9
-N_R = 14
-N_T = 12
 # batches of the Monte Carlo estimators; their spread gives the standard error
 MC_BATCHES = 64
 
@@ -96,6 +91,23 @@ class SeminormEstimate:
     abs_error: float
     method: str  # "RadialDeterministic" | "MonteCarlo"
     samples_or_panels: int
+
+
+class PairRule(NamedTuple):
+    """The pair form's quadrature rule, a value: ``n_r`` Gauss-Legendre points per radial panel
+    of ``breaks``, and ``n_t`` per tau-panel of :func:`_kernel_row` and per t-panel of the outer fold."""
+
+    breaks: tuple[float, ...]
+    n_r: int
+    n_t: int
+
+    def radial_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        return panel_nodes(self.breaks, self.n_r)
+
+    def refined(self) -> PairRule:
+        """This rule with each radial panel halved; the tau and t rules are unchanged."""
+        b = np.asarray(self.breaks, dtype=float)
+        return self._replace(breaks=tuple(np.unique(np.concatenate([b, 0.5 * (b[1:] + b[:-1])])).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +161,12 @@ def default_r_breaks(profile, r_hi: float) -> np.ndarray:
 # Kernel helpers
 # ---------------------------------------------------------------------------
 
+def _t_panels(top: float, floor: float) -> np.ndarray:
+    """Breaks on [0, top], graded toward 0 (floor ``T_FLOOR``) below 1/2 and toward ``top`` (``floor``) above."""
+    lo = geometric_refine(0.0, 0.5, toward=0.0, floor=T_FLOOR)
+    return np.unique(np.concatenate([lo, geometric_refine(0.5, top, toward=top, floor=floor)]))
+
+
 @lru_cache(maxsize=8)
 def _kernel_row(n: int, s: float, n_t: int):
     """The core's tau rule (``tn``, ``tau_fac = tw * tn**(n-1) * K(tn)``), read-only.
@@ -160,9 +178,7 @@ def _kernel_row(n: int, s: float, n_t: int):
     the radial panels, so every pair form and every assembly on the same rule
     shares it.
     """
-    lo = geometric_refine(0.0, 0.5, toward=0.0, floor=T_FLOOR)
-    hi = geometric_refine(0.5, 1.0 - DELTA, toward=1.0 - DELTA, floor=DELTA)
-    tn, tw = panel_nodes(np.unique(np.concatenate([lo, hi])), n_t)
+    tn, tw = panel_nodes(_t_panels(1.0 - DELTA, DELTA), n_t)
     tau_fac = tw * tn ** (n - 1) * kernel_batch(n, s, tn)
     k_edge = float(kernel_batch(n, s, np.array([1.0 - DELTA]))[0])
     band = k_edge * DELTA ** (1.0 + 2.0 * s) * DELTA ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
@@ -221,9 +237,7 @@ def _weight_fns(w):
 @lru_cache(maxsize=8)
 def _rel_outer_rule(n_t: int):
     """(first break, nodes, weights) of the outer fold's relative t-panels past 0, read-only."""
-    lo = geometric_refine(0.0, 0.5, toward=0.0, floor=T_FLOOR)
-    hi = geometric_refine(0.5, 1.0, toward=1.0, floor=1e-7)
-    rel = np.unique(np.concatenate([lo, hi]))[1:]
+    rel = _t_panels(1.0, 1e-7)[1:]
     reln, relw = panel_nodes(rel, n_t)
     reln.flags.writeable = False
     relw.flags.writeable = False
@@ -308,8 +322,8 @@ def _fold_rows(w, n: int, s: float, rn: np.ndarray, *, r_hi: float, n_t: int) ->
     return vals[np.searchsorted(radii, rn)]
 
 
-# The memo of core tables: per (profile, tau row, radii), the profile's values
-# at the radii and its differences across the tau row.  It holds one profile
+# The memo of core tables: per (profile, rule), the profile's values at the
+# rule's radii and its differences across the tau row.  It holds one profile
 # only, on at most _CORE_RULES radial rules (a seminorm's coarse and halved
 # passes), the oldest dropped first; a pair form on any other profile
 # empties it first, so the tables live until the next profile's pair form.
@@ -319,29 +333,28 @@ _core_memo: dict = {}
 _core_lock = threading.Lock()
 
 
-def _core_diffs(p, rn: np.ndarray, tn: np.ndarray, inner_r: np.ndarray):
+def _core_diffs(p, rule: PairRule, rn: np.ndarray, inner_r: np.ndarray):
     """``(u(rn), u(rn)[:, None] - u(inner_r))`` of profile ``p``, from the memo where it can.
 
-    ``inner_r`` is ``rn[:, None] * tn[None, :]``.  The table depends on
-    neither the weight nor the tau weights, so the pair forms of one profile
-    under several weights share it, bit for bit.  Only a
-    :class:`TruncatedBubble`, which is frozen and compared by value, is
-    memoized, and its tables are read-only.  Any other profile object could
-    change between calls, and no caller repeats a free :class:`Bubble`'s
-    table (its tables, kept, would outlive the one seminorm of
-    :func:`fracvar.constants.bubble_constants`), so their tables are always
-    computed afresh.
+    ``rn`` are the radial nodes of ``rule`` and ``inner_r`` their products
+    with its tau row.  The table depends on neither the weight nor the tau
+    weights, so the pair forms of one profile under several weights share
+    it, bit for bit.  Only a :class:`TruncatedBubble`, which is frozen and
+    compared by value, is memoized, and its tables are read-only.  Any other
+    profile object could change between calls, and no caller repeats a free
+    :class:`Bubble`'s table (its tables, kept, would outlive the one
+    seminorm of :func:`fracvar.constants.bubble_constants`), so their tables
+    are always computed afresh.
     """
     def table():
         u = p.radial_value(rn)
         return u, u[:, None] - p.radial_value(inner_r)
 
-    memoized = type(p) is TruncatedBubble
     with _core_lock:
-        if not memoized:
+        if type(p) is not TruncatedBubble:
             _core_memo.clear()
         else:
-            key = (p, tn.tobytes(), rn.tobytes())
+            key = (p, rule)
             if key not in _core_memo:
                 if any(k[0] != p for k in _core_memo):
                     _core_memo.clear()
@@ -354,8 +367,8 @@ def _core_diffs(p, rn: np.ndarray, tn: np.ndarray, inner_r: np.ndarray):
     return table()
 
 
-def _pair_form(pa, pb, w, n: int, s: float, r_breaks: np.ndarray, *, r_hi: float, include_outer: bool) -> float:
-    """2 sigma(S^{n-1}) (core + outer) of the profiles ``pa`` and ``pb`` on the radial panels ``r_breaks``.
+def _pair_form(pa, pb, w, n: int, s: float, rule: PairRule, *, r_hi: float, include_outer: bool) -> float:
+    """2 sigma(S^{n-1}) (core + outer) of the profiles ``pa`` and ``pb`` on the quadrature ``rule``.
 
     The core's profile tables come from :func:`_core_diffs` and its outer
     fold rows from :func:`_fold_rows`; the products are formed in one fixed
@@ -363,16 +376,14 @@ def _pair_form(pa, pb, w, n: int, s: float, r_breaks: np.ndarray, *, r_hi: float
     """
     two_s = 2.0 * s
     wfun, _ = _weight_fns(w)
-    sig = sphere_surface(n)
 
-    # Gauss-Legendre nodes are interior, so every rn > 0
-    rn, rw = panel_nodes(r_breaks, N_R)
+    rn, rw = rule.radial_nodes()  # Gauss-Legendre nodes are interior, so every rn > 0
 
     # --- core, the band's node at 1 - DELTA last ----------------------
-    tn, tau_fac = _kernel_row(n, s, N_T)
+    tn, tau_fac = _kernel_row(n, s, rule.n_t)
     inner_r = rn[:, None] * tn[None, :]
-    ua, da = _core_diffs(pa, rn, tn, inner_r)
-    ub, db = (ua, da) if pb is pa else _core_diffs(pb, rn, tn, inner_r)
+    ua, da = _core_diffs(pa, rule, rn, inner_r)
+    ub, db = (ua, da) if pb is pa else _core_diffs(pb, rule, rn, inner_r)
     # wb * da * db * tau_fac, in that order, in place
     wb = wfun(rn)[:, None] + wfun(inner_r)
     wb *= 0.5
@@ -384,19 +395,14 @@ def _pair_form(pa, pb, w, n: int, s: float, r_breaks: np.ndarray, *, r_hi: float
 
     # --- outer --------------------------------------------------------
     if include_outer:
-        fold = _fold_rows(w, n, s, rn, r_hi=r_hi, n_t=N_T)
+        fold = _fold_rows(w, n, s, rn, r_hi=r_hi, n_t=rule.n_t)
         total += float(np.sum(rw * ua * ub * rn ** (n - 1.0 - two_s) * fold))
 
-    return 2.0 * sig * total
+    return 2.0 * sphere_surface(n) * total
 
 
-def _halved(breaks: np.ndarray) -> np.ndarray:
-    breaks = np.asarray(breaks, dtype=float)
-    return np.unique(np.concatenate([breaks, 0.5 * (breaks[1:] + breaks[:-1])]))
-
-
-def _breaks_to(r_breaks, r_hi: float, *profiles) -> np.ndarray:
-    """Radial panel breaks (``r_breaks``, or the profiles' default union) clipped to end at r_hi."""
+def _breaks_to(r_breaks, r_hi: float, *profiles) -> PairRule:
+    """The profile rule, 14 and 12 points per panel, on ``r_breaks`` or the profiles' default union, to r_hi."""
     if r_breaks is not None:
         breaks = np.asarray(r_breaks, dtype=float)
     else:
@@ -404,7 +410,7 @@ def _breaks_to(r_breaks, r_hi: float, *profiles) -> np.ndarray:
     breaks = breaks[breaks <= r_hi * (1.0 + 1e-15)]
     if breaks[-1] < r_hi:
         breaks = np.append(breaks, r_hi)
-    return breaks
+    return PairRule(tuple(breaks.tolist()), 14, 12)
 
 
 def seminorm_radial(u, w, n: int, s: float, r_max: float, *, r_breaks=None) -> SeminormEstimate:
@@ -414,17 +420,17 @@ def seminorm_radial(u, w, n: int, s: float, r_max: float, *, r_breaks=None) -> S
     [0, r_max]); ``w`` is a weight with ``radial(r)`` and its far-field
     limit ``far``, or None for the unit weight.  ``r_breaks`` overrides the
     profile-adapted radial panels.  The form is computed on the panels and
-    again with each one halved: the value is the finer pass, and
-    ``abs_error`` the shift between the two.  The single-pass value on the
-    same panels is ``bilinear_radial(u, u, ...)``.
+    again with each one halved (:meth:`PairRule.refined`): the value is the
+    finer pass, and ``abs_error`` the shift between the two.  The
+    single-pass value on the same panels is ``bilinear_radial(u, u, ...)``.
     """
     prof = as_profile(u, r_max)
     r_hi = min(r_max, prof.support) if math.isfinite(prof.support) else r_max
-    breaks = _breaks_to(r_breaks, r_hi, prof)
-    coarse = _pair_form(prof, prof, w, n, s, breaks, r_hi=r_hi, include_outer=True)
-    fine = _pair_form(prof, prof, w, n, s, _halved(breaks), r_hi=r_hi, include_outer=True)
+    rule = _breaks_to(r_breaks, r_hi, prof)
+    coarse = _pair_form(prof, prof, w, n, s, rule, r_hi=r_hi, include_outer=True)
+    fine = _pair_form(prof, prof, w, n, s, rule.refined(), r_hi=r_hi, include_outer=True)
     return SeminormEstimate(value=fine, abs_error=abs(fine - coarse), method="RadialDeterministic",
-                            samples_or_panels=2 * (len(breaks) - 1))
+                            samples_or_panels=2 * (len(rule.breaks) - 1))
 
 
 def bilinear_radial(u, v, w, n: int, s: float, r_max: float, *, r_breaks=None) -> float:

@@ -2,22 +2,22 @@
 
 Fields are continuous piecewise-linear radial functions on a graded grid
 0 = r_0 < ... < r_M = R, extended by zero beyond R.  The stiffness matrix A
-is the pair form of :mod:`fracvar.quad` on the hat basis, on its own rule:
-core rows, one per (r, tau) node, the |tau - 1| < delta band being one more
-tau node, and outer-fold rows.  Each row holds its square-rooted,
-nonnegative contribution on at most four hat coefficients, so A = X^T X for
-the factor X of all rows, symmetric positive semidefinite by construction
-and exactly linear in the weight.  X is never stored whole: scipy forms the
-Gram product of one block of rows at a time (:func:`_gram`), so the working
-set is a block, not the million rows of a fine grid.  The mass matrix is
-the Gram matrix of its quadrature rows, by the same routine.  The assembled
-operator carries the Cholesky factor of A, computed once by
-:func:`assemble`; every solve against A in the package reuses it.  It also
-owns the grid's power-integral rule (:class:`GridRule`: per-interval
-Gauss-Legendre weights, the Jacobian r^(n-1) and the hat values at the
-panel nodes), built once beside the factor, so the descents below
-interpolate a dof vector and integrate its powers without rebuilding the
-rule or a validated field at every step.
+is the pair form of :mod:`fracvar.quad` on the hat basis, on its own rule
+(:func:`stiffness_rule`): core rows, one per (r, tau) node, the band
+|tau - 1| < delta being one more tau node, and outer-fold rows.  Each row
+holds its square-rooted, nonnegative contribution on at most four hat
+coefficients, so A = X^T X for the factor X of all rows, symmetric positive
+semidefinite by construction and exactly linear in the weight.  X is never
+stored whole: scipy forms the Gram product of one block of rows at a time
+(:func:`_gram`), so the working set is a block, not the million rows of a
+fine grid.  The mass matrix is the Gram matrix of its quadrature rows, by
+the same routine.  The assembled operator carries the Cholesky factor of A,
+computed once by :func:`assemble`; every solve against A in the package
+reuses it.  It also owns the grid's power-integral rule (:class:`GridRule`:
+per-interval Gauss-Legendre weights, the Jacobian r^(n-1) and the hat
+values at the panel nodes), built once beside the factor, so the descents
+below interpolate a dof vector and integrate its powers without rebuilding
+the rule or a validated field at every step.
 
 The constrained infimum
 
@@ -46,11 +46,11 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.sparse import csr_array
 
-from ._panels import gl_rule, panel_nodes
+from ._panels import gl_rule
 from .bubble import truncated_bubble
 from .constants import bubble_constants, sphere_surface
 from .problem import ProblemParams, critical_exponent, weight_from_params
-from .quad import _fold_rows, _kernel_row
+from .quad import PairRule, _fold_rows, _kernel_row
 
 
 class SolverError(RuntimeError):
@@ -79,8 +79,8 @@ class RadialField:
         values = np.asarray(self.values, dtype=float)
         if nodes.ndim != 1 or nodes.shape != values.shape or len(nodes) < 3:
             raise ValueError("need matching 1-d node/value arrays with at least 3 nodes")
-        if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("nodes must increase strictly from 0")
+        if not _increasing_from_zero(nodes):
+            raise ValueError("nodes must be finite and increase strictly from 0")
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite")
         if values[-1] != 0.0:
@@ -104,10 +104,15 @@ class RadialField:
         return np.interp(r, self.nodes, self.values, right=0.0)
 
 
+def _increasing_from_zero(nodes: np.ndarray) -> bool:
+    """Whether 1-d ``nodes`` start at 0 and increase strictly to a finite end (NaN fails)."""
+    return nodes[0] == 0.0 and bool(np.all(np.diff(nodes) > 0.0)) and math.isfinite(nodes[-1])
+
+
 def make_grid(R: float, M: int = 128) -> np.ndarray:
     """Radial nodes 0, R*1.05^(1-M), ..., R: geometric clustering toward 0."""
-    if M < 4 or R <= 0.0:
-        raise ValueError("need M >= 4 and R > 0")
+    if not (M >= 4 and 0.0 < R < math.inf):
+        raise ValueError("need M >= 4 and 0 < R < inf")
     j = np.arange(1, M + 1, dtype=float)
     return np.concatenate([[0.0], R * 1.05 ** (j - M)])
 
@@ -182,9 +187,6 @@ class StiffnessOperator:
 # r-nodes per block of core rows: a block of the factor X is added into the
 # dense Gram matrix before the next one is built
 GRAM_BLOCK = 64
-# the stiffness rule: Gauss-Legendre points per grid interval and per tau-panel
-GRID_N_R = 4
-GRID_N_T = 10
 
 
 def _gram(M: int, blocks) -> tuple[np.ndarray, int]:
@@ -210,29 +212,34 @@ def _gram(M: int, blocks) -> tuple[np.ndarray, int]:
     return G, n_rows
 
 
-def _stiffness_rows(params: ProblemParams, nodes: np.ndarray):
-    """The rows of the stiffness factor X, as :func:`_gram` blocks.
+def stiffness_rule(nodes: np.ndarray) -> PairRule:
+    """A's quadrature rule on grid nodes: 4 radial points per interval, 10 per tau-panel."""
+    return PairRule(tuple(np.asarray(nodes, dtype=float).tolist()), 4, 10)
 
-    The rows are :mod:`fracvar.quad`'s pair form on the hat basis:
-    ``GRID_N_R`` Gauss-Legendre points per grid interval and
-    :func:`fracvar.quad._kernel_row` with ``GRID_N_T`` points per tau-panel,
-    the band's node included.  The core rows come ``GRAM_BLOCK`` r-nodes at
-    a time and the outer rows last, but the outer fold is computed first,
-    while no block or product is alive, which keeps the peak memory down.
+
+def _stiffness_rows(params: ProblemParams, rule: PairRule):
+    """The rows of the stiffness factor X on the grid ``rule.breaks``, as :func:`_gram` blocks.
+
+    The rows are :mod:`fracvar.quad`'s pair form on the hat basis on
+    ``rule``, the band's node of :func:`fracvar.quad._kernel_row` included.
+    The core rows come ``GRAM_BLOCK`` r-nodes at a time and the outer rows
+    last, but the outer fold is computed first, while no block or product is
+    alive, which keeps the peak memory down.
     """
     n, s = params.n, params.s
     weight = weight_from_params(params)
+    nodes = np.asarray(rule.breaks)
 
-    rn, rw = panel_nodes(nodes, GRID_N_R)
+    rn, rw = rule.radial_nodes()
     ia0, va0, ia1, va1 = _hat_at(nodes, rn)
     radial = rw * rn ** (n - 1.0 - 2.0 * s)
 
     # outer rows: pairs whose far radius exceeds R, where the field vanishes
-    sq_out = np.sqrt(radial * _fold_rows(weight, n, s, rn, r_hi=nodes[-1], n_t=GRID_N_T))
+    sq_out = np.sqrt(radial * _fold_rows(weight, n, s, rn, r_hi=nodes[-1], n_t=rule.n_t))
 
     # core rows: one per (r-node, tau-node) ordered pair
     wr = weight.radial(rn)
-    tn, tau_fac = _kernel_row(n, s, GRID_N_T)
+    tn, tau_fac = _kernel_row(n, s, rule.n_t)
     nt = len(tn)
     for lo in range(0, len(rn), GRAM_BLOCK):
         blk = slice(lo, lo + GRAM_BLOCK)
@@ -250,17 +257,16 @@ def assemble(params: ProblemParams, grid) -> StiffnessOperator:
     """Assemble the weighted Gagliardo stiffness and the mass matrix.
 
     ``grid`` is either a node array or an integer M (expanded through
-    :func:`make_grid` with the problem radius).  The stiffness takes
-    ``GRID_N_R`` Gauss-Legendre points per interval and ``GRID_N_T`` per
-    tau-panel; the mass matrix is exact, by the 8-point :func:`grid_rule`
-    (more from n = 14).
+    :func:`make_grid` with the problem radius).  The stiffness is the pair
+    form on :func:`stiffness_rule`; the mass matrix is exact, by the 8-point
+    :func:`grid_rule` (more from n = 14).
     """
     nodes = make_grid(params.R, int(grid)) if np.isscalar(grid) else np.asarray(grid, dtype=float)
-    if nodes.ndim != 1 or len(nodes) < 5 or nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0.0):
-        raise ValueError("grid must be increasing nodes starting at 0 with at least 4 intervals")
+    if nodes.ndim != 1 or len(nodes) < 5 or not _increasing_from_zero(nodes):
+        raise ValueError("grid must be finite increasing nodes starting at 0 with at least 4 intervals")
     M = len(nodes) - 1
     n = params.n
-    G, n_rows = _gram(M, _stiffness_rows(params, nodes))
+    G, n_rows = _gram(M, _stiffness_rows(params, stiffness_rule(nodes)))
     A = 2.0 * sphere_surface(n) * G
 
     # the mass rows: per-interval Gauss-Legendre on phi_i phi_j r^(n-1)

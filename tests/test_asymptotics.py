@@ -205,3 +205,13 @@ def test_delta_lemma_exact_bits(few_trials):
 def test_delta_lemma_input_validation():
     with pytest.raises(ValueError):
         check_delta_lemma(1.5, 1.0)
+
+
+@pytest.mark.parametrize("k, R", [(math.nan, 1.0), (math.inf, 1.0), (2.0, math.inf), (2.0, math.nan)],
+                         ids=["k-nan", "k-inf", "R-inf", "R-nan"])
+def test_delta_lemma_rejects_non_finite_inputs(k, R):
+    # NaN compares false, so "k < 2 or R <= 0" let these through: a NaN R
+    # rejected every draw and never returned, the others reported passed=True
+    # from a NaN ratio that max(0.0, nan) drops
+    with pytest.raises(ValueError):
+        check_delta_lemma(k, R)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fracvar._panels import panel_nodes
 from fracvar.bubble import Bubble, TruncatedBubble, truncated_bubble
 from fracvar.constants import bubble_constants, sphere_surface
 from fracvar import quad
@@ -23,7 +22,7 @@ from fracvar.quad import (
     seminorm_mc,
     seminorm_radial,
 )
-from fracvar.solver import GRID_N_R, GRID_N_T, make_grid
+from fracvar.solver import make_grid, stiffness_rule
 
 N6, S6 = 6, 0.5
 
@@ -256,9 +255,9 @@ def test_callable_power_integral_exact_value():
     assert got == ["0x1.1c8e2cfdb522dp+1", "0x1.2e62bf7f08ad7p+1"]
 
 
-def _pass_radii(breaks):
-    """The pair form's radii of a seminorm on ``breaks``: its coarse and its fine pass."""
-    return np.concatenate([panel_nodes(b, quad.N_R)[0] for b in (breaks, quad._halved(breaks))])
+def _pass_radii(rule):
+    """The pair form's radii of a seminorm on ``rule``: its coarse and its fine pass."""
+    return np.concatenate([r.radial_nodes()[0] for r in (rule, rule.refined())])
 
 
 def test_second_bubble_folds_only_its_new_radii(monkeypatch):
@@ -266,7 +265,7 @@ def test_second_bubble_folds_only_its_new_radii(monkeypatch):
     # the fold rows are shared across profiles by radius
     quad._fold_memo.clear()
     ub1, ub2, ub3 = (truncated_bubble(e, S6, N6, 1.0) for e in (0.3, 0.05, 0.2))
-    b1, b2, b3 = (default_r_breaks(u, u.support) for u in (ub1, ub2, ub3))
+    b1, b2, b3 = (quad._breaks_to(None, u.support, u) for u in (ub1, ub2, ub3))
     w = _CONTINUUM_WEIGHTS[1]
     seminorm_radial(ub1, w, N6, S6, ub1.support)
     rows = []  # radii per spline query: the kernel table has one row per radius
@@ -283,8 +282,8 @@ def test_second_bubble_folds_only_its_new_radii(monkeypatch):
     assert sum(rows) == len(new)
     assert max(rows) <= quad._FOLD_BLOCK
     rows.clear()
-    # a bubble with equal breaks takes every row from the memo
-    assert b3.tobytes() == b1.tobytes()
+    # a bubble with an equal rule takes every row from the memo
+    assert b3 == b1
     seminorm_radial(ub3, w, N6, S6, ub3.support)
     assert rows == []
 
@@ -292,14 +291,14 @@ def test_second_bubble_folds_only_its_new_radii(monkeypatch):
 def test_fold_memo_stays_bounded(monkeypatch):
     rn = np.linspace(0.1, 0.9, 7)
     for i in range(quad._FOLD_KEYS + 5):
-        quad._fold_rows(None, N6, S6, rn, r_hi=1.0 + i / 64, n_t=quad.N_T)
+        quad._fold_rows(None, N6, S6, rn, r_hi=1.0 + i / 64, n_t=12)
         assert len(quad._fold_memo) <= quad._FOLD_KEYS
     assert len(quad._fold_memo) == quad._FOLD_KEYS
     # a key holds at most _FOLD_ROWS radii before the radii of one call
     monkeypatch.setattr(quad, "_FOLD_ROWS", 20)
     for i in range(6):
-        quad._fold_rows(None, N6, S6, rn + i / 8, r_hi=2.0, n_t=quad.N_T)
-        radii, vals = quad._fold_memo[(None, N6, S6, 2.0, quad.N_T)]
+        quad._fold_rows(None, N6, S6, rn + i / 8, r_hi=2.0, n_t=12)
+        radii, vals = quad._fold_memo[(None, N6, S6, 2.0, 12)]
         assert len(radii) == len(vals) <= 20 + len(rn)
     assert len(radii) < 6 * len(rn)
 
@@ -314,14 +313,14 @@ def test_fold_memo_under_threads():
     rn = np.linspace(0.05, 0.95, 9)
     wfun, wfar = quad._weight_fns(None)
     r_his = [1.0 + i / 64 for i in range(quad._FOLD_KEYS + 4)]
-    ref = {r: _hex(quad._outer_fold(rn, wfun, wfar, N6, S6, r_hi=r, n_t=quad.N_T)) for r in r_his}
+    ref = {r: _hex(quad._outer_fold(rn, wfun, wfar, N6, S6, r_hi=r, n_t=12)) for r in r_his}
     errors = []
 
     def work(j):
         try:
             for i in range(400):
                 r_hi, lo = r_his[(i + 5 * j) % len(r_his)], i % 3
-                got = quad._fold_rows(None, N6, S6, rn[lo:], r_hi=r_hi, n_t=quad.N_T)
+                got = quad._fold_rows(None, N6, S6, rn[lo:], r_hi=r_hi, n_t=12)
                 assert _hex(got) == ref[r_hi][lo:]
         except Exception as exc:  # reported below, from the main thread
             errors.append(exc)
@@ -347,16 +346,17 @@ def test_fold_memo_rows_equal_one_fold_of_all_radii(w):
     # the row of one _outer_fold call on the whole radius array, bit for bit
     wfun, wfar = quad._weight_fns(w)
     ub = truncated_bubble(0.05, S6, N6, 1.0)
-    breaks = default_r_breaks(ub, ub.support)
-    pair = [panel_nodes(b, quad.N_R)[0] for b in (breaks, quad._halved(breaks))]
-    grids = [panel_nodes(make_grid(5.0, m), GRID_N_R)[0] for m in (128, 256)]
-    cases = [(rn, ub.support, quad.N_T) for rn in pair] + [(rn, 5.0, GRID_N_T) for rn in grids]
+    rule = quad._breaks_to(None, ub.support, ub)
+    grid_rules = [stiffness_rule(make_grid(5.0, m)) for m in (128, 256)]
+    cases = [(r.radial_nodes()[0], ub.support, r.n_t) for r in (rule, rule.refined())]
+    cases += [(r.radial_nodes()[0], 5.0, r.n_t) for r in grid_rules]
+    grids = [rn for rn, _, _ in cases[2:]]
     quad._fold_memo.clear()
     for rn, r_hi, n_t in cases + cases:  # a cold memo, then a warm one
         got = quad._fold_rows(w, N6, S6, rn, r_hi=r_hi, n_t=n_t)
         assert _hex(got) == _hex(quad._outer_fold(rn, wfun, wfar, N6, S6, r_hi=r_hi, n_t=n_t))
     # the M = 256 grid refines only the first interval of the M = 128 grid
-    assert len(grids[0]) > quad._FOLD_BLOCK and np.isin(grids[0][GRID_N_R:], grids[1]).all()
+    assert len(grids[0]) > quad._FOLD_BLOCK and np.isin(grids[0][grid_rules[0].n_r:], grids[1]).all()
 
 
 def _pass_hex(calls):
@@ -387,23 +387,24 @@ def test_core_memo_is_bit_for_bit():
     assert all(not a.flags.writeable for table in quad._core_memo.values() for a in table)
 
 
-def test_core_memo_key_covers_the_rules(monkeypatch):
-    # a table is keyed by its tau row and its radii, so changing N_T or N_R
-    # between two calls on one profile never reads a stale table
+def test_core_memo_key_covers_the_rules():
+    # a table is keyed by its rule, so a change of the tau or the radial
+    # points between two calls on one profile never reads a stale table
     ub = truncated_bubble(0.1, S6, N6, 1.0)
     w = _CONTINUUM_WEIGHTS[1]
+    rule = quad._breaks_to(None, ub.support, ub)
 
-    def est():
-        got = seminorm_radial(ub, w, N6, S6, ub.support)
-        return got.value.hex(), got.abs_error.hex()
+    def est(r):
+        # the seminorm's two passes: its coarse and its refined rule
+        return [quad._pair_form(ub, ub, w, N6, S6, q, r_hi=ub.support, include_outer=True).hex()
+                for q in (r, r.refined())]
 
     quad._core_memo.clear()
-    first = est()
-    for name, value in (("N_T", 10), ("N_R", 11)):
-        monkeypatch.setattr(quad, name, value)
-        warm = est()
+    first = est(rule)
+    for other in (rule._replace(n_t=10), rule._replace(n_r=11)):
+        warm = est(other)
         quad._core_memo.clear()
-        assert warm == est() != first
+        assert warm == est(other) != first
 
 
 def test_core_memo_holds_one_profile():
@@ -437,20 +438,20 @@ def test_core_memo_under_threads():
     # more threads than cores share the memo while three profiles on two
     # rules keep evicting each other; a torn update would raise or return
     # another key's table
-    tn, _ = quad._kernel_row(N6, S6, quad.N_T)
-    rules = [np.linspace(0.05, 1.95, 9), np.linspace(0.1, 1.9, 7)]
+    rules = [quad.PairRule((0.05, 1.0, 1.95), 4, 12), quad.PairRule((0.1, 0.7, 1.3, 1.9), 2, 10)]
+    tables = [(r, r.radial_nodes()[0], quad._kernel_row(N6, S6, r.n_t)[0]) for r in rules]
     profiles = [truncated_bubble(e, S6, N6, 1.0) for e in (0.3, 0.1, 0.02)]
-    cases = [(p, rn, rn[:, None] * tn[None, :]) for p in profiles for rn in rules]
+    cases = [(p, r, rn, rn[:, None] * tn[None, :]) for p in profiles for r, rn, tn in tables]
     ref = [(p.radial_value(rn).tobytes(), (p.radial_value(rn)[:, None] - p.radial_value(inner)).tobytes())
-           for p, rn, inner in cases]
+           for p, _, rn, inner in cases]
     errors = []
 
     def work(j):
         try:
             for i in range(400):
                 c = (i // 3 + j) % len(cases)  # a few calls per case, then the next
-                p, rn, inner = cases[c]
-                u, d = quad._core_diffs(p, rn, tn, inner)
+                p, rule, rn, inner = cases[c]
+                u, d = quad._core_diffs(p, rule, rn, inner)
                 assert (u.tobytes(), d.tobytes()) == ref[c]
         except Exception as exc:  # reported below, from the main thread
             errors.append(exc)
@@ -596,15 +597,15 @@ def test_band_node_is_the_lipschitz_model(monkeypatch, profile, slope, w):
     # with every tau weight but the last zeroed, only the band's node at
     # 1 - DELTA is left: band * sum rw w u'^2 r^(n+1-2s), u' in closed form,
     # where the node's weight is band / DELTA^2
-    tn, tau_fac = quad._kernel_row(N6, S6, quad.N_T)
+    r_hi = 2.0
+    rule = quad._breaks_to(None, r_hi, profile)
+    tn, tau_fac = quad._kernel_row(N6, S6, rule.n_t)
     band = tau_fac[-1] * quad.DELTA**2
     only_band = np.zeros_like(tau_fac)
     only_band[-1] = tau_fac[-1]
     monkeypatch.setattr(quad, "_kernel_row", lambda n, s, n_t: (tn, only_band))
-    r_hi = 2.0
-    breaks = default_r_breaks(profile, r_hi)
-    got = quad._pair_form(profile, profile, w, N6, S6, breaks, r_hi=r_hi, include_outer=False)
-    rn, rw = panel_nodes(breaks, quad.N_R)
+    got = quad._pair_form(profile, profile, w, N6, S6, rule, r_hi=r_hi, include_outer=False)
+    rn, rw = rule.radial_nodes()
     wr = np.ones_like(rn) if w is None else w.radial(rn)
     want = 2.0 * sphere_surface(N6) * band * np.sum(rw * wr * slope(profile, rn) ** 2 * rn ** (N6 + 1.0 - 2.0 * S6))
     assert got == pytest.approx(want, rel=1e-5)

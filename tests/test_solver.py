@@ -29,6 +29,7 @@ from fracvar.solver import (
     power_gradient,
     power_integral,
     refinement_check,
+    stiffness_rule,
 )
 
 P = ProblemParams(n=6, s=0.5, k=2, kappa=0.05, lam=21.0, q=2.0, p0=1.0, eta=1.0, R=5.0)
@@ -65,6 +66,25 @@ def test_field_validation():
     bad[1] = math.nan
     with pytest.raises(ValueError):
         RadialField(nodes, bad)
+    # NaN compares false, so "any diff <= 0" read a NaN node as increasing
+    for non_finite in ([0.0, math.nan, 1.0], [0.0, 1.0, math.inf]):
+        with pytest.raises(ValueError):
+            RadialField(np.array(non_finite), np.array([1.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf])
+def test_make_grid_rejects_non_finite_radius(R):
+    with pytest.raises(ValueError):
+        make_grid(R, 8)
+
+
+@pytest.mark.parametrize("at, node", [(3, math.nan), (-1, math.inf)], ids=["nan", "inf-outer"])
+def test_assemble_rejects_non_finite_nodes_before_assembly(at, node):
+    # the grid check rejects them, not the factorization after the whole assembly
+    nodes = make_grid(5.0, 8)
+    nodes[at] = node
+    with pytest.raises(ValueError, match="grid must be"):
+        assemble(P, nodes)
 
 
 def test_field_interpolates_and_vanishes_outside():
@@ -108,19 +128,19 @@ def test_assembly_exact_matrices_stiff_regime():
 SOLVE_WEIGHTS = ((0.0, 1.0), (0.05, 1.0), (0.2, 1.5), (1.0, 0.5))
 
 
-@pytest.mark.parametrize("rule", [(4, 10), (6, 14)], ids=["4-10", "6-14"])
+@pytest.mark.parametrize("points", [(4, 10), (6, 14)], ids=["4-10", "6-14"])
 @pytest.mark.parametrize("kappa, p0, uniform", [(k, p, False) for k, p in SOLVE_WEIGHTS]
                          + [(0.05, 1.0, True)])
-def test_stiffness_matches_csr_gram(monkeypatch, rule, kappa, p0, uniform):
+def test_stiffness_matches_csr_gram(points, kappa, p0, uniform):
     # the row blocks of the stiffness factor, stacked into one CSR matrix X
-    # (which sums each row's repeated columns): A is 2 sigma X^T X, up to the
-    # order in which the per-block products are added.  Uniform nodes give
-    # many repeated columns; the finer rule gives blocks of another shape.
-    monkeypatch.setattr(solver, "GRID_N_R", rule[0])
-    monkeypatch.setattr(solver, "GRID_N_T", rule[1])
+    # (which sums each row's repeated columns): 2 sigma _gram(rows) is
+    # 2 sigma X^T X, up to the order in which the per-block products are
+    # added, and on A's rule it is A.  Uniform nodes give many repeated
+    # columns; the finer rule gives blocks of another shape.
     nodes = np.linspace(0.0, 5.0, 49) if uniform else make_grid(5.0, 48)
+    rule = stiffness_rule(nodes)._replace(n_r=points[0], n_t=points[1])
     params = replace(P, kappa=kappa, p0=p0)
-    blocks = [(np.array(c), np.array(v)) for c, v in solver._stiffness_rows(params, nodes)]
+    blocks = [(np.array(c), np.array(v)) for c, v in solver._stiffness_rows(params, rule)]
     assert len(blocks) > 3  # several core blocks and the outer rows
     rows, start = [], 0
     for cols, _ in blocks:
@@ -129,10 +149,14 @@ def test_stiffness_matches_csr_gram(monkeypatch, rule, kappa, p0, uniform):
     X = csr_matrix((np.concatenate([v.ravel() for _, v in blocks]),
                     (np.concatenate(rows), np.concatenate([c.ravel() for c, _ in blocks]))),
                    shape=(start, 48))
-    op = assemble(params, nodes)
-    assert op.meta["quadrature_rows"] == start
+    G, n_rows = solver._gram(48, solver._stiffness_rows(params, rule))
+    A = 2.0 * sphere_surface(6) * G
+    assert n_rows == start
     gram = 2.0 * sphere_surface(6) * (X.T @ X).toarray()
-    assert np.max(np.abs(gram - op.A)) <= 1e-14 * np.max(np.abs(op.A))
+    assert np.max(np.abs(gram - A)) <= 1e-14 * np.max(np.abs(A))
+    if rule == stiffness_rule(nodes):
+        op = assemble(params, nodes)
+        assert op.meta["quadrature_rows"] == n_rows and np.array_equal(op.A, A)
 
 
 def test_assembly_traced_peak_memory():
@@ -199,21 +223,20 @@ def test_quadratic_form_matches_profile_quadrature(op128):
 
 @pytest.mark.parametrize("field", ["eigenvector", "bubble"])
 @pytest.mark.parametrize("kappa, p0, s", [(0.0, 1.0, 0.5), (0.05, 1.0, 0.5), (1.0, 0.5, 0.5), (0.05, 1.0, 0.75)])
-def test_stiffness_is_the_pair_form_on_the_hat_basis(monkeypatch, field, kappa, p0, s):
+def test_stiffness_is_the_pair_form_on_the_hat_basis(field, kappa, p0, s):
     # on A's own rule (its radial points per grid interval and tau points per
     # panel), the profile quadrature of a hat field is v^T A v up to rounding:
     # one pair form, one band model
     from fracvar import quad
 
-    monkeypatch.setattr(quad, "N_R", solver.GRID_N_R)
-    monkeypatch.setattr(quad, "N_T", solver.GRID_N_T)
     params = replace(P, kappa=kappa, p0=p0, s=s)
     op = assemble(params, 128)
     if field == "eigenvector":
         u_h = first_eigenvalue(op)[1]
     else:
         u_h = interpolate_field(truncated_bubble(0.5, s, 6, eta=1.0), op.nodes)
-    form = bilinear_radial(u_h, u_h, weight_from_params(params), 6, s, 5.0, r_breaks=op.nodes)
+    form = quad._pair_form(u_h, u_h, weight_from_params(params), 6, s, stiffness_rule(op.nodes),
+                           r_hi=5.0, include_outer=True)
     assert form == pytest.approx(float(u_h.dofs @ op.A @ u_h.dofs), rel=1e-13, abs=0.0)
 
 
