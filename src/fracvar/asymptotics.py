@@ -68,8 +68,8 @@ def fit_rate(eps, values):
     values = np.asarray(values, dtype=float)
     if len(eps) < 3:
         raise ValueError("need at least 3 points to fit a rate")
-    if np.any(values <= 0.0) or np.any(eps <= 0.0):
-        raise ValueError("rate fit needs strictly positive values")
+    if not all(np.all(np.isfinite(x) & (x > 0.0)) for x in (eps, values)):
+        raise ValueError("rate fit needs finite, strictly positive values")
     x = np.log(eps)
     y = np.log(values)
     slope, intercept = np.polyfit(x, y, 1)

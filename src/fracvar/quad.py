@@ -55,6 +55,15 @@ table) depends on the profile and the rule, not on the weight.  So a
 (:func:`_core_diffs`), shared by its pair forms under several weights.  The
 memo holds the most recent profile only, on at most two rules, and a pair
 form on any other profile empties it first.
+
+Apart from the memoized profile tables, no r x tau table is built whole.
+The core runs ``ROW_BLOCK`` radial nodes at a time: a block's inner radii,
+weight table and product live only while its rows are summed, and a
+profile that is not memoized is evaluated on the block alone.  The row
+sums are then weighted and added in turn, which is the order of
+``np.einsum("i,ij->")`` on the whole table, so the value is the same bit
+for bit.  The outer fold and the FE assembly of :mod:`fracvar.solver` run
+on the same blocks.
 """
 
 from __future__ import annotations
@@ -81,6 +90,9 @@ from .problem import WeightModel
 # outer fold's relative rule.
 DELTA = 1e-6
 T_FLOOR = 1e-9
+# radial nodes per block of r x tau rows: the core, the outer fold and the
+# FE assembly build their working tables this many rows at a time
+ROW_BLOCK = 64
 # batches of the Monte Carlo estimators; their spread gives the standard error
 MC_BATCHES = 64
 
@@ -234,6 +246,11 @@ def _weight_fns(w):
     return w.radial, w.far
 
 
+def _row_blocks(m: int) -> list[slice]:
+    """The slices of ``ROW_BLOCK`` consecutive rows, in order, that cover ``m`` rows."""
+    return [slice(lo, lo + ROW_BLOCK) for lo in range(0, m, ROW_BLOCK)]
+
+
 @lru_cache(maxsize=8)
 def _rel_outer_rule(n_t: int):
     """(first break, nodes, weights) of the outer fold's relative t-panels past 0, read-only."""
@@ -283,11 +300,10 @@ def _outer_fold(rn: np.ndarray, wfun, wfar: float, n: int, s: float, *, r_hi: fl
 # The memo of fold rows: per (weight, n, s, r_hi, n_t), the sorted radii
 # seen so far and their fold values.  At most _FOLD_KEYS keys are kept, the
 # least recently used dropped first, and a key past _FOLD_ROWS radii starts
-# afresh; missing radii are folded _FOLD_BLOCK at a time, which bounds the
+# afresh; missing radii are folded ROW_BLOCK at a time, which bounds the
 # working tables.  The lock makes each update whole under threads.
 _FOLD_KEYS = 16
 _FOLD_ROWS = 1 << 15
-_FOLD_BLOCK = 256
 _fold_memo: dict = {}
 _fold_lock = threading.Lock()
 
@@ -295,15 +311,17 @@ _fold_lock = threading.Lock()
 def _fold_rows(w, n: int, s: float, rn: np.ndarray, *, r_hi: float, n_t: int) -> np.ndarray:
     """:func:`_outer_fold` at radii ``rn`` for weight ``w``, bit for bit, from the memo where it can.
 
-    Only the unit weight (None) and a :class:`WeightModel`, which is frozen
-    and compared by value, are memoized; any other weight object could
-    change between calls, so its rows are always computed afresh.
+    Missing rows are folded ``ROW_BLOCK`` radii at a time; each row is
+    summed on its own, so the blocks do not change its bits.  Only the unit
+    weight (None) and a :class:`WeightModel`, which is frozen and compared
+    by value, are memoized; any other weight object could change between
+    calls, so its rows are always computed afresh.
     """
     wfun, wfar = _weight_fns(w)
 
     def fold(r):
-        return np.concatenate([_outer_fold(r[i:i + _FOLD_BLOCK], wfun, wfar, n, s, r_hi=r_hi, n_t=n_t)
-                               for i in range(0, len(r), _FOLD_BLOCK)])
+        return np.concatenate([_outer_fold(r[blk], wfun, wfar, n, s, r_hi=r_hi, n_t=n_t)
+                               for blk in _row_blocks(len(r))])
 
     if w is not None and type(w) is not WeightModel:
         return fold(rn)
@@ -333,22 +351,22 @@ _core_memo: dict = {}
 _core_lock = threading.Lock()
 
 
-def _core_diffs(p, rule: PairRule, rn: np.ndarray, inner_r: np.ndarray):
-    """``(u(rn), u(rn)[:, None] - u(inner_r))`` of profile ``p``, from the memo where it can.
+def _core_diffs(p, rule: PairRule, rn: np.ndarray, tn: np.ndarray):
+    """``(u(rn), rows)`` of profile ``p``: ``rows(blk)`` is ``u(rn[blk])[:, None] - u(rn[blk, None] * tn)``.
 
-    ``rn`` are the radial nodes of ``rule`` and ``inner_r`` their products
-    with its tau row.  The table depends on neither the weight nor the tau
-    weights, so the pair forms of one profile under several weights share
-    it, bit for bit.  Only a :class:`TruncatedBubble`, which is frozen and
-    compared by value, is memoized, and its tables are read-only.  Any other
-    profile object could change between calls, and no caller repeats a free
-    :class:`Bubble`'s table (its tables, kept, would outlive the one
-    seminorm of :func:`fracvar.constants.bubble_constants`), so their tables
-    are always computed afresh.
+    ``rn`` are the radial nodes of ``rule`` and ``tn`` its tau row.  The
+    differences depend on neither the weight nor the tau weights, so the
+    pair forms of one profile under several weights share them, bit for
+    bit.  Only a :class:`TruncatedBubble`, which is frozen and compared by
+    value, is memoized: its whole table is built once, a block of rows at a
+    time, kept read-only, and ``rows`` slices it.  Any other profile object
+    could change between calls, and no caller repeats a free
+    :class:`Bubble`'s table (kept, it would outlive the one seminorm of
+    :func:`fracvar.constants.bubble_constants`), so ``rows`` evaluates it
+    afresh on each block alone.
     """
-    def table():
-        u = p.radial_value(rn)
-        return u, u[:, None] - p.radial_value(inner_r)
+    def diffs(u, blk):
+        return u[blk, None] - p.radial_value(rn[blk, None] * tn)
 
     with _core_lock:
         if type(p) is not TruncatedBubble:
@@ -358,21 +376,38 @@ def _core_diffs(p, rule: PairRule, rn: np.ndarray, inner_r: np.ndarray):
             if key not in _core_memo:
                 if any(k[0] != p for k in _core_memo):
                     _core_memo.clear()
-                _core_memo[key] = table()
-                for a in _core_memo[key]:
-                    a.flags.writeable = False
+                u, d = p.radial_value(rn), np.empty((len(rn), len(tn)))
+                for blk in _row_blocks(len(rn)):
+                    d[blk] = diffs(u, blk)
+                u.flags.writeable = d.flags.writeable = False
+                _core_memo[key] = u, d
                 if len(_core_memo) > _CORE_RULES:
                     del _core_memo[next(iter(_core_memo))]
-            return _core_memo[key]
-    return table()
+            u, d = _core_memo[key]
+            return u, d.__getitem__
+    u = p.radial_value(rn)
+    return u, lambda blk: diffs(u, blk)
+
+
+def _einsum_by_rows(r_fac: np.ndarray, blocks) -> float:
+    """``np.einsum("i,ij->", r_fac, table)`` of a table given as consecutive row ``blocks``, bit for bit.
+
+    That einsum adds, for each row in turn from +0.0, ``r_fac[i]`` times
+    the row's sum by ``np.einsum("ij->i")``; so does this, block by block.
+    """
+    sums = np.concatenate([np.einsum("ij->i", b) for b in blocks])
+    return float(np.cumsum(np.append(0.0, r_fac * sums))[-1])
 
 
 def _pair_form(pa, pb, w, n: int, s: float, rule: PairRule, *, r_hi: float, include_outer: bool) -> float:
     """2 sigma(S^{n-1}) (core + outer) of the profiles ``pa`` and ``pb`` on the quadrature ``rule``.
 
-    The core's profile tables come from :func:`_core_diffs` and its outer
-    fold rows from :func:`_fold_rows`; the products are formed in one fixed
-    order, so a table or a row from a memo gives the same value, bit for bit.
+    The core runs ``ROW_BLOCK`` radial nodes at a time: a block's profile
+    rows come from :func:`_core_diffs`, and its weight table and products
+    are formed in one fixed order, in place, and reduced by
+    :func:`_einsum_by_rows` in the order of ``np.einsum("i,ij->")`` on the
+    whole table.  The outer fold rows come from :func:`_fold_rows`.  So a
+    table or a row from a memo gives the same value, bit for bit.
     """
     two_s = 2.0 * s
     wfun, _ = _weight_fns(w)
@@ -381,17 +416,22 @@ def _pair_form(pa, pb, w, n: int, s: float, rule: PairRule, *, r_hi: float, incl
 
     # --- core, the band's node at 1 - DELTA last ----------------------
     tn, tau_fac = _kernel_row(n, s, rule.n_t)
-    inner_r = rn[:, None] * tn[None, :]
-    ua, da = _core_diffs(pa, rule, rn, inner_r)
-    ub, db = (ua, da) if pb is pa else _core_diffs(pb, rule, rn, inner_r)
-    # wb * da * db * tau_fac, in that order, in place
-    wb = wfun(rn)[:, None] + wfun(inner_r)
-    wb *= 0.5
-    wb *= da
-    wb *= db
-    wb *= tau_fac
-    r_fac = rw * rn ** (n - 1.0 - two_s)
-    total = float(np.einsum("i,ij->", r_fac, wb))
+    ua, rows_a = _core_diffs(pa, rule, rn, tn)
+    ub, rows_b = (ua, rows_a) if pb is pa else _core_diffs(pb, rule, rn, tn)
+    wr = wfun(rn)
+
+    def block(blk):
+        da = rows_a(blk)
+        db = da if pb is pa else rows_b(blk)
+        # wb * da * db * tau_fac, in that order, in place
+        wb = wr[blk, None] + wfun(rn[blk, None] * tn)
+        wb *= 0.5
+        wb *= da
+        wb *= db
+        wb *= tau_fac
+        return wb
+
+    total = _einsum_by_rows(rw * rn ** (n - 1.0 - two_s), map(block, _row_blocks(len(rn))))
 
     # --- outer --------------------------------------------------------
     if include_outer:
@@ -504,22 +544,32 @@ def _batched(draw, seed: int) -> tuple[float, float]:
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(MC_BATCHES))
 
 
-def _pair_mc(u, wfun, n: int, s: float, D: float, near, far, seed: int) -> SeminormEstimate:
+def _pair_mc(u, support: float, wfun, n: int, s: float, D: float, near, far, seed: int) -> SeminormEstimate:
     """Monte Carlo estimate of iint wbar |u(x) - u(y)|^2 / |x - y|^(n+2s) over pair radii.
 
-    ``u`` and the weight ``wfun`` (wbar is its endpoint mean) are radial.
-    ``near`` and ``far`` are ``(m, draw, density)``: a batch draws m radii
-    |x| by ``draw(rng, m)``, whose law over R^n has the radial ``density``.
-    The near piece pairs them with rho = |x - y| <= D from the density
+    ``u`` and the weight ``wfun`` (wbar is its endpoint mean) are radial,
+    and u is 0 from the radius ``support`` on (which may be inf).  ``near``
+    and ``far`` are ``(m, draw, density)``: a batch draws m radii |x| by
+    ``draw(rng, m)``, whose law over R^n has the radial ``density``.  The
+    near piece pairs them with rho = |x - y| <= D from the density
     ~ rho^(2-n-2s), the far piece with rho > D from ~ rho^-(n+2s), and |y|
     comes from :func:`_partner_radius`.  Each pair is weighted by the mean
     of its two endpoint densities (the balance heuristic), so the estimate
-    is unbiased wherever the densities cover the integrand.
+    is unbiased wherever the densities cover the integrand.  A pair with
+    both radii at or past the support is exactly +0.0 (the density at |x|
+    is positive), so only the other pairs are evaluated, and u only below
+    the support.
     """
     sig = sphere_surface(n)
     two_s = 2.0 * s
     c_near = sig * D ** (2.0 - two_s) / (2.0 - two_s)
     c_far = sig / (two_s * D**two_s)
+
+    def u_in(r):
+        out = np.zeros_like(r)
+        inside = r < support
+        out[inside] = u(r[inside])
+        return out
 
     def piece(rng, m, draw, density, is_near):
         rx = draw(rng, m)
@@ -528,7 +578,10 @@ def _pair_mc(u, wfun, n: int, s: float, D: float, near, far, seed: int) -> Semin
         else:
             rho = D * np.maximum(rng.random(m), 1e-16) ** (-1.0 / two_s)
         ry = _partner_radius(rng, rx, rho, n)
-        val = 0.5 * (wfun(rx) + wfun(ry)) * (u(rx) - u(ry)) ** 2 / (0.5 * (density(rx) + density(ry)))
+        on = np.minimum(rx, ry) < support
+        x, y = rx[on], ry[on]
+        val = np.zeros(m)
+        val[on] = 0.5 * (wfun(x) + wfun(y)) * (u_in(x) - u_in(y)) ** 2 / (0.5 * (density(x) + density(y)))
         # the rho density cancels the kernel up to rho^-2 (near) or exactly (far)
         return np.mean(val / rho**2 if is_near else val)
 
@@ -558,7 +611,7 @@ def mc_reference_ks(n: int, s: float, N: int = 1_000_000, seed: int = 0) -> Semi
         r = np.maximum(r, 1e-12)
         return (2.0 / math.pi) / (1.0 + r * r) / (sig * r ** (n - 1.0))
 
-    return _pair_mc(u, _unit_weight, n, s, 4.0, (m, draw, density), (max(m // 4, 8), draw, density), seed)
+    return _pair_mc(u, math.inf, _unit_weight, n, s, 4.0, (m, draw, density), (max(m // 4, 8), draw, density), seed)
 
 
 def seminorm_mc(u, w, n: int, s: float, N: int = 200_000, seed: int = 0) -> SeminormEstimate:
@@ -584,7 +637,7 @@ def seminorm_mc(u, w, n: int, s: float, N: int = 200_000, seed: int = 0) -> Semi
         vol = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * R**n
         return m_piece, lambda rng, k: R * rng.random(k) ** (1.0 / n), lambda r: (r <= R) / vol
 
-    est = _pair_mc(u.radial_value, _weight_fns(w)[0], n, s, 3.0 * support,
+    est = _pair_mc(u.radial_value, support, _weight_fns(w)[0], n, s, 3.0 * support,
                    uniform(m_near, 1.5 * support), uniform(m - m_near, support), seed)
     if est.value != 0.0 and est.abs_error > 0.2 * abs(est.value):
         warnings.warn(f"Monte Carlo variance overflow: relative standard error "

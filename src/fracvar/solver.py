@@ -50,7 +50,7 @@ from ._panels import gl_rule
 from .bubble import truncated_bubble
 from .constants import bubble_constants, sphere_surface
 from .problem import ProblemParams, critical_exponent, weight_from_params
-from .quad import PairRule, _fold_rows, _kernel_row
+from .quad import PairRule, _fold_rows, _kernel_row, _row_blocks
 
 
 class SolverError(RuntimeError):
@@ -184,11 +184,6 @@ class StiffnessOperator:
         return sla.cho_solve(self.cho, np.asarray_chkfinite(b), check_finite=False)
 
 
-# r-nodes per block of core rows: a block of the factor X is added into the
-# dense Gram matrix before the next one is built
-GRAM_BLOCK = 64
-
-
 def _gram(M: int, blocks) -> tuple[np.ndarray, int]:
     """The Gram matrix X^T X of a sparse factor X given in row blocks, and X's row count.
 
@@ -222,9 +217,10 @@ def _stiffness_rows(params: ProblemParams, rule: PairRule):
 
     The rows are :mod:`fracvar.quad`'s pair form on the hat basis on
     ``rule``, the band's node of :func:`fracvar.quad._kernel_row` included.
-    The core rows come ``GRAM_BLOCK`` r-nodes at a time and the outer rows
-    last, but the outer fold is computed first, while no block or product is
-    alive, which keeps the peak memory down.
+    The core rows come on the pair form's blocks of ``ROW_BLOCK`` r-nodes,
+    each added into the dense Gram matrix before the next is built, and the
+    outer rows last; but the outer fold is computed first, while no block or
+    product is alive, which keeps the peak memory down.
     """
     n, s = params.n, params.s
     weight = weight_from_params(params)
@@ -241,8 +237,7 @@ def _stiffness_rows(params: ProblemParams, rule: PairRule):
     wr = weight.radial(rn)
     tn, tau_fac = _kernel_row(n, s, rule.n_t)
     nt = len(tn)
-    for lo in range(0, len(rn), GRAM_BLOCK):
-        blk = slice(lo, lo + GRAM_BLOCK)
+    for blk in _row_blocks(len(rn)):
         inner = (rn[blk, None] * tn[None, :]).ravel()
         wb = 0.5 * (wr[blk, None] + weight.radial(inner).reshape(-1, nt))
         sq = np.sqrt(radial[blk, None] * tau_fac[None, :] * wb).ravel()

@@ -50,6 +50,21 @@ def test_fit_rate_degenerate_inputs():
         fit_rate([0.4, 0.2, 0.1], [1.0, 0.0, 3.0])
 
 
+@pytest.mark.parametrize("eps, values", [
+    ([0.4, math.nan, 0.1], [1.0, 2.0, 3.0]),
+    ([0.4, 0.2, 0.1], [1.0, math.nan, 3.0]),
+    ([0.4, 0.2, 0.1], [1.0, math.inf, 3.0]),
+    ([math.inf, 0.2, 0.1], [1.0, 2.0, 3.0]),
+    ([0.4, 0.2, 0.1], [1.0, 2.0, -math.inf]),
+], ids=["nan-eps", "nan-value", "inf-value", "inf-eps", "minus-inf-value"])
+def test_fit_rate_rejects_non_finite_inputs(capfd, eps, values):
+    # NaN passed a bare `<= 0` guard into the least squares, which printed
+    # LAPACK errors and raised LinAlgError
+    with pytest.raises(ValueError, match="finite"):
+        fit_rate(eps, values)
+    assert capfd.readouterr().err == ""
+
+
 def test_sweep_report_invariants():
     with pytest.raises(ValueError):
         SweepReport("x", (0.4, 0.2, 0.1), (1.0, 2.0, 3.0), 1, 0, 1, 1, True)

@@ -74,6 +74,24 @@ def test_mc_zero_profile():
     assert est.method == "MonteCarlo"
 
 
+def test_mc_evaluates_the_profile_inside_its_support_only():
+    # u is 0 from the support on, so a pair with both radii there is +0.0
+    # and is skipped, and u is read only below the support; bit for bit
+    tb = truncated_bubble(0.8, S6, N6, 1.0)
+    top = []
+
+    def u(r):
+        top.append(np.max(r, initial=0.0))
+        return tb.radial_value(r)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = seminorm_mc(quad.as_profile(u, tb.support), None, N6, S6, N=4096, seed=5)
+        want = seminorm_mc(tb, None, N6, S6, N=4096, seed=5)
+    assert max(top) < tb.support
+    assert (got.value.hex(), got.abs_error.hex()) == (want.value.hex(), want.abs_error.hex())
+
+
 def test_mc_needs_a_finite_support():
     with pytest.raises(ValueError):
         seminorm_mc(quad.as_profile(lambda r: np.zeros_like(r), math.inf), None, N6, S6, N=1024)
@@ -280,7 +298,7 @@ def test_second_bubble_folds_only_its_new_radii(monkeypatch):
     new = np.setdiff1d(_pass_radii(b2), _pass_radii(b1))
     assert 0 < len(new) < len(np.unique(_pass_radii(b2))) // 2
     assert sum(rows) == len(new)
-    assert max(rows) <= quad._FOLD_BLOCK
+    assert max(rows) <= quad.ROW_BLOCK
     rows.clear()
     # a bubble with an equal rule takes every row from the memo
     assert b3 == b1
@@ -356,7 +374,7 @@ def test_fold_memo_rows_equal_one_fold_of_all_radii(w):
         got = quad._fold_rows(w, N6, S6, rn, r_hi=r_hi, n_t=n_t)
         assert _hex(got) == _hex(quad._outer_fold(rn, wfun, wfar, N6, S6, r_hi=r_hi, n_t=n_t))
     # the M = 256 grid refines only the first interval of the M = 128 grid
-    assert len(grids[0]) > quad._FOLD_BLOCK and np.isin(grids[0][grid_rules[0].n_r:], grids[1]).all()
+    assert len(grids[0]) > quad.ROW_BLOCK and np.isin(grids[0][grid_rules[0].n_r:], grids[1]).all()
 
 
 def _pass_hex(calls):
@@ -441,18 +459,18 @@ def test_core_memo_under_threads():
     rules = [quad.PairRule((0.05, 1.0, 1.95), 4, 12), quad.PairRule((0.1, 0.7, 1.3, 1.9), 2, 10)]
     tables = [(r, r.radial_nodes()[0], quad._kernel_row(N6, S6, r.n_t)[0]) for r in rules]
     profiles = [truncated_bubble(e, S6, N6, 1.0) for e in (0.3, 0.1, 0.02)]
-    cases = [(p, r, rn, rn[:, None] * tn[None, :]) for p in profiles for r, rn, tn in tables]
-    ref = [(p.radial_value(rn).tobytes(), (p.radial_value(rn)[:, None] - p.radial_value(inner)).tobytes())
-           for p, _, rn, inner in cases]
+    cases = [(p, r, rn, tn) for p in profiles for r, rn, tn in tables]
+    ref = [(p.radial_value(rn).tobytes(), (p.radial_value(rn)[:, None] - p.radial_value(rn[:, None] * tn)).tobytes())
+           for p, _, rn, tn in cases]
     errors = []
 
     def work(j):
         try:
             for i in range(400):
                 c = (i // 3 + j) % len(cases)  # a few calls per case, then the next
-                p, rule, rn, inner = cases[c]
-                u, d = quad._core_diffs(p, rule, rn, inner)
-                assert (u.tobytes(), d.tobytes()) == ref[c]
+                p, rule, rn, tn = cases[c]
+                u, rows = quad._core_diffs(p, rule, rn, tn)
+                assert (u.tobytes(), rows(slice(None)).tobytes()) == ref[c]
         except Exception as exc:  # reported below, from the main thread
             errors.append(exc)
 
@@ -475,27 +493,62 @@ def test_core_memo_under_threads():
 def test_one_profile_table_per_rule(monkeypatch):
     # three weighted seminorms and a bilinear pass evaluate the profile on
     # the r x tau table of the coarse and of the halved rule once each (they
-    # evaluated it 7 times without the core memo)
+    # evaluated it 7 times without the core memo); the tables are built a
+    # block of rows at a time, so the evaluated cells are counted
     ub = truncated_bubble(0.05, S6, N6, 1.0)
-    ndims = []
+    cells = []
     real = TruncatedBubble.radial_value
 
     def counting(self, r):
-        ndims.append(np.ndim(r))
+        if np.ndim(r) == 2:
+            cells.append(np.size(r))
         return real(self, r)
 
     monkeypatch.setattr(TruncatedBubble, "radial_value", counting)
     quad._core_memo.clear()
     for call in _bubble_calls(ub, ub.support):
         call()
-    assert ndims.count(2) == 2
+    rule = quad._breaks_to(None, ub.support, ub)
+    n_tau = len(quad._kernel_row(N6, S6, rule.n_t)[0])
+    assert sum(cells) == sum(len(q.radial_nodes()[0]) * n_tau for q in (rule, rule.refined()))
+    assert max(cells) <= quad.ROW_BLOCK * n_tau
+
+
+@pytest.mark.parametrize("rows, cols", [(1680, 577), (1064, 481), (200, 577), (64, 3), (1, 481)])
+def test_blocked_reduction_is_the_einsum(rows, cols):
+    # the core's sum in blocks of rows against one einsum of the whole table,
+    # whose order it reproduces; a numpy change to that order fails here
+    rng = np.random.default_rng(rows + cols)
+    table = rng.standard_normal((rows, cols)) * np.exp(4.0 * rng.standard_normal((rows, cols)))
+    r_fac = rng.random(rows) * np.exp(3.0 * rng.standard_normal(rows))
+    got = quad._einsum_by_rows(r_fac, (table[blk] for blk in quad._row_blocks(rows)))
+    assert got.hex() == float(np.einsum("i,ij->", r_fac, table)).hex()
+
+
+def test_callable_seminorm_traced_peak_memory():
+    # one seminorm of the Getoor profile, a plain callable, on its rule (a
+    # fine pass of 1680 x 577 cells): 29.7 MiB with whole r x tau tables,
+    # about 2.1 MiB with ROW_BLOCK rows at a time
+    def getoor(r):
+        return np.maximum(1.0 - r * r, 0.0) ** S6
+
+    seminorm_radial(getoor, None, N6, S6, 1.0)
+    quad._fold_memo.clear()
+    tracemalloc.start()
+    try:
+        seminorm_radial(getoor, None, N6, S6, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
 
 
 def test_bubble_pass_traced_peak_memory():
     # two bubbles' passes (three weighted seminorms and a bilinear each) with
     # cold memos: about 34.8 MiB with each table evaluated afresh, 33.0 MiB
-    # with a memo that keeps every profile's tables, and 26.6 MiB with one
-    # profile's at a time
+    # with a memo that keeps every profile's tables, 26.6 MiB with one
+    # profile's at a time, and 9.8 MiB with the tables built and the pair
+    # forms run ROW_BLOCK rows at a time
     for call in _bubble_calls(truncated_bubble(0.3, S6, N6, 1.0), 2.0):
         call()
     quad._fold_memo.clear()
@@ -508,7 +561,7 @@ def test_bubble_pass_traced_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 30 * 2**20
+    assert peak <= 13 * 2**20
 
 
 class _DuckWeight:

@@ -174,7 +174,7 @@ def test_assembly_traced_peak_memory():
 
 
 def test_cold_outer_fold_traced_peak_memory():
-    # missing fold rows are computed quad._FOLD_BLOCK radii at a time, before
+    # missing fold rows are computed quad.ROW_BLOCK radii at a time, before
     # any core block: one table of all 2048 radii at M = 512 peaked at 53 MiB,
     # 51 of them the fold, and the blocked fold, run first, at about 10.6 MiB
     from fracvar import quad
