@@ -17,7 +17,7 @@ the values themselves at the small end of the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping
 
@@ -25,8 +25,8 @@ import numpy as np
 
 from ._panels import geometric_refine, panel_nodes
 from .bubble import Bubble, Cutoff, lq_norm, truncated_bubble
-from .constants import bubble_constants, sphere_surface
-from .problem import ProblemParams, weight_from_params
+from .constants import _ks_radius, bubble_constants, sphere_surface
+from .problem import ProblemParams, critical_exponent, weight_from_params
 from .quad import _partner_radius, ball_restricted_form, bilinear_radial, default_r_breaks
 
 DEFAULT_EPS_GRID = (0.4, 0.28, 0.2, 0.14, 0.1, 0.07, 0.05)
@@ -126,17 +126,10 @@ def sweep_A(params: ProblemParams, eps_grid=DEFAULT_EPS_GRID) -> SweepReport:
     two_s = 2.0 * params.s
     scaled = np.asarray(values) / np.asarray(grid) ** two_s
     ratio = float(scaled.max() / scaled.min())
-    slope, intercept, _ = fit_rate(grid, values)
-    side_ok = ratio <= 10.0 and slope >= two_s - SLOPE_TOL
-    return _fit_report(
-        "ball_weighted_form",
-        grid,
-        values,
-        values,
-        two_s,
-        extras={"scaled_ratio": ratio, "C_fit": math.exp(intercept)},
-        side_ok=side_ok,
-    )
+    rep = _fit_report("ball_weighted_form", grid, values, values, two_s)
+    side_ok = ratio <= 10.0 and rep.fit_slope >= two_s - SLOPE_TOL
+    return replace(rep, passed=rep.passed and side_ok,
+                   extras={"scaled_ratio": ratio, "C_fit": math.exp(rep.fit_intercept)})
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +143,7 @@ def _matched_seminorms(params: ProblemParams, eps: float):
     panels continued past 2 eta toward r_big.
     """
     n, s, eta = params.n, params.s, params.eta
-    r_big = max(120.0, 10.0 ** (8.0 / (n - 2.0 * s)))
+    r_big = _ks_radius(n, s)
     w = weight_from_params(params)
     ub = truncated_bubble(eps, s, n, eta)
     bub = Bubble(eps=eps, s=s, n=n)
@@ -175,19 +168,11 @@ def sweep_weighted_seminorm(params: ProblemParams, eps_grid=DEFAULT_EPS_GRID) ->
         residuals.append(wval - params.p0 * ks_m)
     claimed = 2.0 * params.s if params.kappa > 0.0 else params.n - 2.0 * params.s
     positive = all(r > 0.0 for r in residuals)
-    extras = {"min_residual": float(min(residuals))}
+    rep = _fit_report("weighted_seminorm_residual", grid, values, [abs(r) for r in residuals], claimed,
+                      extras={"min_residual": float(min(residuals))}, side_ok=positive)
     if params.kappa > 0.0:
-        _, intercept, _ = fit_rate(grid, [abs(r) for r in residuals])
-        extras["C_fit"] = math.exp(intercept) / params.kappa
-    return _fit_report(
-        "weighted_seminorm_residual",
-        grid,
-        values,
-        [abs(r) for r in residuals],
-        claimed,
-        extras=extras,
-        side_ok=positive,
-    )
+        rep = replace(rep, extras={**rep.extras, "C_fit": math.exp(rep.fit_intercept) / params.kappa})
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +197,7 @@ def sweep_energy(
     n, s, lam = params.n, params.s, params.lam
     cs = bubble_constants(n, s)
     w = weight_from_params(params)
-    level = params.p0 * cs.Ss
+    level = params.level
     values, residuals = [], []
     for e in grid:
         ub = truncated_bubble(e, s, n, params.eta)
@@ -259,7 +244,7 @@ def _critical_mass_deficit(eps: float, s: float, n: int, eta: float) -> float:
     """
     bub = Bubble(eps=eps, s=s, n=n)
     cut = Cutoff(eta=eta)
-    qs = 2.0 * n / (n - 2.0 * s)
+    qs = critical_exponent(n, s)
     r_tail = 200.0 * eta
     breaks = np.unique(
         np.concatenate(
@@ -311,6 +296,8 @@ class DeltaLemmaResult:
 
 
 DELTA_TRIALS = 100_000
+# the (k, R) cells of the sampled delta-lemma check, in seed order
+DELTA_CELLS = tuple((k, R) for k in (2, 3, 4) for R in (1.0, 2.0))
 
 
 def check_delta_lemma(k: float, R: float, seed: int = 0) -> DeltaLemmaResult:

@@ -132,27 +132,15 @@ def _check_shape(args) -> None:
 # ---------------------------------------------------------------------------
 
 def _validate(args, cfg):
-    p = cfg.params
-    report = problem.validate(p)
-    regime: list[str] = []
-    if report.ok and not report.ns_admissible:
-        bound = problem._ns_boundary(p.n)
-        regime.append(
-            f"order s = {p.s} is outside the admissible range for n = {p.n}"
-            + (f" (requires s < {bound})" if bound is not None else "")
-        )
-    if report.ok and not report.k_admissible:
-        regime.append(
-            f"weight growth k = {p.k} is out of range for (n, s) = ({p.n}, {p.s})"
-        )
-    ok = report.ok and not regime
+    report = problem.validate(cfg.params)
+    ok = report.ok and not report.regime_errors
     if not ok:
-        sys.stderr.write("\n".join([report.reasons()] + regime).strip() + "\n")
+        sys.stderr.write("\n".join([report.reasons(), *report.regime_errors]).strip() + "\n")
     return {
         "ok": ok,
         "errors": [{"code": c, "message": m} for c, m in report.errors],
         "warnings": list(report.warnings),
-        "regime_errors": regime,
+        "regime_errors": list(report.regime_errors),
         "ns_admissible": report.ns_admissible,
         "k_admissible": report.k_admissible,
         "theorem1_regime": report.theorem1_regime,
@@ -231,8 +219,7 @@ def _verify_estimates(args, cfg):
             reports = {"energy": asymptotics.sweep_energy(p)}
         else:  # delta
             cells = [(k, R, asymptotics.check_delta_lemma(k, R, seed=cfg.seed + i))
-                     for i, (k, R) in enumerate(
-                         (k, R) for k in (2, 3, 4) for R in (1.0, 2.0))]
+                     for i, (k, R) in enumerate(asymptotics.DELTA_CELLS)]
             artifacts["estimates_delta.csv"] = _csv_bytes(
                 ["k", "R", "delta", "worst_ratio"],
                 [(float(k), R, c.delta, c.worst_ratio) for k, R, c in cells])
@@ -285,14 +272,9 @@ def _mountain_pass(args, cfg):
     payload = {"beta": beta, "rho": rho, "level": st.level,
                "bound": mountainpass.level_bound(cfg.params),
                "converged": st.converged, "iterations": st.iterations}
-    # ray path profile: cumulative stiffness-metric arc fraction and energy
-    dofs = [pt.dofs for pt in st.points]
-    seg = [float(np.sqrt((b - a) @ op.A @ (b - a)))
-           for a, b in zip(dofs, dofs[1:])]
-    total = sum(seg) or 1.0
-    arc = [0.0]
-    for ln in seg:
-        arc.append(arc[-1] + ln / total)
+    # ray path profile: the points are equally spaced on a ray, so the
+    # stiffness-metric arc fraction of point j is j / (m - 1)
+    arc = np.linspace(0.0, 1.0, len(st.points)).tolist()
     rows = [(j, arc[j], mountainpass.phi_value(cfg.params, op, pt))
             for j, pt in enumerate(st.points)]
     return payload, {

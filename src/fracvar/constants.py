@@ -126,7 +126,8 @@ class ConstantSet:
 
     ``Kq_s`` is the L^q mass for the optional subcritical exponent ``q``
     (None when no q was requested).  ``Ks`` is the Gagliardo seminorm of
-    U_{1,s,0} computed by radial quadrature; ``Ss = Ks / Kqs^(2/q_s)``.
+    U_{1,s,0} computed by radial quadrature; ``Ss = Ks / Kqs^(2/q_s)``, with
+    ``q_s`` the critical exponent of :func:`fracvar.problem.critical_exponent`.
     """
 
     n: int
@@ -137,10 +138,12 @@ class ConstantSet:
     K2s: float
     Ks: float
     Ss: float
+    q_s: float
 
-    @property
-    def q_s(self) -> float:
-        return 2.0 * self.n / (self.n - 2.0 * self.s)
+
+def _ks_radius(n: int, s: float) -> float:
+    """Where Ks is truncated: the bubble's r^-(n-2s) decay leaves < ~1e-8 relative far-far mass beyond."""
+    return max(120.0, 10.0 ** (8.0 / (n - 2.0 * s)))
 
 
 @lru_cache(maxsize=None)
@@ -148,18 +151,17 @@ def _bubble_constants_cached(n: int, s: float, q: float | None) -> ConstantSet:
     """The constant set of :func:`bubble_constants`, cached per (n, s, q)."""
     from . import quad
     from .bubble import Bubble
+    from .problem import critical_exponent
 
-    qs = 2.0 * n / (n - 2.0 * s)
+    qs = critical_exponent(n, s)
     Kqs = lebesgue_power_integral(n, n)  # exponent q_s (n - 2s)/2 = n
     K2s = lebesgue_power_integral(n, n - 2.0 * s)
     Kq_s = None
     if q is not None:
         Kq_s = lebesgue_power_integral(n, q * (n - 2.0 * s) / 2.0)
-    # Ks truncated where the bubble's r^-(n-2s) decay leaves < ~1e-8 relative far-far mass
-    r_max = max(120.0, 10.0 ** (8.0 / (n - 2.0 * s)))
-    Ks = quad.seminorm_radial(Bubble(eps=1.0, s=s, n=n), None, n, s, r_max).value
+    Ks = quad.seminorm_radial(Bubble(eps=1.0, s=s, n=n), None, n, s, _ks_radius(n, s)).value
     Ss = Ks / Kqs ** (2.0 / qs)
-    return ConstantSet(n=n, s=s, q=q, Kqs=Kqs, Kq_s=Kq_s, K2s=K2s, Ks=Ks, Ss=Ss)
+    return ConstantSet(n=n, s=s, q=q, Kqs=Kqs, Kq_s=Kq_s, K2s=K2s, Ks=Ks, Ss=Ss, q_s=qs)
 
 
 def bubble_constants(n: int, s: float, q: float | None = None) -> ConstantSet:

@@ -30,7 +30,7 @@ Gauss-Legendre power integrals of the interpolant.  The module provides:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,17 +38,17 @@ import scipy.optimize as sopt
 
 from .asymptotics import EPS_FLOOR
 from .bubble import truncated_bubble
-from .constants import bubble_constants
-from .problem import ProblemParams, critical_exponent, weight_from_params
+from .problem import ProblemParams, WeightModel, critical_exponent, weight_from_params
 from .quad import radial_power_integral, seminorm_radial
 from .solver import (
+    START_WIDTH,
     RadialField,
     StiffnessOperator,
+    _bubble_start,
     _min_form_on_sphere,
     _projected_descent,
     _with_dofs,
     first_eigenvalue,
-    interpolate_field,
     power_integral,
 )
 
@@ -57,6 +57,7 @@ __all__ = [
     "MountainPassError",
     "PathState",
     "PSReport",
+    "fiber_limit",
     "fiber_sweep",
     "level_bound",
     "mp_geometry",
@@ -132,15 +133,19 @@ class PSReport:
 # Nehari descent: starts are truncated bubbles of these widths (the first is
 # also the profile of mp_geometry's endpoint); a start stops once
 # ||grad Phi|| is at most NEHARI_TOL ||A u|| or after NEHARI_MAX_ITER steps.
-START_EPS = (0.2, 0.4, 1.6)
+START_EPS = (START_WIDTH, 0.4, 1.6)
 NEHARI_TOL = 1e-6
 NEHARI_MAX_ITER = 300
 
 
 def level_bound(params: ProblemParams) -> float:
     """The strict upper bound (s/n) (p0 Ss)^{n/(2s)} for compactness of PS sequences."""
-    level = params.p0 * bubble_constants(params.n, params.s).Ss
-    return (params.s / params.n) * level ** (params.n / (2.0 * params.s))
+    return (params.s / params.n) * params.level ** (params.n / (2.0 * params.s))
+
+
+def fiber_limit(params: ProblemParams) -> float:
+    """(p0 Ss)^{1/(q_s-2)}, the limit of the fiber root t_eps as eps -> 0."""
+    return params.level ** (1.0 / (critical_exponent(params.n, params.s) - 2.0))
 
 
 def _phi_scalars(params: ProblemParams, op: StiffnessOperator, dofs: np.ndarray):
@@ -211,17 +216,15 @@ def _fiber_root(X: float, sub_mass: float, lam: float, q: float, qs: float,
 
 
 @lru_cache(maxsize=32)
-def _bubble_form_and_mass(key: ProblemParams, eps: float) -> tuple[float, float]:
-    """Weighted form and critical mass of the truncated bubble of width eps.
+def _bubble_form_and_mass(w: WeightModel, s: float, eps: float) -> tuple[float, float]:
+    """Weighted form under ``w`` and critical mass of the truncated bubble of width eps.
 
-    Neither depends on the lam-term, so ``key`` is the params with lam = 0
-    and q = 2 (the way the battery keys operators), and regimes that share a
-    weight share the quadrature.
+    Neither depends on the lam-term, so regimes that share a weight share
+    the quadrature.
     """
-    n, s = key.n, key.s
-    ub = truncated_bubble(eps, s, n, key.eta)
-    form = seminorm_radial(ub, weight_from_params(key), n, s, ub.support).value
-    return form, radial_power_integral(ub, critical_exponent(n, s), n)
+    ub = truncated_bubble(eps, s, w.n, w.eta)
+    form = seminorm_radial(ub, w, w.n, s, ub.support).value
+    return form, radial_power_integral(ub, critical_exponent(w.n, s), w.n)
 
 
 def fiber_sweep(params: ProblemParams, eps_grid) -> tuple[FiberResult, ...]:
@@ -231,7 +234,7 @@ def fiber_sweep(params: ProblemParams, eps_grid) -> tuple[FiberResult, ...]:
     computed by the radial quadrature of the truncated bubble itself, then
     scaled to the critical-norm-normalized profile (so crit_mass is exactly
     one by construction).  As eps -> 0, t_eps tends to
-    (p0 Ss)^{1/(q_s-2)} and limit_gap shrinks.  The weighted form and the
+    :func:`fiber_limit` and limit_gap shrinks.  The weighted form and the
     critical mass do not depend on lam or q, so they are computed once per
     weight and eps (``_bubble_form_and_mass``).
     """
@@ -242,11 +245,11 @@ def fiber_sweep(params: ProblemParams, eps_grid) -> tuple[FiberResult, ...]:
         raise ValueError(f"eps below {EPS_FLOOR} needs hand-tuned panels; refusing")
     n, s, eta = params.n, params.s, params.eta
     qs = critical_exponent(n, s)
-    limit = (params.p0 * bubble_constants(n, s).Ss) ** (1.0 / (qs - 2.0))
-    key = replace(params, lam=0.0, q=2.0)
+    limit = fiber_limit(params)
+    w = weight_from_params(params)
     out = []
     for eps in eps_grid:
-        form, crit_raw = _bubble_form_and_mass(key, float(eps))
+        form, crit_raw = _bubble_form_and_mass(w, s, float(eps))
         ub = truncated_bubble(float(eps), s, n, eta)
         sub_raw = radial_power_integral(ub, params.q, n)
         nrm = crit_raw ** (1.0 / qs)
@@ -274,9 +277,7 @@ def _alpha_q(params: ProblemParams, op: StiffnessOperator) -> float:
     if params.q == 2.0:
         lam1, _ = first_eigenvalue(op)
         return lam1
-    init = interpolate_field(
-        truncated_bubble(0.2, params.s, params.n, eta=params.eta), op.nodes
-    )
+    init = _bubble_start(params, op.nodes, START_WIDTH)
     _, E, _, status = _min_form_on_sphere(op.A, op, params.q, init.dofs, 1e-8, 4000)
     if status not in ("converged", "max_iter"):  # pragma: no cover - defensive
         raise MountainPassError(f"embedding-constant descent ended with status {status!r}")
@@ -300,7 +301,6 @@ def mp_geometry(params: ProblemParams, op: StiffnessOperator) -> tuple[float, fl
     """
     n, s, lam, q = params.n, params.s, params.lam, params.q
     qs = critical_exponent(n, s)
-    Sp = params.p0 * bubble_constants(n, s).Ss
     alpha = _alpha_q(params, op)
     if q == 2.0:
         if lam >= alpha:
@@ -311,7 +311,7 @@ def mp_geometry(params: ProblemParams, op: StiffnessOperator) -> tuple[float, fl
         raise ValueError("q > 2 geometry needs lam >= 0")
 
     c_sub = lam * alpha ** (-q / 2.0)
-    c_crit = Sp ** (-qs / 2.0)
+    c_crit = params.level ** (-qs / 2.0)
 
     def g(t: float) -> float:
         return 0.5 * t * t - (c_sub / q) * t ** q - (c_crit / qs) * t ** qs
@@ -332,7 +332,7 @@ def mp_geometry(params: ProblemParams, op: StiffnessOperator) -> tuple[float, fl
     if not beta > 0.0:  # pragma: no cover - excluded by the pre-checks above
         raise MountainPassError(f"lower-bound level is not positive (beta = {beta:.6g})")
 
-    u0 = interpolate_field(truncated_bubble(START_EPS[0], s, n, eta=params.eta), op.nodes)
+    u0 = _bubble_start(params, op.nodes, START_EPS[0])
     nrm = power_integral(u0, qs, n) ** (1.0 / qs)
     base = u0.values / nrm
     X0, sub0, crit0 = _phi_scalars(params, op, base[:-1])
@@ -380,9 +380,7 @@ def mp_level(params: ProblemParams, op: StiffnessOperator, m: int = 21) -> PathS
 
     runs = []
     for eps in START_EPS:
-        start = interpolate_field(truncated_bubble(eps, params.s, params.n, eta=params.eta),
-                                  op.nodes)
-        on_set = ray_to_nehari(start.dofs)
+        on_set = ray_to_nehari(_bubble_start(params, op.nodes, eps).dofs)
         if on_set is None:
             raise MountainPassError(f"the ray through the eps = {eps} start has no interior maximum")
         runs.append(_projected_descent(op.solve, on_set, lambda v: _phi_grad(params, op, v), stop,

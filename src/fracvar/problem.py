@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import sphere_surface
+from .constants import bubble_constants, sphere_surface
 
 
 class ConfigError(ValueError):
@@ -76,14 +76,20 @@ class ProblemParams:
         """Weight growth exponent constraint 2 <= k < n - 4s (open at the top)."""
         return 2.0 <= self.k < self.n - 4.0 * self.s
 
+    @property
+    def level(self) -> float:
+        """The threshold level p0 Ss: a q = 2 ground state's energy lies below it."""
+        return self.p0 * bubble_constants(self.n, self.s).Ss
+
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """Outcome of :func:`validate`: hard errors, soft warnings, regime flags."""
+    """Outcome of :func:`validate`: hard errors, soft warnings, regime flags and their messages."""
 
     ok: bool
     errors: tuple[tuple[str, str], ...]
     warnings: tuple[str, ...]
+    regime_errors: tuple[str, ...]
     ns_admissible: bool
     k_admissible: bool
     theorem1_regime: bool
@@ -105,10 +111,12 @@ def validate(params: ProblemParams) -> ValidityReport:
     warnings, not errors — the strict flags are still False there.
     ``theorem1_regime`` is True iff ns_admissible and k_admissible hold and
     lambda > 0 (the eigenvalue upper bound lambda < lambda_1 is a separate,
-    solver-side check).
+    solver-side check).  Parameters without hard errors that miss either
+    admissibility flag get one message each in ``regime_errors``.
     """
     errors: list[tuple[str, str]] = []
     warnings: list[str] = []
+    regime: list[str] = []
 
     if int(params.n) != params.n or params.n < 3:
         errors.append(("E_DIMENSION", f"dimension n must be an integer >= 3, got {params.n}"))
@@ -157,6 +165,11 @@ def validate(params: ProblemParams) -> ValidityReport:
         qs = critical_exponent(params.n, params.s)  # n and s passed their checks above
         if not 2.0 <= params.q < qs:
             errors.append(("E_EXPONENT", f"subcritical exponent q must lie in [2, q_s = {qs}), got {params.q}"))
+        if not ns_ok:
+            regime.append(f"order s = {params.s} is outside the admissible range for n = {params.n}"
+                          + (f" (requires s < {bound})" if bound is not None else ""))
+        if not k_ok:
+            regime.append(f"weight growth k = {params.k} is out of range for (n, s) = ({params.n}, {params.s})")
 
     if params.lam < 0.0:
         warnings.append(f"lambda = {params.lam} < 0: outside the perturbation regime of interest")
@@ -166,6 +179,7 @@ def validate(params: ProblemParams) -> ValidityReport:
         ok=not errors,
         errors=tuple(errors),
         warnings=tuple(warnings),
+        regime_errors=() if errors else tuple(regime),
         ns_admissible=ns_ok,
         k_admissible=k_ok,
         theorem1_regime=theorem1,

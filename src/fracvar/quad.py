@@ -246,6 +246,14 @@ def _weight_fns(w):
     return w.radial, w.far
 
 
+def _sym_weight(wfun, wr: np.ndarray, far: np.ndarray) -> np.ndarray:
+    """The symmetrized weight 0.5 (p(r) + p(rho)) on a table, a new array: ``wr`` = p(r) per row,
+    ``far`` the partner radii rho, one row per r.  The FE stiffness and the pair forms share it."""
+    wb = wr[:, None] + wfun(far)
+    wb *= 0.5
+    return wb
+
+
 def _row_blocks(m: int) -> list[slice]:
     """The slices of ``ROW_BLOCK`` consecutive rows, in order, that cover ``m`` rows."""
     return [slice(lo, lo + ROW_BLOCK) for lo in range(0, m, ROW_BLOCK)]
@@ -281,9 +289,8 @@ def _outer_fold(rn: np.ndarray, wfun, wfar: float, n: int, s: float, *, r_hi: fl
     T = t_hi[:, None] * reln[None, :]
     wr = wfun(rn)
     with np.errstate(divide="ignore", over="ignore"):
-        wbo = wfun(rn[:, None] / np.maximum(T, 1e-300)) + wr[:, None]
+        wbo = _sym_weight(wfun, wr, rn[:, None] / np.maximum(T, 1e-300))
     # wbo * K(T) * T^(2s-1) * t_hi * relw, in that order, in place
-    wbo *= 0.5
     wbo *= _kernel_interp(n, float(s))(T)
     T **= two_s - 1.0
     wbo *= T
@@ -424,8 +431,7 @@ def _pair_form(pa, pb, w, n: int, s: float, rule: PairRule, *, r_hi: float, incl
         da = rows_a(blk)
         db = da if pb is pa else rows_b(blk)
         # wb * da * db * tau_fac, in that order, in place
-        wb = wr[blk, None] + wfun(rn[blk, None] * tn)
-        wb *= 0.5
+        wb = _sym_weight(wfun, wr[blk], rn[blk, None] * tn)
         wb *= da
         wb *= db
         wb *= tau_fac

@@ -46,11 +46,11 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.sparse import csr_array
 
-from ._panels import gl_rule
+from ._panels import gl_rule, panel_nodes
 from .bubble import truncated_bubble
-from .constants import bubble_constants, sphere_surface
+from .constants import sphere_surface
 from .problem import ProblemParams, critical_exponent, weight_from_params
-from .quad import PairRule, _fold_rows, _kernel_row, _row_blocks
+from .quad import PairRule, _fold_rows, _kernel_row, _row_blocks, _sym_weight
 
 
 class SolverError(RuntimeError):
@@ -123,6 +123,11 @@ def interpolate_field(profile, nodes: np.ndarray) -> RadialField:
     values = np.asarray(profile.radial_value(nodes), dtype=float).copy()
     values[-1] = 0.0
     return RadialField(nodes, values)
+
+
+def _bubble_start(params: ProblemParams, nodes: np.ndarray, eps: float) -> RadialField:
+    """The interpolant of the truncated bubble of width eps: where the grid descents start."""
+    return interpolate_field(truncated_bubble(eps, params.s, params.n, eta=params.eta), nodes)
 
 
 def _hat_at(nodes: np.ndarray, pts: np.ndarray):
@@ -238,10 +243,10 @@ def _stiffness_rows(params: ProblemParams, rule: PairRule):
     tn, tau_fac = _kernel_row(n, s, rule.n_t)
     nt = len(tn)
     for blk in _row_blocks(len(rn)):
-        inner = (rn[blk, None] * tn[None, :]).ravel()
-        wb = 0.5 * (wr[blk, None] + weight.radial(inner).reshape(-1, nt))
+        inner = rn[blk, None] * tn
+        wb = _sym_weight(weight.radial, wr[blk], inner)
         sq = np.sqrt(radial[blk, None] * tau_fac[None, :] * wb).ravel()
-        ib0, vb0, ib1, vb1 = _hat_at(nodes, inner)
+        ib0, vb0, ib1, vb1 = _hat_at(nodes, inner.ravel())
         yield ([np.repeat(ia0[blk], nt), np.repeat(ia1[blk], nt), ib0, ib1],
                [np.repeat(va0[blk], nt) * sq, np.repeat(va1[blk], nt) * sq, -vb0 * sq, -vb1 * sq])
 
@@ -266,8 +271,7 @@ def assemble(params: ProblemParams, grid) -> StiffnessOperator:
 
     # the mass rows: per-interval Gauss-Legendre on phi_i phi_j r^(n-1)
     mass = grid_rule(nodes, n, max(8, n // 2 + 2))
-    rm = (nodes[:-1][:, None] + np.diff(nodes)[:, None] * mass.x01).ravel()
-    im0, wm0, im1, wm1 = _hat_at(nodes, rm)
+    im0, wm0, im1, wm1 = _hat_at(nodes, mass.r.ravel())
     sq_m = np.sqrt(mass.wq.ravel() * mass.sig * mass.rn1.ravel())
     Mq, _ = _gram(M, [([im0, im1], [wm0 * sq_m, wm1 * sq_m])])
 
@@ -291,21 +295,23 @@ def assemble(params: ProblemParams, grid) -> StiffnessOperator:
 class GridRule:
     """Per-interval Gauss-Legendre rule for power integrals of grid interpolants.
 
-    On interval i of width h_i the panel nodes are r_i + h_i x_k with
-    weights ``wq`` = h_i w_k, where (x_k, w_k) is the rule mapped to [0, 1];
-    ``rn1`` is r^(n-1) at those nodes and ``x01`` / ``omx`` are the hat
-    values x_k and 1 - x_k, shaped (1, npts).  ``sig`` is the measure of
-    S^{n-1}.  Built by :func:`grid_rule`.
+    On interval i of width h_i the panel nodes ``r`` are r_i + h_i x_k with
+    weights ``wq`` = h_i w_k, shaped (intervals, npts), where (x_k, w_k) is
+    the rule mapped to [0, 1]: :func:`fracvar._panels.panel_nodes`'s, as in
+    :func:`fracvar.quad.radial_power_integral`.  ``rn1`` is r^(n-1) at the
+    nodes and ``x01`` / ``omx`` are the hat values x_k and 1 - x_k, shaped
+    (1, npts).  ``sig`` is the measure of S^{n-1}.  Built by :func:`grid_rule`.
     """
 
     sig: float
+    r: np.ndarray
     wq: np.ndarray
     rn1: np.ndarray
     x01: np.ndarray
     omx: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.wq, self.rn1, self.x01, self.omx):
+        for arr in (self.r, self.wq, self.rn1, self.x01, self.omx):
             arr.setflags(write=False)
 
     def interpolate(self, dofs: np.ndarray) -> np.ndarray:
@@ -330,13 +336,9 @@ class GridRule:
 
 def grid_rule(nodes: np.ndarray, n: int, npts: int = 12) -> GridRule:
     """The npts-point :class:`GridRule` of a node array in dimension n."""
-    h = np.diff(nodes)
-    xg, wg = gl_rule(npts)
-    x01 = 0.5 * (xg + 1.0)
-    w01 = 0.5 * wg
-    r = nodes[:-1][:, None] + h[:, None] * x01[None, :]
-    return GridRule(sig=sphere_surface(n), wq=h[:, None] * w01[None, :], rn1=r ** (n - 1),
-                    x01=x01[None, :], omx=1.0 - x01[None, :])
+    r, wq = (a.reshape(-1, npts) for a in panel_nodes(nodes, npts))
+    x01 = 0.5 * (gl_rule(npts)[0][None, :] + 1.0)
+    return GridRule(sig=sphere_surface(n), r=r, wq=wq, rn1=r ** (n - 1), x01=x01, omx=1.0 - x01)
 
 
 def power_integral(field: RadialField, expo: float, n: int) -> float:
@@ -373,6 +375,8 @@ MARGIN_FRAC = 0.02
 
 MINIMIZE_TOL = 1e-6
 MINIMIZE_MAX_ITER = 2000
+# the width of the truncated bubble that the sphere descents start from
+START_WIDTH = 0.2
 
 
 @dataclass(frozen=True)
@@ -488,7 +492,7 @@ def minimize_S(params: ProblemParams, op: StiffnessOperator) -> MinimizeResult:
     """Projected-gradient minimization of u^T A u - lam u^T Mq u on the q_s sphere.
 
     The descent starts from the interpolant of the truncated bubble of
-    width 0.2.  The descent direction is the tangentially projected gradient,
+    width ``START_WIDTH``.  The descent direction is the tangentially projected gradient,
     preconditioned by the stiffness factorization; Armijo backtracking on
     the renormalized iterate keeps the energy monotone across accepted
     steps.  Convergence is declared when the projected gradient drops below
@@ -501,16 +505,14 @@ def minimize_S(params: ProblemParams, op: StiffnessOperator) -> MinimizeResult:
     if params.q != 2.0:
         raise ValueError("the constrained minimization is the q = 2 Rayleigh problem")
     qs = critical_exponent(params.n, params.s)
-    level = params.p0 * bubble_constants(params.n, params.s).Ss
-    nodes = op.nodes
-
-    init = interpolate_field(truncated_bubble(0.2, params.s, params.n, eta=params.eta), nodes)
+    level = params.level
+    init = _bubble_start(params, op.nodes, START_WIDTH)
     u, E, it, status = _min_form_on_sphere(
         op.A - params.lam * op.Mq, op, qs, init.dofs,
         MINIMIZE_TOL, MINIMIZE_MAX_ITER, floor_energy=-10.0 * level,
     )
 
-    field = _with_dofs(nodes, u)
+    field = _with_dofs(op.nodes, u)
     resid = abs(op.rule.integral(op.rule.interpolate(u), qs) ** (1.0 / qs) - 1.0)
     return MinimizeResult(
         field=field,

@@ -39,13 +39,10 @@ from .asymptotics import (
     sweep_weighted_seminorm,
 )
 from .bubble import Bubble, lq_norm, truncated_bubble
-from .constants import (
-    bubble_constants,
-    lebesgue_power_integral,
-    lebesgue_power_quadrature,
-)
+from .constants import lebesgue_power_integral, lebesgue_power_quadrature
 from .mountainpass import (
     _fiber_root,
+    fiber_limit,
     fiber_sweep,
     level_bound,
     mp_geometry,
@@ -119,13 +116,18 @@ def _require_pinned_regime(params: ProblemParams) -> None:
 # Checks 1-6: constants, bubble family, sampled pointwise bound
 # ---------------------------------------------------------------------------
 
+def _power_draw(rng) -> tuple[int, float]:
+    """One (n, alpha) of checks 1 and 12: n in [3, 10], alpha in (n/2 + 0.2, n/2 + 4)."""
+    n = int(rng.integers(3, 11))
+    return n, float(rng.uniform(n / 2.0 + 0.2, n / 2.0 + 4.0))
+
+
 def check_closed_form_integrals(base: ProblemParams, seed: int) -> tuple[bool, dict]:
     """1: closed-form power integrals against radial quadrature, 20 draws."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(20):
-        n = int(rng.integers(3, 11))
-        alpha = float(rng.uniform(n / 2.0 + 0.2, n / 2.0 + 4.0))
+        n, alpha = _power_draw(rng)
         exact = lebesgue_power_integral(n, alpha)
         quad = lebesgue_power_quadrature(n, alpha)
         worst = max(worst, abs(quad - exact) / exact)
@@ -166,10 +168,8 @@ def check_weight_bump(base: ProblemParams) -> tuple[bool, dict]:
 
 def check_residual_rates(base: ProblemParams) -> tuple[bool, dict]:
     """5: weighted seminorm residual rates for bump and constant weight."""
-    p_bump = replace(base, kappa=1.0, lam=0.0, q=2.0)
-    rep_bump = sweep_weighted_seminorm(p_bump)
-    p_flat = replace(base, kappa=0.0, lam=0.0, q=2.0)
-    rep_flat = sweep_weighted_seminorm(p_flat, eps_grid=(0.1, 0.07, 0.05, 0.035, 0.025))
+    rep_bump = sweep_weighted_seminorm(replace(base, kappa=1.0))
+    rep_flat = sweep_weighted_seminorm(replace(base, kappa=0.0), eps_grid=(0.1, 0.07, 0.05, 0.035, 0.025))
     ok = rep_bump.passed and rep_flat.passed
     return ok, {
         "bump_slope": rep_bump.fit_slope, "bump_r2": rep_bump.fit_r2,
@@ -183,11 +183,11 @@ def check_power_gap(base: ProblemParams, seed: int) -> tuple[bool, dict]:
     """6: sampled |x|^{k/2} Lipschitz-type bound over six (k, R) cells."""
     worst = 0.0
     ok = True
-    for i, (k, R) in enumerate((k, R) for k in (2, 3, 4) for R in (1.0, 2.0)):
+    for i, (k, R) in enumerate(asymptotics.DELTA_CELLS):
         res = check_delta_lemma(k, R, seed=seed + 17 * (i + 1))
         ok = ok and res.passed
         worst = max(worst, res.worst_ratio)
-    return ok, {"worst_ratio": worst, "cells": 6, "trials_per_cell": asymptotics.DELTA_TRIALS}
+    return ok, {"worst_ratio": worst, "cells": len(asymptotics.DELTA_CELLS), "trials_per_cell": asymptotics.DELTA_TRIALS}
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +197,7 @@ def check_power_gap(base: ProblemParams, seed: int) -> tuple[bool, dict]:
 def check_energy_dip(base: ProblemParams) -> tuple[bool, dict]:
     """7: energy dips under p0*Ss below the kappa-threshold, not at lam=0."""
     op = _get_op(base)
-    level = base.p0 * bubble_constants(base.n, base.s).Ss
+    level = base.level
     lam1, _ = first_eigenvalue(op)
     p_dip = replace(base, lam=0.5 * lam1, q=2.0)
     rep = sweep_energy(p_dip)
@@ -244,7 +244,7 @@ def check_eigenvalue(base: ProblemParams) -> tuple[bool, dict]:
 def check_fiber_limits(base: ProblemParams) -> tuple[bool, dict]:
     """9: t_eps gap shrinks monotonically; Y_eps stays under the bound."""
     qs = critical_exponent(base.n, base.s)
-    t_limit = (base.p0 * bubble_constants(base.n, base.s).Ss) ** (1.0 / (qs - 2.0))
+    t_limit = fiber_limit(base)
     grid = np.array([0.2, 0.14, 0.1, 0.07, 0.05])
     regimes = [replace(base, kappa=0.002, lam=1.0, q=2.0)]
     regimes += [replace(base, kappa=0.004, lam=lam, q=2.2) for lam in (0.1, 1.0, 10.0)]
@@ -334,7 +334,7 @@ _UNBIASED_CONFIG, _UNBIASED_N, _UNBIASED_SEEDS = 4, 400_000, 50
 
 
 def _mc_bubble(base: ProblemParams, eps: float, kappa: float):
-    w = weight_from_params(replace(base, kappa=kappa, lam=0.0, q=2.0))
+    w = weight_from_params(replace(base, kappa=kappa))
     return truncated_bubble(eps, base.s, base.n, base.eta), w
 
 
@@ -383,11 +383,9 @@ def _determinism_probe(base: ProblemParams, seed: int) -> bytes:
     rng = np.random.default_rng(seed)
     draws = []
     for _ in range(5):
-        n = int(rng.integers(3, 11))
-        alpha = float(rng.uniform(n / 2.0 + 0.2, n / 2.0 + 4.0))
-        draws.append(lebesgue_power_quadrature(n, alpha))
+        draws.append(lebesgue_power_quadrature(*_power_draw(rng)))
     cell = check_delta_lemma(2, 1.0, seed=seed + 17)
-    w = weight_from_params(replace(base, kappa=0.0, lam=0.0, q=2.0))
+    w = weight_from_params(replace(base, kappa=0.0))
     ub = truncated_bubble(1.0, base.s, base.n, base.eta)
     mc = seminorm_mc(ub, w, base.n, base.s, N=100_000, seed=seed + 911)
     payload = {"draws": draws, "worst_ratio": cell.worst_ratio,
