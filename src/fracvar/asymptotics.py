@@ -179,17 +179,15 @@ def sweep_weighted_seminorm(params: ProblemParams, eps_grid=DEFAULT_EPS_GRID) ->
 # Energy dip sweep
 # ---------------------------------------------------------------------------
 
-def sweep_energy(
-    params: ProblemParams,
-    eps_grid=DEFAULT_EPS_GRID,
-    *,
-    c_fit: float | None = None,
-) -> SweepReport:
+def sweep_energy(params: ProblemParams, eps_grid=DEFAULT_EPS_GRID) -> SweepReport:
     """E_lambda of the critically normalized truncated bubble across the grid.
 
-    The leading deviation from p0*Ss is eps^{2s} times (weight bump minus
-    lambda L^2-mass): below the measured kappa-threshold the energy dips
-    under p0*Ss.  q = 2 only.
+    The leading deviation from p0*Ss is (kappa C_W - lambda K2s) eps^{2s} /
+    Kqs^{2/q_s}, with C_W = K2s * bump_moment(-1-2s) the far-field energy of
+    the weight's bump (Brezis & Nirenberg, CPAM 36, 1983; Servadei &
+    Valdinoci, Trans. AMS 367, 2015).  So the energy dips under p0*Ss for
+    small eps exactly when kappa is below the threshold
+    lambda / bump_moment(-1-2s).  q = 2 only.
     """
     if params.q != 2.0:
         raise ValueError("energy sweep is defined for the q = 2 form")
@@ -207,9 +205,7 @@ def sweep_energy(
         energy = (semi - lam * l2) / tnorm**2
         values.append(energy)
         residuals.append(energy - level)
-    if c_fit is None:
-        c_fit = sweep_A(params, grid).extras["C_fit"]
-    threshold = math.inf if c_fit <= 0.0 else lam * cs.K2s / (c_fit * cs.Kqs ** (2.0 / cs.q_s))
+    threshold = lam / w.bump_moment(-1.0 - 2.0 * s)
     dip_expected = params.kappa < threshold and lam > 0.0
     sign_ok = all(r < 0.0 for r in residuals) if dip_expected else True
     return _fit_report(
@@ -220,7 +216,6 @@ def sweep_energy(
         2.0 * s,
         extras={
             "kappa_threshold": threshold,
-            "C_fit": c_fit,
             "level": level,
             "min_energy": float(min(values)),
             "dip_expected": float(dip_expected),

@@ -227,14 +227,20 @@ class WeightModel:
         """The maximum of p, attained at r = 4*eta."""
         return self.p0 + self.kappa * (4.0 * self.eta) ** self.k
 
-    def excess_mass(self) -> float:
-        """\\int_{R^n} (p - p0) dx in closed form.
+    def bump_moment(self, a: float) -> float:
+        """sigma(S^{n-1}) \\int_0^inf phi(r) r^a dr in closed form, for the bump phi of p = p0 + kappa phi.
 
-        sigma(S^{n-1}) * kappa * (4 eta)^(k+n) * (1/(k+n) + 1), the bulk
-        power integral plus the exactly integrable tail.
+        sigma(S^{n-1}) (4 eta)^(k+a+1) (1/(k+a+1) + 1/(n-a)), the bulk power
+        integral plus the exactly integrable tail; finite for -k-1 < a < n.
         """
+        if not -self.k - 1.0 < a < self.n:
+            raise ValueError(f"the bump's moment of order {a} diverges; need -k-1 < a < n")
         r4 = 4.0 * self.eta
-        return sphere_surface(self.n) * self.kappa * r4 ** (self.k + self.n) * (1.0 / (self.k + self.n) + 1.0)
+        return sphere_surface(self.n) * r4 ** (self.k + a + 1.0) * (1.0 / (self.k + a + 1.0) + 1.0 / (self.n - a))
+
+    def excess_mass(self) -> float:
+        """\\int_{R^n} (p - p0) dx = kappa * bump_moment(n - 1)."""
+        return self.kappa * self.bump_moment(self.n - 1.0)
 
 
 def weight_from_params(params: ProblemParams) -> WeightModel:

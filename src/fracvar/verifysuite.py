@@ -206,9 +206,7 @@ def check_energy_dip(base: ProblemParams) -> tuple[bool, dict]:
     res = minimize_S(p_dip, op)
     min_ok = (res.converged and res.energy < level
               and res.constraint_residual <= 1e-8)
-    p_flat = replace(base, lam=0.0, q=2.0)
-    # C_fit comes from sweep_A, which reads only (n, s, k, eta): reuse it
-    rep0 = sweep_energy(p_flat, c_fit=rep.extras["C_fit"])
+    rep0 = sweep_energy(replace(base, lam=0.0, q=2.0))
     nodip_ok = rep0.extras["min_energy"] >= level - 1e-3
     return dip_ok and min_ok and nodip_ok and base.kappa > 0.0, {
         "lam": p_dip.lam,

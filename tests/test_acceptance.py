@@ -39,8 +39,8 @@ PINNED_HEX = {
 
 # sha256 of ``fracvar verify --config default.cfg`` artifacts (seed 1318)
 VERIFY_SHA256 = {
-    "manifest.json": "efa7bf7a076e60ddf11d18859e47d7524d414f2b1fef0f35ea693ca2440b1e2a",
-    "verify_results.json": "28c1a79baa1e976074afd86052550339936a0236d5209b934a5ae0eca6b79252",
+    "manifest.json": "9baef520a52231261b8ab8438abd5da07cf333af48e45d8e9b679627cd50bcb0",
+    "verify_results.json": "6ae32c5b731d94e7d31f08abcdff7574c157ebb68383b5b78b967cd879e75a54",
 }
 
 
@@ -133,9 +133,9 @@ def test_07_energy_dip_signature(battery):
     assert r.seconds < 600.0
 
 
-def test_07_sweeps_the_ball_form_once(monkeypatch):
-    # the lam = 0 energy sweep reuses the dip sweep's C_fit: sweep_A reads
-    # only (n, s, k, eta), which the two regimes share
+def test_07_does_not_sweep_the_ball_form(monkeypatch):
+    # the kappa-threshold comes from the weight's closed-form bump moment,
+    # not from a fit of the ball-restricted |x|^k form
     calls = []
     real = asymptotics.sweep_A
 
@@ -146,7 +146,7 @@ def test_07_sweeps_the_ball_form_once(monkeypatch):
     monkeypatch.setattr(asymptotics, "sweep_A", counting)
     ok, _ = verifysuite.check_energy_dip(load_config(DEFAULT_CFG).params)
     assert ok
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_08_first_eigenvalue(battery):

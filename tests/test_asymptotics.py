@@ -16,6 +16,7 @@ from fracvar.asymptotics import (
     sweep_energy,
     sweep_weighted_seminorm,
 )
+from fracvar.constants import sphere_surface
 from fracvar.problem import ProblemParams
 
 P = ProblemParams(n=6, s=0.5, k=2, kappa=1.0, lam=0.0, q=2.0, p0=1.0, eta=1.0, R=5.0)
@@ -145,7 +146,7 @@ def test_weighted_seminorm_sweeps_exact_values():
 def test_energy_sweep_exact_values():
     # check 7's dip parameters at default.cfg (lam = lambda1 / 2, to 12 digits)
     p = ProblemParams(n=6, s=0.5, k=2, kappa=0.05, lam=20.9641768993, q=2.0, p0=1.0, eta=1.0, R=5.0)
-    rep = sweep_energy(p, c_fit=1.0)
+    rep = sweep_energy(p)
     assert tuple(v.hex() for v in rep.values) == DIP_VALUES
 
 
@@ -162,6 +163,21 @@ def test_energy_dip_below_threshold():
     assert p.kappa < rep.extras["kappa_threshold"]
     assert rep.extras["min_energy"] < rep.extras["level"]
     assert rep.extras["all_below_level"] == 1.0
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_energy_dips_exactly_below_the_closed_form_threshold(factor):
+    # kappa* = lam / (sigma_n int phi r^(-1-2s) dr), the TruncatedPower bump's
+    # integral being (4 eta)^(k-2s) (1/(k-2s) + 1/(n+1+2s)); the energy of the
+    # small bubbles dips under p0 Ss below kappa* and stays above it beyond
+    lam = 20.9641768993
+    kstar = lam / (sphere_surface(6) * 4.0 * (1.0 + 1.0 / 8.0))
+    p = ProblemParams(n=6, s=0.5, k=2, kappa=factor * kstar, lam=lam, q=2.0, p0=1.0, eta=1.0, R=5.0)
+    rep = sweep_energy(p, eps_grid=(0.04, 0.03, 0.02, 0.01))
+    assert rep.extras["kappa_threshold"] == pytest.approx(kstar, rel=1e-12)
+    assert rep.extras["dip_expected"] == float(factor < 1.0)
+    assert all((v < rep.extras["level"]) == (factor < 1.0) for v in rep.values)
+    assert rep.passed
 
 
 def test_energy_no_dip_at_lambda_zero():

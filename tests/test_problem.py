@@ -263,19 +263,24 @@ def test_weight_floor_center_and_junction(w, r):
 
 
 @_props
-@given(_weights)
-def test_excess_mass_matches_radial_quadrature(w):
+@given(_weights, st.floats(0.05, 0.95))
+def test_bump_moment_matches_radial_quadrature(w, s):
     r4 = 4.0 * w.eta
-    # p - p0, read off the same bump at p0 = 0: subtracting p0 from p would
-    # cancel all the digits of the tail where the bump is below p0's ulp
-    bump = replace(w, p0=0.0)
+    # the bump phi of p = p0 + kappa phi, read off the weight at p0 = 0 and
+    # kappa = 1: subtracting p0 from p would cancel all the digits of the
+    # tail where the bump is below p0's ulp
+    bump = replace(w, p0=0.0, kappa=1.0)
+    # the excess mass (a = n - 1) and the energy threshold's moment (a = -1 - 2s)
+    for a in (w.n - 1.0, -1.0 - 2.0 * s):
+        def moment(r):
+            return float(bump.radial(r)) * r**a
 
-    def excess(r):
-        return float(bump.radial(r)) * r ** (w.n - 1)
-
-    inner, _ = spquad(excess, 0.0, r4, epsrel=1e-12)
-    outer, _ = spquad(excess, r4, np.inf, epsrel=1e-12)
-    assert w.excess_mass() == pytest.approx(sphere_surface(w.n) * (inner + outer), rel=1e-8, abs=1e-300)
+        inner, _ = spquad(moment, 0.0, r4, epsrel=1e-12)
+        outer, _ = spquad(moment, r4, np.inf, epsrel=1e-12)
+        assert w.bump_moment(a) == pytest.approx(sphere_surface(w.n) * (inner + outer), rel=1e-8, abs=1e-300)
+    assert w.excess_mass() == w.kappa * w.bump_moment(w.n - 1.0)
+    with pytest.raises(ValueError):
+        w.bump_moment(float(w.n))
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)

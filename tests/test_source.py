@@ -115,6 +115,7 @@ TEST_OPTIONS = {
     "mc_reference_ks.seed": "tests draw the Ks oracle at a seed of their own",
     "refinement_check.M": "tests refine from a coarser grid than the default",
     "seminorm_radial.r_breaks": "the test seam that puts a profile on chosen panels",
+    "sweep_A.eps_grid": "tests sweep other windows than DEFAULT_EPS_GRID",
     "sweep_bubble_norms.eps_grid": "tests sweep other windows than DEFAULT_EPS_GRID",
     "sweep_energy.eps_grid": "tests sweep other windows than DEFAULT_EPS_GRID",
 }
