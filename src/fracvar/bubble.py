@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .problem import critical_exponent
+
 
 def _psi(t: np.ndarray) -> np.ndarray:
     """Standard smooth step: 1 for t <= 0, 0 for t >= 1, C-infinity overall."""
@@ -33,7 +35,7 @@ def _psi(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Bubble:
-    """U_{eps,s}, radially decreasing about the origin, positive everywhere."""
+    """U_{eps,s}, radially decreasing about the origin, positive everywhere; (n, s) as for critical_exponent."""
 
     eps: float
     s: float
@@ -42,6 +44,7 @@ class Bubble:
     def __post_init__(self):
         if not (math.isfinite(self.eps) and self.eps > 0.0):
             raise ValueError(f"eps must be finite and positive, got {self.eps}")
+        critical_exponent(self.n, self.s)
 
     @property
     def exponent(self) -> float:

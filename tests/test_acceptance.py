@@ -5,7 +5,9 @@ quantity with its pinned tolerance, so a regression shows up as a named
 red line here even if the in-battery guard drifts.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 from dataclasses import replace
@@ -45,24 +47,34 @@ VERIFY_SHA256 = {
 
 
 @pytest.fixture(scope="module")
-def battery_run():
-    """One battery run, with the indices ``_finish`` saw in this process and
-    the BLAS thread variables before and after."""
-    finish = verifysuite._finish
-    indices = []
+def battery_run(tmp_path_factory):
+    """The first ``fracvar verify --config default.cfg`` run: the report that
+    ``run_all`` returned to the CLI, the indices ``_finish`` saw in this
+    process, the BLAS thread variables before and after, the exit code and
+    the artifact directory."""
+    finish, run = verifysuite._finish, verifysuite.run_all
+    indices, reports = [], []
 
     def recording_finish(index, *args):
         indices.append(index)
         return finish(index, *args)
 
+    def capturing_run_all(*args, **kwargs):
+        reports.append(run(*args, **kwargs))
+        return reports[-1]
+
+    out = tmp_path_factory.mktemp("verify")
     env_before = {k: os.environ.get(k) for k in BLAS_THREADS}
-    verifysuite._finish = recording_finish
+    verifysuite._finish, verifysuite.run_all = recording_finish, capturing_run_all
     try:
-        report = run_all(load_config(DEFAULT_CFG))
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+            mp.delenv("FRACVAR_OUT", raising=False)
+            code = main(["verify", "--config", DEFAULT_CFG, "--out", str(out)])
     finally:
-        verifysuite._finish = finish
+        verifysuite._finish, verifysuite.run_all = finish, run
     env_after = {k: os.environ.get(k) for k in BLAS_THREADS}
-    return report, indices, (env_before, env_after)
+    [report] = reports
+    return report, indices, (env_before, env_after), code, out
 
 
 @pytest.fixture(scope="module")
@@ -184,19 +196,18 @@ def test_11_cross_method_seminorm(battery):
     assert r.seconds < 600.0
 
 
-def test_12_repeated_verify_runs_are_byte_identical(battery, tmp_path,
+def test_12_repeated_verify_runs_are_byte_identical(battery, battery_run, tmp_path,
                                                     monkeypatch, capsys):
     r, d = _get(battery, 12)
     assert r.passed and d["identical"] is True
-    # end to end: two full CLI runs must leave byte-identical artifacts
+    # end to end: two full CLI runs, the fixture's and one more, must leave
+    # byte-identical artifacts
     monkeypatch.delenv("FRACVAR_OUT", raising=False)
-    dirs = []
-    for name in ("first", "second"):
-        out = tmp_path / name
-        assert main(["verify", "--config", DEFAULT_CFG,
-                     "--out", str(out)]) == 0
-        capsys.readouterr()
-        dirs.append(out)
+    first_code, first_out = battery_run[3:]
+    assert first_code == 0
+    assert main(["verify", "--config", DEFAULT_CFG, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    dirs = [first_out, tmp_path]
     for fname in ("manifest.json", "verify_results.json"):
         assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
         assert hashlib.sha256((dirs[0] / fname).read_bytes()).hexdigest() == VERIFY_SHA256[fname]
@@ -212,7 +223,7 @@ def test_values_do_not_depend_on_the_callers_blas_threads(battery):
 
 
 def test_results_are_built_in_the_calling_process(battery_run):
-    report, indices, (env_before, env_after) = battery_run
+    report, indices, (env_before, env_after) = battery_run[:3]
     assert sorted(indices) == list(range(1, 13))
     assert [r.index for r in report.results] == list(range(1, 13))
     assert report.workers == min(2, len(os.sched_getaffinity(0)))

@@ -33,6 +33,15 @@ def test_bubble_requires_positive_width():
         Bubble(eps=0.0, s=0.5, n=6)
 
 
+@pytest.mark.parametrize("n, s", [(6, 5.0), (6, 1.0), (6, 0.0), (6, -0.5), (6, math.nan), (2, 0.5), (5.5, 0.5)])
+def test_bubble_requires_critical_exponent_shape(n, s):
+    # the rule of critical_exponent: an integer n >= 3 and s in (0, 1)
+    with pytest.raises(ValueError):
+        Bubble(eps=0.2, s=s, n=n)
+    with pytest.raises(ValueError):
+        truncated_bubble(0.2, s, n, 1.0)
+
+
 def test_cutoff_plateau_support_and_smoothness():
     c = Cutoff(eta=1.0)
     rr_in = np.linspace(0.0, 1.0, 11)
