@@ -492,10 +492,10 @@ def minimize_S(params: ProblemParams, op: StiffnessOperator) -> MinimizeResult:
     """Projected-gradient minimization of u^T A u - lam u^T Mq u on the q_s sphere.
 
     The descent starts from the interpolant of the truncated bubble of
-    width ``START_WIDTH``.  The descent direction is the tangentially projected gradient,
-    preconditioned by the stiffness factorization; Armijo backtracking on
-    the renormalized iterate keeps the energy monotone across accepted
-    steps.  Convergence is declared when the projected gradient drops below
+    width ``START_WIDTH``.  The descent direction is the tangentially
+    projected gradient, preconditioned by the stiffness factorization;
+    Armijo backtracking on the renormalized iterate keeps the energy
+    monotone across accepted steps.  Convergence is declared when the projected gradient drops below
     ``MINIMIZE_TOL`` relative to ||2 A u||; the descent stops with status
     ``max_iter`` after ``MINIMIZE_MAX_ITER`` steps.  Both are module
     constants read at call time.  An energy below -10 p0 Ss stops the
